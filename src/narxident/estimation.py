@@ -3,7 +3,10 @@ equality-constrained least squares.
 
 All solvers go through orthogonal decompositions rather than the normal
 equations, which keeps the condition number of the data matrix instead
-of its square.
+of its square.  Extended least squares factors the process regression
+matrix once per call and borders that factorization with the noise
+columns on each iteration, so an iteration costs O(m n k) for m rows, n
+process and k noise columns instead of a fresh QR of all n + k columns.
 """
 
 from __future__ import annotations
@@ -55,26 +58,28 @@ class EstimationReport:
         return float(np.var(self.residuals))
 
 
-def _qr_solve(psi, y_s):
-    """Householder-QR least squares with an explicit rank check."""
-    psi = np.asarray(psi, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
+def _check_rank(diag):
+    """Raise at the first |R_ii| at or below ``_RANK_RTOL`` times the largest."""
+    diag = np.abs(diag)
+    tol = _RANK_RTOL * (diag.max() if diag.size else 1.0)
+    bad = np.flatnonzero(diag <= tol)
+    if bad.size:
+        raise SingularMatrixError(
+            f"regression matrix numerically rank deficient at column {bad[0]}",
+            column=int(bad[0]),
+        )
+
+
+def _qr_factor(psi):
+    """Householder QR ``psi = q @ r`` (reduced) with an explicit rank check."""
     if psi.ndim != 2:
         raise ParameterError("regression matrix must be 2-D")
     m, n = psi.shape
     if m < n:
         raise ParameterError(f"underdetermined system: {m} rows < {n} columns")
     q, r = np.linalg.qr(psi)
-    diag = np.abs(np.diag(r))
-    tol = _RANK_RTOL * (diag.max() if n else 1.0)
-    bad = np.where(diag <= tol)[0]
-    if bad.size:
-        raise SingularMatrixError(
-            f"regression matrix numerically rank deficient at column {bad[0]}",
-            column=int(bad[0]),
-        )
-    theta = scipy.linalg.solve_triangular(r, q.T @ y_s)
-    return theta
+    _check_rank(np.diag(r))
+    return q, r
 
 
 def ls_estimate(psi, y_s):
@@ -83,9 +88,11 @@ def ls_estimate(psi, y_s):
     Returns an :class:`EstimationReport` with the residual vector
     ``y_s - psi @ theta``.
     """
-    theta = _qr_solve(psi, y_s)
-    residuals = np.asarray(y_s, dtype=float) - np.asarray(psi, dtype=float) @ theta
-    return EstimationReport(theta=theta, residuals=residuals)
+    psi = np.asarray(psi, dtype=float)
+    y_s = np.asarray(y_s, dtype=float)
+    q, r = _qr_factor(psi)
+    theta = scipy.linalg.solve_triangular(r, q.T @ y_s)
+    return EstimationReport(theta=theta, residuals=y_s - psi @ theta)
 
 
 def _lagged_columns(xi, n_lags):
@@ -104,26 +111,51 @@ def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
     """Extended least squares on a prebuilt regression matrix.
 
     Iteratively appends lagged copies of the residual vector as
-    moving-average columns and re-estimates until the parameter change
+    moving-average columns Xi and re-estimates until the parameter change
     drops below ``config.zeta``.  With ``n_noise_terms=0`` this is
     exactly ordinary least squares.
+
+    Psi (m x n) is factored once per call.  Each iteration borders that
+    factorization with the k noise columns: C = Q^T Xi and W = Xi - Q C
+    (with one re-orthogonalization pass), a small QR of W, and one
+    triangular solve on [[R, C], [0, R_W]].  That is O(m n k) work per
+    iteration instead of a QR of the full m x (n + k) matrix; the rank
+    check covers the diagonal of the bordered factor.
     """
     psi = np.asarray(psi, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
-    n_proc = psi.shape[1]
-    base = ls_estimate(psi, y_s)
+    q, r = _qr_factor(psi)
+    qty = q.T @ y_s
+    theta = scipy.linalg.solve_triangular(r, qty)
+    xi = y_s - psi @ theta
     if n_noise_terms == 0:
-        return base
-    xi = base.residuals
-    theta_prev = np.concatenate([base.theta, np.zeros(n_noise_terms)])
+        return EstimationReport(theta=theta, residuals=xi)
+    m, n_proc = psi.shape
+    n_full = n_proc + n_noise_terms
+    if m < n_full:
+        raise ParameterError(f"underdetermined system: {m} rows < {n_full} columns")
+    bordered = np.zeros((n_full, n_full))
+    bordered[:n_proc, :n_proc] = r
+    rhs = np.empty(n_full)
+    rhs[:n_proc] = qty
+    theta_prev = np.concatenate([theta, np.zeros(n_noise_terms)])
     change_norms = []
     converged = False
     iterations = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        extended = np.hstack([psi, _lagged_columns(xi, n_noise_terms)])
-        theta_full = _qr_solve(extended, y_s)
-        xi = y_s - extended @ theta_full
+        noise_cols = _lagged_columns(xi, n_noise_terms)
+        c = q.T @ noise_cols
+        w = noise_cols - q @ c
+        c2 = q.T @ w
+        w -= q @ c2
+        q_w, r_w = np.linalg.qr(w)
+        _check_rank(np.concatenate([np.diag(r), np.diag(r_w)]))
+        bordered[:n_proc, n_proc:] = c + c2
+        bordered[n_proc:, n_proc:] = r_w
+        rhs[n_proc:] = q_w.T @ y_s
+        theta_full = scipy.linalg.solve_triangular(bordered, rhs)
+        xi = y_s - psi @ theta_full[:n_proc] - noise_cols @ theta_full[n_proc:]
         change = float(np.linalg.norm(theta_full - theta_prev))
         change_norms.append(change)
         theta_prev = theta_full

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeriesData
-from .errors import DegenerateRangeError, ParameterError
+from .errors import DegenerateRangeError, NarxError, ParameterError
 from .experiments import (
     ExperimentDefinition,
     make_validation_data,
@@ -122,7 +122,7 @@ def monte_carlo_noise_sweep(defn: ExperimentDefinition, ratios,
                     failures += 1
                     continue
                 scores.append(out.mape)
-            except Exception:
+            except (NarxError, np.linalg.LinAlgError):
                 failures += 1
         if not scores:
             means.append(float("nan"))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesData
-from .errors import ParameterError
+from .errors import NarxError, ParameterError
 from .estimation import ElsConfig, els_core, ls_estimate
 from .model import CandidateSet, NarxModel, RegressorTerm
 from .regression import build_regression
@@ -116,11 +116,14 @@ class AicCurve:
 
     ``j_values[i]`` is the cost of the model with ``n_theta_values[i]``
     top-ranked terms; invalid points (failed estimations) are NaN and
-    excluded from the argmin.
+    excluded from the argmin.  ``converged[i]`` tells whether the
+    estimator converged at that point (always true for least squares,
+    false for a failed point).
     """
 
     n_theta_values: np.ndarray
     j_values: np.ndarray
+    converged: tuple = ()
 
     @property
     def argmin(self):
@@ -165,6 +168,7 @@ def aic_curve(ranking: ErrRanking, data: TimeSeriesData, estimator="ls",
     n_rows = len(y_s)
     sizes = np.arange(1, len(ranking) + 1)
     costs = np.full(len(sizes), np.nan)
+    converged = [False] * len(sizes)
     for i, n_theta in enumerate(sizes):
         sub = psi[:, cols[:n_theta]]
         try:
@@ -172,14 +176,16 @@ def aic_curve(ranking: ErrRanking, data: TimeSeriesData, estimator="ls",
                 report = els_core(sub, y_s, n_noise_terms, els_config)
                 resid = y_s - sub @ report.theta
             else:
-                resid = ls_estimate(sub, y_s).residuals
-        except Exception:
+                report = ls_estimate(sub, y_s)
+                resid = report.residuals
+        except (NarxError, np.linalg.LinAlgError):
             continue
+        converged[i] = report.converged
         var = float(np.var(resid))
         if var <= 0:
             var = np.finfo(float).tiny
         costs[i] = n_rows * np.log(var) + 2.0 * n_theta
-    return AicCurve(n_theta_values=sizes, j_values=costs)
+    return AicCurve(n_theta_values=sizes, j_values=costs, converged=tuple(converged))
 
 
 def select_structure(candidates: CandidateSet, data: TimeSeriesData,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from narxident import (
     ConstraintError,
@@ -18,7 +20,7 @@ from narxident import (
     term,
 )
 from narxident.benchmarks import HEATING_SYSTEM
-from narxident.estimation import els_core
+from narxident.estimation import _lagged_columns, els_core
 
 U = Variable.INPUT
 
@@ -125,6 +127,79 @@ def test_els_validates_arguments():
         ElsConfig(zeta=0.0)
     with pytest.raises(ParameterError):
         ElsConfig(max_iterations=0)
+
+
+def _reference_els(psi, y_s, n_noise_terms, config):
+    """From-scratch ELS: stack [Psi Xi] and run a full QR solve each iteration."""
+
+    def qr_solve(a):
+        q, r = np.linalg.qr(a)
+        return scipy.linalg.solve_triangular(r, q.T @ y_s)
+
+    theta_prev = np.concatenate([qr_solve(psi), np.zeros(n_noise_terms)])
+    xi = y_s - psi @ theta_prev[:psi.shape[1]]
+    change_norms = []
+    for _ in range(config.max_iterations):
+        extended = np.hstack([psi, _lagged_columns(xi, n_noise_terms)])
+        theta_full = qr_solve(extended)
+        xi = y_s - extended @ theta_full
+        change_norms.append(float(np.linalg.norm(theta_full - theta_prev)))
+        theta_prev = theta_full
+        if change_norms[-1] < config.zeta:
+            break
+    return theta_prev, xi, tuple(change_norms)
+
+
+def _assert_matches_reference(psi, y_s, n_noise_terms, config):
+    report = els_core(psi, y_s, n_noise_terms, config)
+    theta, residuals, change_norms = _reference_els(psi, y_s, n_noise_terms, config)
+    n = psi.shape[1]
+    assert report.iterations == len(change_norms)
+    assert report.converged == (change_norms[-1] < config.zeta)
+    for got, want in ((report.theta, theta[:n]), (report.noise_theta, theta[n:]),
+                      (report.residuals, residuals),
+                      (np.array(report.change_norms), np.array(change_norms))):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    return report
+
+
+@pytest.mark.parametrize("n_noise_terms", [1, 2])
+@pytest.mark.parametrize("config, converges", [
+    (ElsConfig(zeta=1e-4), True),
+    (ElsConfig(), False),  # still ~1e-6 apart at the 30-iteration cap
+])
+def test_els_matches_from_scratch_reference(n_noise_terms, config, converges):
+    data = _armax_record(6)
+    psi, y_s = build_regression(generate_candidates(2, 2, 2), data)
+    report = _assert_matches_reference(psi, y_s, n_noise_terms, config)
+    assert report.converged is converges
+
+
+@given(st.integers(1, 12), st.integers(1, 2), st.integers(5, 60), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_els_matches_reference_on_random_shapes(n, k, extra_rows, seed):
+    rng = np.random.default_rng(seed)
+    m = n + k + extra_rows
+    psi = rng.standard_normal((m, n))
+    e = rng.standard_normal(m + 1)
+    y_s = psi @ rng.standard_normal(n) + 0.3 * (e[1:] + 0.6 * e[:-1])
+    _assert_matches_reference(psi, y_s, k, ElsConfig(zeta=1e-6, max_iterations=10))
+
+
+def test_els_exact_fit_is_singular_in_noise_column():
+    # y = Psi theta leaves no residual, so the noise column Xi is zero
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal((50, 3))
+    with pytest.raises(SingularMatrixError) as exc:
+        els_core(psi, psi @ np.array([1.0, -2.0, 0.5]), 1)
+    assert exc.value.column == 3
+
+
+def test_els_rejects_too_few_rows_for_noise_columns():
+    rng = np.random.default_rng(8)
+    psi = rng.standard_normal((4, 3))
+    with pytest.raises(ParameterError):
+        els_core(psi, rng.standard_normal(4), 2)
 
 
 def test_constrained_ls_satisfies_constraint_exactly():

@@ -110,3 +110,21 @@ def test_monte_carlo_requires_ascending_ratios():
     from narxident import heating_experiment, monte_carlo_noise_sweep
     with pytest.raises(ParameterError):
         monte_carlo_noise_sweep(heating_experiment(), (0.3, 0.1), 1)
+
+
+def test_monte_carlo_counts_estimation_failures_and_propagates_bugs(monkeypatch):
+    from narxident import SingularMatrixError, evaluation, heating_experiment
+
+    def singular(*args, **kwargs):
+        raise SingularMatrixError("rank deficient")
+
+    monkeypatch.setattr(evaluation, "run_identification", singular)
+    report = evaluation.monte_carlo_noise_sweep(heating_experiment(), (0.1,), 2)
+    assert report.failures == (2,) and np.isnan(report.mape_mean[0])
+
+    def broken(*args, **kwargs):
+        raise TypeError("not an identification failure")
+
+    monkeypatch.setattr(evaluation, "run_identification", broken)
+    with pytest.raises(TypeError):
+        evaluation.monte_carlo_noise_sweep(heating_experiment(), (0.1,), 2)

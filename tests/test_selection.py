@@ -13,10 +13,13 @@ from narxident import (
     build_regression,
     frols_rank,
     generate_candidates,
+    heating_experiment,
+    run_identification,
     select_structure,
     term,
 )
-from narxident.errors import ParameterError
+from narxident import selection
+from narxident.errors import ParameterError, SingularMatrixError
 
 Y, U = Variable.OUTPUT, Variable.INPUT
 
@@ -129,6 +132,62 @@ def test_aic_formula_matches_definition():
     var = np.var(y_all - col @ theta_hat)
     expected = len(y_all) * np.log(var) + 2.0
     assert abs(curve.j_values[0] - expected) < 1e-9
+
+
+def _noisy_ranking():
+    true_terms, theta = TRUE_SYSTEMS[2]
+    data = synthetic_record(true_terms, theta, seed=5, noise=0.05)
+    return frols_rank(generate_candidates(2, 2, 2), data, max_terms=5), data
+
+
+def test_aic_curve_propagates_programming_errors(monkeypatch):
+    def broken(*args):
+        raise TypeError("not an estimation failure")
+
+    monkeypatch.setattr(selection, "els_core", broken)
+    ranking, data = _noisy_ranking()
+    with pytest.raises(TypeError):
+        aic_curve(ranking, data, estimator="els")
+
+
+def test_aic_curve_singular_point_is_nan(monkeypatch):
+    els_core = selection.els_core
+
+    def singular_at_two(psi, *args):
+        if psi.shape[1] == 2:
+            raise SingularMatrixError("rank deficient", column=1)
+        return els_core(psi, *args)
+
+    monkeypatch.setattr(selection, "els_core", singular_at_two)
+    ranking, data = _noisy_ranking()
+    curve = aic_curve(ranking, data, estimator="els")
+    assert np.isnan(curve.j_values[1])
+    assert np.all(np.isfinite(np.delete(curve.j_values, 1)))
+    assert curve.converged[1] is False
+
+
+def test_aic_curve_reports_convergence_per_point(monkeypatch):
+    # heating seed 1: most sweep points stop at the ELS iteration cap
+    reports = []
+    els_core = selection.els_core
+
+    def recording(*args):
+        reports.append(els_core(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(selection, "els_core", recording)
+    defn = heating_experiment()
+    curve = run_identification(defn, seed=1).curve
+    sweep = reports[:len(curve.j_values)]  # the last call is the final re-estimation
+    assert curve.converged == tuple(r.converged for r in sweep)
+    assert all(r.iterations == defn.selection.els.max_iterations
+               for r, ok in zip(sweep, curve.converged) if not ok)
+    assert not all(curve.converged)
+
+
+def test_aic_curve_least_squares_points_converge():
+    ranking, data = _noisy_ranking()
+    assert aic_curve(ranking, data, estimator="ls").converged == (True,) * len(ranking)
 
 
 def test_select_structure_recovers_true_model():
