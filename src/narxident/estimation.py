@@ -3,10 +3,14 @@ equality-constrained least squares.
 
 All solvers go through orthogonal decompositions rather than the normal
 equations, which keeps the condition number of the data matrix instead
-of its square.  Extended least squares factors the process regression
-matrix once per call and borders that factorization with the noise
-columns on each iteration, so an iteration costs O(m n k) for m rows, n
-process and k noise columns instead of a fresh QR of all n + k columns.
+of its square.  Extended least squares has one implementation,
+:func:`els_sweep`, which fits several column prefixes of one regression
+matrix together: the prefixes share a single Householder QR (the QR of a
+column prefix is the prefix of the QR), and each iteration borders that
+factorization with the noise columns of every size still iterating, at
+O(m n k) work per size for m rows, n process and k noise columns.
+:func:`els_core` is its one-size case and :func:`ls_estimate` the
+one-size case without noise columns.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from .model import CandidateSet
 from .regression import build_regression
 
 _RANK_RTOL = 1e-10
+#: prefix sizes iterated together; bounds the m x block working buffers
+_BLOCK_SIZES = 10
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -33,8 +43,14 @@ class ElsConfig:
     max_iterations: int = 30
 
     def __post_init__(self):
-        if not (self.zeta > 0) or self.max_iterations < 1:
-            raise ParameterError("zeta must be positive and max_iterations >= 1")
+        if not (self.zeta > 0) or not _is_int(self.max_iterations) or self.max_iterations < 1:
+            raise ParameterError("zeta must be positive and max_iterations an integer >= 1")
+
+
+def check_noise_terms(n_noise_terms):
+    """Raise :class:`ParameterError` unless ``n_noise_terms`` is an integer >= 0."""
+    if not _is_int(n_noise_terms) or n_noise_terms < 0:
+        raise ParameterError("n_noise_terms must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -58,28 +74,231 @@ class EstimationReport:
         return float(np.var(self.residuals))
 
 
-def _check_rank(diag):
-    """Raise at the first |R_ii| at or below ``_RANK_RTOL`` times the largest."""
+def _rank_error(diag):
+    """The error for the first |d_i| at or below ``_RANK_RTOL`` times the largest, or None."""
     diag = np.abs(diag)
-    tol = _RANK_RTOL * (diag.max() if diag.size else 1.0)
-    bad = np.flatnonzero(diag <= tol)
-    if bad.size:
-        raise SingularMatrixError(
-            f"regression matrix numerically rank deficient at column {bad[0]}",
-            column=int(bad[0]),
+    bad = np.flatnonzero(diag <= _RANK_RTOL * diag.max())
+    if not bad.size:
+        return None
+    return SingularMatrixError(
+        f"regression matrix numerically rank deficient at column {bad[0]}",
+        column=int(bad[0]),
+    )
+
+
+def _lagged_columns(xi, n_lags, out=None):
+    """Lagged copies of residual vectors within the regression row frame.
+
+    ``xi`` is (m,) or (m, b); column j - 1 of the result, (m, n_lags) or
+    (m, n_lags, b), holds lag j.  Rows without lagged-residual history
+    get 0.
+    """
+    m = len(xi)
+    if out is None:
+        out = np.empty((m, n_lags) + xi.shape[1:])
+    for j in range(1, n_lags + 1):
+        out[:j, j - 1] = 0.0
+        out[j:, j - 1] = xi[:m - j]
+    return out
+
+
+def _subtract_fit(psi, y_s, cols, theta, out):
+    """out = y_s - psi @ theta for each column of ``theta``, whose rows are
+    the coefficients of ``psi[:, cols]``; theta is scattered into the
+    column order of psi rather than copying the columns."""
+    theta_all = np.zeros((psi.shape[1], theta.shape[1]))
+    theta_all[cols[:theta.shape[0]]] = theta
+    np.matmul(psi, theta_all, out=out)
+    np.subtract(y_s[:, None], out, out=out)
+
+
+def _orthonormalize(w):
+    """Gram-Schmidt QR of every m x k slice ``w[:, :, j]`` in place.
+
+    ``w`` becomes the orthonormal factors; returns R as a (k, k, b) array.
+    Each column is orthogonalized twice against its predecessors.  A zero
+    column stays zero (its R diagonal is 0, which the rank check rejects).
+    """
+    k, b = w.shape[1:]
+    r = np.zeros((k, k, b))
+    for l in range(k):
+        for _ in range(2):
+            for p in range(l):
+                proj = np.einsum("ij,ij->j", w[:, p], w[:, l])
+                w[:, l] -= w[:, p] * proj
+                r[p, l] += proj
+        r[l, l] = np.sqrt(np.einsum("ij,ij->j", w[:, l], w[:, l]))
+        np.divide(w[:, l], r[l, l], out=w[:, l], where=r[l, l] > 0)
+    return r
+
+
+def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
+    """Fit the prefix sizes ``sizes`` (ascending, all of full rank) together.
+
+    Returns ``{position in sizes: report or SingularMatrixError}``.  Every
+    size still iterating has done the same number of iterations, so one
+    counter serves the block; a size leaves the block when it converges
+    or its noise columns fail the rank check.
+    """
+    m, k = len(y_s), n_noise_terms
+    diag = np.abs(np.diag(r))
+    lo, hi = np.minimum.accumulate(diag), np.maximum.accumulate(diag)
+    n_top = sizes[-1]
+    below = np.arange(n_top)[:, None] < sizes  # rows inside each size's prefix
+    theta = np.linalg.solve(r[:n_top, :n_top], qty[:n_top, None] * below)
+    xi = np.empty((m, len(sizes)))
+    _subtract_fit(psi, y_s, cols, theta, xi)
+    if k == 0:
+        return {j: EstimationReport(theta=theta[:s, j].copy(), residuals=xi[:, j].copy())
+                for j, s in enumerate(sizes)}
+    pos = np.arange(len(sizes))
+    phi = np.zeros((k, len(sizes)))
+    history, fits, iterations = [], {}, 0
+
+    def report(j, converged):
+        return EstimationReport(
+            theta=theta[:sizes[j], j].copy(),
+            residuals=xi[:, j].copy(),
+            iterations=iterations,
+            converged=converged,
+            noise_theta=phi[:, j].copy(),
+            change_norms=tuple(float(h[j]) for h in history),
         )
 
+    stay = None  # set when sizes leave the block
+    noise = None
+    while True:
+        if stay is not None:
+            noise = w = flat = w_flat = None  # free the buffers before xi shrinks
+            sizes, pos, theta, phi, xi = (
+                sizes[stay], pos[stay], theta[:, stay], phi[:, stay], xi[:, stay])
+            below = below[:, stay]
+            history = [h[stay] for h in history]
+            stay = None
+        if not sizes.size or iterations == config.max_iterations:
+            break
+        if noise is None:
+            n_top = sizes[-1]
+            theta, below = theta[:n_top], below[:n_top]
+            qb, r_top, qty_below = q[:, :n_top], r[:n_top, :n_top], qty[:n_top, None] * below
+            mask = below[:, None, :]
+            noise, w = np.empty((m, k, len(sizes))), np.empty((m, k, len(sizes)))
+        flat, w_flat = noise.reshape(m, -1), w.reshape(m, -1)
+        # border W = Xi - Q C with C = Q^T Xi, and one re-orthogonalization
+        # pass; the second product goes into the noise buffer, rebuilt below
+        _lagged_columns(xi, k, out=noise)
+        c = (qb.T @ flat).reshape(n_top, k, -1) * mask
+        np.matmul(qb, c.reshape(n_top, -1), out=w_flat)
+        np.subtract(flat, w_flat, out=w_flat)
+        c2 = (qb.T @ w_flat).reshape(n_top, k, -1) * mask
+        np.matmul(qb, c2.reshape(n_top, -1), out=flat)
+        w_flat -= flat
+        c += c2
+        r_w = _orthonormalize(w)
+        d_w = np.abs(r_w[np.arange(k), np.arange(k)])
+        top = np.maximum(hi[sizes - 1], d_w.max(axis=0))
+        failed = np.minimum(lo[sizes - 1], d_w.min(axis=0)) <= _RANK_RTOL * top
+        if failed.any():
+            for j in np.flatnonzero(failed):
+                fits[pos[j]] = _rank_error(np.concatenate([diag[:sizes[j]], d_w[:, j]]))
+            stay = ~failed
+            continue
+        iterations += 1
+        # back substitution: R_W phi = Q_W^T y, then R theta = Q^T y - C phi
+        # for every size at once; a right-hand side that is zero below row s
+        # solves the leading s x s block.  The LU inside np.linalg.solve has
+        # L = I on triangular R, so this is the triangular solve, and it keeps
+        # the loop in numpy's BLAS (scipy's has its own thread pool, and the
+        # two pools contend when their calls alternate).
+        rhs_w = (y_s @ w_flat).reshape(k, -1)
+        phi_new = np.empty_like(rhs_w)
+        for l in reversed(range(k)):
+            known = np.einsum("pj,pj->j", r_w[l, l + 1:], phi_new[l + 1:])
+            phi_new[l] = (rhs_w[l] - known) / r_w[l, l]
+        theta_new = np.linalg.solve(r_top, qty_below - np.einsum("ilj,lj->ij", c, phi_new))
+        # residual y - Psi theta - Xi phi
+        _lagged_columns(xi, k, out=noise)
+        _subtract_fit(psi, y_s, cols, theta_new, xi)
+        noise *= phi_new
+        for l in range(k):
+            xi -= noise[:, l]
+        change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=0)
+                         + np.sum((phi_new - phi) ** 2, axis=0))
+        history.append(change)
+        theta, phi = theta_new, phi_new
+        done = change < config.zeta
+        if done.any():
+            for j in np.flatnonzero(done):
+                fits[pos[j]] = report(j, True)
+            stay = ~done
+    noise = w = flat = w_flat = None  # free the buffers before copying out the residuals
+    for j in range(len(sizes)):
+        fits[pos[j]] = report(j, False)
+    return fits
 
-def _qr_factor(psi):
-    """Householder QR ``psi = q @ r`` (reduced) with an explicit rank check."""
+
+def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
+    """Extended least squares on several column prefixes of one matrix.
+
+    Entry i of the returned list is what
+    ``els_core(psi[:, cols[:sizes[i]]], y_s, n_noise_terms, config)``
+    returns, or the :class:`ParameterError` / :class:`SingularMatrixError`
+    it raises for that size; invalid arguments raise for the whole call.
+    ``sizes`` must be increasing and within 1..len(cols).
+
+    The ranked columns are factored once.  Sizes are fitted in blocks of
+    ``_BLOCK_SIZES``, each block using only the Q prefix it needs; each
+    iteration of a block forms C = Q^T Xi for all its sizes in one matrix
+    product (masked to each size's prefix), the border W = Xi - Q C with
+    one re-orthogonalization pass, a small QR of each size's W, and one
+    triangular solve on R for all sizes.  The rank check is applied per
+    size to the prefix diagonal of R and the diagonal of its R_W, and
+    each size keeps its own convergence test.
+    """
+    psi = np.asarray(psi, dtype=float)
+    y_s = np.asarray(y_s, dtype=float)
+    check_noise_terms(n_noise_terms)
     if psi.ndim != 2:
         raise ParameterError("regression matrix must be 2-D")
-    m, n = psi.shape
-    if m < n:
-        raise ParameterError(f"underdetermined system: {m} rows < {n} columns")
-    q, r = np.linalg.qr(psi)
-    _check_rank(np.diag(r))
-    return q, r
+    cols = np.asarray(cols, dtype=int)
+    sizes = np.asarray(sizes, dtype=int)
+    if (sizes.ndim != 1 or not sizes.size or sizes[0] < 1 or sizes[-1] > len(cols)
+            or np.any(np.diff(sizes) <= 0)):
+        raise ParameterError("sizes must increase within 1..len(cols)")
+    m = psi.shape[0]
+    k = n_noise_terms
+    q, r = np.linalg.qr(psi[:, cols[:min(sizes[-1], m)]])
+    diag = np.abs(np.diag(r))
+    rank_bad = np.minimum.accumulate(diag) <= _RANK_RTOL * np.maximum.accumulate(diag)
+    fits = []
+    for s in sizes:
+        if s > m:
+            fits.append(ParameterError(f"underdetermined system: {m} rows < {s} columns"))
+        elif rank_bad[s - 1]:
+            fits.append(_rank_error(diag[:s]))
+        elif k and m < s + k:
+            fits.append(ParameterError(f"underdetermined system: {m} rows < {s + k} columns"))
+        else:
+            fits.append(None)
+    # the failing sizes are a suffix: rows run out, and a rank deficiency
+    # stays once the largest diagonal entry has outgrown a small one
+    n_ok = fits.count(None)
+    qty = q.T @ y_s
+    for start in range(0, n_ok, _BLOCK_SIZES):
+        block = sizes[start:min(start + _BLOCK_SIZES, n_ok)]
+        for j, fit in _fit_block(psi, y_s, cols, q, r, qty, block, k, config).items():
+            fits[start + j] = fit
+    return fits
+
+
+def _fit_one(psi, y_s, n_noise_terms, config):
+    """The one-size case of :func:`els_sweep`: all columns, failure raised."""
+    psi = np.asarray(psi, dtype=float)
+    n = psi.shape[1] if psi.ndim == 2 else 0
+    (fit,) = els_sweep(psi, y_s, np.arange(n), [n], n_noise_terms, config)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def ls_estimate(psi, y_s):
@@ -88,23 +307,7 @@ def ls_estimate(psi, y_s):
     Returns an :class:`EstimationReport` with the residual vector
     ``y_s - psi @ theta``.
     """
-    psi = np.asarray(psi, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
-    q, r = _qr_factor(psi)
-    theta = scipy.linalg.solve_triangular(r, q.T @ y_s)
-    return EstimationReport(theta=theta, residuals=y_s - psi @ theta)
-
-
-def _lagged_columns(xi, n_lags):
-    """Lagged copies of a residual vector within the regression row frame.
-
-    Rows without lagged-residual history get 0.
-    """
-    m = len(xi)
-    cols = np.zeros((m, n_lags))
-    for j in range(1, n_lags + 1):
-        cols[j:, j - 1] = xi[:-j]
-    return cols
+    return _fit_one(psi, y_s, 0, ElsConfig())
 
 
 def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
@@ -113,70 +316,16 @@ def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
     Iteratively appends lagged copies of the residual vector as
     moving-average columns Xi and re-estimates until the parameter change
     drops below ``config.zeta``.  With ``n_noise_terms=0`` this is
-    exactly ordinary least squares.
-
-    Psi (m x n) is factored once per call.  Each iteration borders that
-    factorization with the k noise columns: C = Q^T Xi and W = Xi - Q C
-    (with one re-orthogonalization pass), a small QR of W, and one
-    triangular solve on [[R, C], [0, R_W]].  That is O(m n k) work per
-    iteration instead of a QR of the full m x (n + k) matrix; the rank
-    check covers the diagonal of the bordered factor.
+    exactly ordinary least squares.  This is the one-size case of
+    :func:`els_sweep`: Psi is factored once per call and each iteration
+    borders that factorization with the noise columns.
     """
-    psi = np.asarray(psi, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
-    q, r = _qr_factor(psi)
-    qty = q.T @ y_s
-    theta = scipy.linalg.solve_triangular(r, qty)
-    xi = y_s - psi @ theta
-    if n_noise_terms == 0:
-        return EstimationReport(theta=theta, residuals=xi)
-    m, n_proc = psi.shape
-    n_full = n_proc + n_noise_terms
-    if m < n_full:
-        raise ParameterError(f"underdetermined system: {m} rows < {n_full} columns")
-    bordered = np.zeros((n_full, n_full))
-    bordered[:n_proc, :n_proc] = r
-    rhs = np.empty(n_full)
-    rhs[:n_proc] = qty
-    theta_prev = np.concatenate([theta, np.zeros(n_noise_terms)])
-    change_norms = []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iterations):
-        iterations += 1
-        noise_cols = _lagged_columns(xi, n_noise_terms)
-        c = q.T @ noise_cols
-        w = noise_cols - q @ c
-        c2 = q.T @ w
-        w -= q @ c2
-        q_w, r_w = np.linalg.qr(w)
-        _check_rank(np.concatenate([np.diag(r), np.diag(r_w)]))
-        bordered[:n_proc, n_proc:] = c + c2
-        bordered[n_proc:, n_proc:] = r_w
-        rhs[n_proc:] = q_w.T @ y_s
-        theta_full = scipy.linalg.solve_triangular(bordered, rhs)
-        xi = y_s - psi @ theta_full[:n_proc] - noise_cols @ theta_full[n_proc:]
-        change = float(np.linalg.norm(theta_full - theta_prev))
-        change_norms.append(change)
-        theta_prev = theta_full
-        if change < config.zeta:
-            converged = True
-            break
-    return EstimationReport(
-        theta=theta_prev[:n_proc],
-        residuals=xi,
-        iterations=iterations,
-        converged=converged,
-        noise_theta=theta_prev[n_proc:],
-        change_norms=tuple(change_norms),
-    )
+    return _fit_one(psi, y_s, n_noise_terms, config)
 
 
 def els_estimate(candidates: CandidateSet, data: TimeSeriesData, n_noise_terms=1,
                  config=ElsConfig()):
     """Extended least squares over a candidate set and data record."""
-    if n_noise_terms < 0:
-        raise ParameterError("n_noise_terms must be nonnegative")
     psi, y_s = build_regression(candidates, data)
     return els_core(psi, y_s, n_noise_terms, config)
 

@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesData
-from .errors import NarxError, ParameterError
-from .estimation import ElsConfig, els_core, ls_estimate
+from .errors import ParameterError
+from .estimation import (ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep,
+                         ls_estimate)
 from .model import CandidateSet, NarxModel, RegressorTerm
 from .regression import build_regression
 
@@ -118,12 +119,14 @@ class AicCurve:
     top-ranked terms; invalid points (failed estimations) are NaN and
     excluded from the argmin.  ``converged[i]`` tells whether the
     estimator converged at that point (always true for least squares,
-    false for a failed point).
+    false for a failed point), and ``iterations[i]`` how many iterations
+    it ran (1 for least squares, 0 for a failed point).
     """
 
     n_theta_values: np.ndarray
     j_values: np.ndarray
     converged: tuple = ()
+    iterations: tuple = ()
 
     @property
     def argmin(self):
@@ -149,6 +152,7 @@ class SelectionConfig:
             raise ParameterError(f"unknown estimator {self.estimator!r}")
         if self.sweep_estimator not in ("ls", "els"):
             raise ParameterError(f"unknown sweep estimator {self.sweep_estimator!r}")
+        check_noise_terms(self.n_noise_terms)
 
 
 def aic_curve(ranking: ErrRanking, data: TimeSeriesData, estimator="ls",
@@ -156,36 +160,34 @@ def aic_curve(ranking: ErrRanking, data: TimeSeriesData, estimator="ls",
     """Cost curve N*ln(residual variance) + 2*n over the ranked term list.
 
     The residual variance at each size is that of the one-step-ahead
-    residuals of the truncated model, re-estimated on the data.  All
-    sizes share the row frame of the full candidate set so the variances
-    are comparable.
+    residuals y - Psi theta of the truncated model, re-estimated on the
+    data.  All sizes share the row frame of the full candidate set so the
+    variances are comparable.  Every size is estimated in one
+    :func:`els_sweep` call over the ranked columns, with no noise columns
+    for least squares; a size the sweep could not fit is a NaN point.
     """
     if len(ranking) == 0:
         raise ParameterError("empty ranking")
     psi, y_s = build_regression(ranking.candidates, data)
     col_of = {t: i for i, t in enumerate(ranking.candidates.terms)}
     cols = [col_of[t] for t in ranking.ordered_terms]
-    n_rows = len(y_s)
     sizes = np.arange(1, len(ranking) + 1)
+    fits = els_sweep(psi, y_s, cols, sizes, n_noise_terms if estimator == "els" else 0,
+                     els_config)
     costs = np.full(len(sizes), np.nan)
-    converged = [False] * len(sizes)
-    for i, n_theta in enumerate(sizes):
-        sub = psi[:, cols[:n_theta]]
-        try:
-            if estimator == "els":
-                report = els_core(sub, y_s, n_noise_terms, els_config)
-                resid = y_s - sub @ report.theta
-            else:
-                report = ls_estimate(sub, y_s)
-                resid = report.residuals
-        except (NarxError, np.linalg.LinAlgError):
-            continue
-        converged[i] = report.converged
-        var = float(np.var(resid))
+    converged, iterations = [False] * len(sizes), [0] * len(sizes)
+    for i, (n_theta, fit) in enumerate(zip(sizes, fits)):
+        if not isinstance(fit, EstimationReport):
+            continue  # the error that failed this size
+        converged[i], iterations[i] = fit.converged, fit.iterations
+        theta = np.zeros(psi.shape[1])
+        theta[cols[:n_theta]] = fit.theta
+        var = float(np.var(y_s - psi @ theta))
         if var <= 0:
             var = np.finfo(float).tiny
-        costs[i] = n_rows * np.log(var) + 2.0 * n_theta
-    return AicCurve(n_theta_values=sizes, j_values=costs, converged=tuple(converged))
+        costs[i] = len(y_s) * np.log(var) + 2.0 * n_theta
+    return AicCurve(n_theta_values=sizes, j_values=costs, converged=tuple(converged),
+                    iterations=tuple(iterations))
 
 
 def select_structure(candidates: CandidateSet, data: TimeSeriesData,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from narxident import (
     ConstraintError,
     ElsConfig,
+    NarxError,
     ParameterError,
     SingularMatrixError,
     TimeSeriesData,
@@ -20,7 +21,7 @@ from narxident import (
     term,
 )
 from narxident.benchmarks import HEATING_SYSTEM
-from narxident.estimation import _lagged_columns, els_core
+from narxident.estimation import _lagged_columns, els_core, els_sweep
 
 U = Variable.INPUT
 
@@ -127,6 +128,15 @@ def test_els_validates_arguments():
         ElsConfig(zeta=0.0)
     with pytest.raises(ParameterError):
         ElsConfig(max_iterations=0)
+    for bad in (2.5, True):
+        with pytest.raises(ParameterError):
+            ElsConfig(max_iterations=bad)
+    psi, y_s = build_regression(cs, data)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ParameterError):
+            els_core(psi, y_s, bad)
+        with pytest.raises(ParameterError):
+            els_sweep(psi, y_s, [0, 1], [1, 2], bad)
 
 
 def _reference_els(psi, y_s, n_noise_terms, config):
@@ -200,6 +210,50 @@ def test_els_rejects_too_few_rows_for_noise_columns():
     psi = rng.standard_normal((4, 3))
     with pytest.raises(ParameterError):
         els_core(psi, rng.standard_normal(4), 2)
+
+
+def _fit_or_error(psi, y_s, n_noise_terms, config):
+    try:
+        return els_core(psi, y_s, n_noise_terms, config)
+    except NarxError as exc:
+        return exc
+
+
+@given(st.integers(1, 24), st.integers(0, 2), st.integers(-2, 40), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, seed):
+    # every prefix size of one sweep against its own els_core call, across
+    # several blocks, sizes converging at different iterations, sizes
+    # failing on rows, on a duplicated column or on a vanishing noise column
+    rng = np.random.default_rng(seed)
+    m = max(n + extra_rows, 2)
+    psi = rng.standard_normal((m, n + 3))
+    cols = rng.permutation(n + 3)[:n]
+    if duplicate and n >= 2:
+        first, second = sorted(rng.choice(n, 2, replace=False))
+        psi[:, cols[second]] = psi[:, cols[first]]
+    if exact:  # y in the span of the first ranked columns: no noise left to model
+        y_s = psi[:, cols[:2]] @ rng.standard_normal(min(n, 2))
+    else:
+        e = rng.standard_normal(m + 1)
+        y_s = 0.3 * psi @ rng.standard_normal(n + 3) + e[1:] + 0.6 * e[:-1]
+    config = ElsConfig(zeta=1e-6, max_iterations=10)
+    sizes = np.arange(1, n + 1)
+    scale = np.max(np.abs(y_s))
+    for n_theta, fit in zip(sizes, els_sweep(psi, y_s, cols, sizes, k, config)):
+        want = _fit_or_error(psi[:, cols[:n_theta]], y_s, k, config)
+        if isinstance(want, Exception):
+            assert type(fit) is type(want)
+            assert getattr(fit, "column", None) == getattr(want, "column", None)
+            continue
+        assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
+        for got, ref, size in ((fit.theta, want.theta, np.max(np.abs(want.theta))),
+                               (fit.noise_theta, want.noise_theta, 1.0),
+                               (fit.residuals, want.residuals, scale),
+                               (np.array(fit.change_norms), np.array(want.change_norms),
+                                max(want.change_norms, default=0.0))):
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-9 * size
 
 
 def test_constrained_ls_satisfies_constraint_exactly():

@@ -6,20 +6,25 @@ import numpy as np
 import pytest
 
 from narxident import (
+    ElsConfig,
     SelectionConfig,
     TimeSeriesData,
     Variable,
     aic_curve,
+    bouc_wen_experiment,
     build_regression,
     frols_rank,
     generate_candidates,
     heating_experiment,
+    ls_estimate,
     run_identification,
     select_structure,
     term,
 )
 from narxident import selection
-from narxident.errors import ParameterError, SingularMatrixError
+from narxident.errors import NarxError, ParameterError, SingularMatrixError
+from narxident.estimation import els_core
+from narxident.experiments import make_identification_data
 
 Y, U = Variable.OUTPUT, Variable.INPUT
 
@@ -144,21 +149,21 @@ def test_aic_curve_propagates_programming_errors(monkeypatch):
     def broken(*args):
         raise TypeError("not an estimation failure")
 
-    monkeypatch.setattr(selection, "els_core", broken)
+    monkeypatch.setattr(selection, "els_sweep", broken)
     ranking, data = _noisy_ranking()
     with pytest.raises(TypeError):
         aic_curve(ranking, data, estimator="els")
 
 
 def test_aic_curve_singular_point_is_nan(monkeypatch):
-    els_core = selection.els_core
+    els_sweep = selection.els_sweep
 
-    def singular_at_two(psi, *args):
-        if psi.shape[1] == 2:
-            raise SingularMatrixError("rank deficient", column=1)
-        return els_core(psi, *args)
+    def singular_at_two(*args):
+        fits = els_sweep(*args)
+        fits[1] = SingularMatrixError("rank deficient", column=1)
+        return fits
 
-    monkeypatch.setattr(selection, "els_core", singular_at_two)
+    monkeypatch.setattr(selection, "els_sweep", singular_at_two)
     ranking, data = _noisy_ranking()
     curve = aic_curve(ranking, data, estimator="els")
     assert np.isnan(curve.j_values[1])
@@ -169,20 +174,75 @@ def test_aic_curve_singular_point_is_nan(monkeypatch):
 def test_aic_curve_reports_convergence_per_point(monkeypatch):
     # heating seed 1: most sweep points stop at the ELS iteration cap
     reports = []
-    els_core = selection.els_core
+    els_sweep = selection.els_sweep
 
     def recording(*args):
-        reports.append(els_core(*args))
-        return reports[-1]
+        reports.extend(els_sweep(*args))
+        return list(reports)
 
-    monkeypatch.setattr(selection, "els_core", recording)
+    monkeypatch.setattr(selection, "els_sweep", recording)
     defn = heating_experiment()
     curve = run_identification(defn, seed=1).curve
-    sweep = reports[:len(curve.j_values)]  # the last call is the final re-estimation
+    sweep = reports[:len(curve.j_values)]  # one report per sweep point
     assert curve.converged == tuple(r.converged for r in sweep)
     assert all(r.iterations == defn.selection.els.max_iterations
                for r, ok in zip(sweep, curve.converged) if not ok)
     assert not all(curve.converged)
+
+
+def test_aic_curve_reports_iterations_per_point():
+    defn = heating_experiment()
+    curve = run_identification(defn, seed=1).curve
+    assert len(curve.iterations) == len(curve.j_values)
+    cap = defn.selection.els.max_iterations
+    for ok, it, j in zip(curve.converged, curve.iterations, curve.j_values):
+        assert ok is not (it == 0 or it == cap)
+        assert (it == 0) == bool(np.isnan(j))
+
+
+def _per_prefix_reference(ranking, data, estimator, n_noise_terms, config):
+    """(J, converged, iterations) of each size from its own estimator call."""
+    psi, y_s = build_regression(ranking.candidates, data)
+    cols = [ranking.candidates.terms.index(t) for t in ranking.ordered_terms]
+    points = []
+    for n_theta in range(1, len(ranking) + 1):
+        sub = psi[:, cols[:n_theta]]
+        try:
+            if estimator == "els":
+                report = els_core(sub, y_s, n_noise_terms, config)
+            else:
+                report = ls_estimate(sub, y_s)
+        except (NarxError, np.linalg.LinAlgError):
+            points.append((np.nan, False, 0))
+            continue
+        var = max(float(np.var(y_s - sub @ report.theta)), np.finfo(float).tiny)
+        points.append((len(y_s) * np.log(var) + 2.0 * n_theta, report.converged,
+                       report.iterations))
+    return points
+
+
+def _assert_sweep_matches_per_prefix(ranking, data, estimator="els", n_noise_terms=1,
+                                     config=ElsConfig()):
+    curve = aic_curve(ranking, data, estimator, config, n_noise_terms)
+    ref = _per_prefix_reference(ranking, data, estimator, n_noise_terms, config)
+    j_ref = np.array([p[0] for p in ref])
+    assert np.array_equal(np.isnan(curve.j_values), np.isnan(j_ref))
+    ok = ~np.isnan(j_ref)
+    assert np.all(np.abs(curve.j_values[ok] - j_ref[ok])
+                  <= 1e-9 * np.max(np.abs(j_ref[ok]), initial=0.0))
+    assert curve.converged == tuple(p[1] for p in ref)
+    assert curve.iterations == tuple(p[2] for p in ref)
+    return curve
+
+
+@pytest.mark.parametrize("make", [heating_experiment, bouc_wen_experiment])
+def test_aic_sweep_matches_per_prefix_estimation(make):
+    defn = make()
+    data, _ = make_identification_data(defn, seed=1)
+    sel = defn.selection
+    ranking = frols_rank(defn.candidates, data, sel.max_terms, sel.err_floor)
+    _assert_sweep_matches_per_prefix(ranking, data, "els", sel.n_noise_terms, sel.els)
+    _assert_sweep_matches_per_prefix(ranking, data, "ls")
 
 
 def test_aic_curve_least_squares_points_converge():
@@ -209,3 +269,6 @@ def test_selection_config_validation():
         SelectionConfig(estimator="ridge")
     with pytest.raises(ParameterError):
         SelectionConfig(sweep_estimator="ridge")
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ParameterError):
+            SelectionConfig(n_noise_terms=bad)
