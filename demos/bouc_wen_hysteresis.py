@@ -39,7 +39,7 @@ def main(seed=0):
     freq, amp, periods = 0.2, 40.0, 3
     n = int(round(periods / freq / ts))
     u = sine_input(amp, freq, 0.0, 0.0, n, ts)
-    sim = free_run_simulate(model, u, y_init=np.zeros(model.max_output_lag), bound=1e9)
+    sim = free_run_simulate(model, u, y_init=np.zeros(model.max_output_lag))
     if sim.diverged:
         print("\nfree run diverged — no loop to report")
         return result

@@ -39,7 +39,7 @@ def main(seed=1):
         print(f"  {str(t):16s} theta = {th:+.7f}")
 
     validation = make_validation_data(defn, seed=seed)
-    scored = validate(result.model, validation, mode="free_run", bound=1e9)
+    scored = validate(result.model, validation, mode="free_run")
     print(f"\nfree-run MAPE on fresh noise-free data: {scored.mape:.3f}%")
 
     one_step = validate(result.model, validation, mode="one_step")

@@ -39,14 +39,14 @@ def main():
     # 2. hold property: constant input => phi1 = phi2 = 0 from the second
     # sample on, so the recursion reduces to the unit-sum output average
     u_hold = np.full(400, 0.5)
-    sim = free_run_simulate(forward, u_hold, y_init=[0.3, 0.3], bound=1e9)
+    sim = free_run_simulate(forward, u_hold, y_init=[0.3, 0.3])
     drift = float(np.max(np.abs(np.diff(sim.y[5:]))))
     print(f"hold drift under constant input: {drift:.2e} (expect < 1e-6)")
 
     # 3. forward-inverse composition on a slow sinusoid in the valve band
     n = int(round(3 / 0.1 / ts))  # three periods at 0.1 Hz
     u = sine_input(0.25, 0.1, 0.0, 0.5, n, ts)
-    y = free_run_simulate(forward, u, y_init=[0.5, 0.5], bound=1e9).y
+    y = free_run_simulate(forward, u, y_init=[0.5, 0.5]).y
     u_rec = run_inverse_model(inverse, y, u_init=u[:2]).y
     per = int(round(1 / 0.1 / ts))
     err = mape(u[-per:], u_rec[-per:])
@@ -59,7 +59,7 @@ def main():
         m = entry.model
         drive = y if m.direction == "inverse" else u
         init = np.full(m.max_output_lag, drive[0] if m.direction == "inverse" else 0.0)
-        tail = free_run_simulate(m, drive[:3 * per], init, bound=1e9)
+        tail = free_run_simulate(m, drive[:3 * per], init)
         status = "diverged" if tail.diverged else f"final y = {tail.y[-1]:+.4f}"
         print(f"  {name:24s} {status}")
 

@@ -20,7 +20,7 @@ from .benchmarks import (
     simulate_bouc_wen,
     simulate_hammerstein,
 )
-from .config import ExperimentConfig, default_config, load_config, save_config
+from .config import load_config, save_config
 from .data import TimeSeriesData, load_csv, save_csv
 from .errors import (
     ConstraintError,
@@ -47,9 +47,11 @@ from .evaluation import (
 )
 from .experiments import (
     EXPERIMENTS,
+    ExperimentConfig,
     ExperimentDefinition,
     IdentificationResult,
     bouc_wen_experiment,
+    default_config,
     get_experiment,
     heating_experiment,
     make_identification_data,

@@ -22,18 +22,15 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import preset_models
-from .config import (
-    ExperimentConfig,
-    config_to_dict,
-    default_config,
-    load_config,
-    save_config,
-)
+from .config import config_to_dict, load_config, save_config
 from .data import TimeSeriesData, load_csv, save_csv
-from .errors import MissingInputError, NarxError, ParameterError
+from .errors import NarxError, ParameterError
 from .evaluation import monte_carlo_noise_sweep, validate
 from .experiments import (
     EXPERIMENTS,
+    ExperimentConfig,
+    check_available,
+    default_config,
     make_identification_data,
     make_validation_data,
     run_identification,
@@ -52,18 +49,11 @@ from .modelio import (
 def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
+        check_available(cfg.system)
     elif getattr(args, "experiment", None):
-        if args.experiment == "valve":
-            raise MissingInputError(
-                "the valve benchmark needs experimental data that is not distributed"
-            )
         cfg = default_config(args.experiment)
     else:
         raise ParameterError("give either --config FILE or --experiment NAME")
-    if cfg.system == "valve":
-        raise MissingInputError(
-            "the valve benchmark needs experimental data that is not distributed"
-        )
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -252,7 +242,8 @@ def build_parser():
     p.add_argument("--model", required=True, help="model file from 'identify' or a preset")
     p.add_argument("--data", help="k,u,y CSV to validate against (default: generated)")
     p.add_argument("--mode", choices=["free_run", "one_step"], default="free_run")
-    p.add_argument("--bound", type=float, default=1e9, help="free-run divergence bound")
+    p.add_argument("--bound", type=float, default=None,
+                   help="free-run divergence bound (default: 1e6 * max(1, max|y|))")
     p.add_argument("--sine-frequency", type=float, default=None,
                    help="generate a sinusoidal validation input at this frequency (Hz)")
     p.add_argument("--sine-amplitude", type=float, default=1.0)

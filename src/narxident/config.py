@@ -5,255 +5,122 @@ benchmark preset or a CSV data file), the input-design spec, the candidate
 dictionary bounds, hysteresis handling, estimator choice, noise ratio,
 seeds, and the output directory.  Configs round-trip losslessly through
 :func:`save_config` / :func:`load_config`.
+
+The codec is one table, :data:`CODEC`, that maps each JSON key path to one
+:class:`ExperimentConfig` attribute.  Defaults live only in the
+dataclasses; a key outside the table is an error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from operator import attrgetter
 
 from .errors import ParameterError
 from .estimation import ElsConfig
-from .experiments import EXPERIMENTS, ExperimentDefinition
-from .hysteresis import HysteresisCandidateConfig, apply_exclusion_rules
+from .experiments import ExperimentConfig, default_config  # default_config: re-exported
+from .hysteresis import HysteresisCandidateConfig
 from .input_design import InputDesignSpec
-from .model import Variable, generate_candidates
-from .selection import SelectionConfig
 
-_VALID_VARIABLES = tuple(v.value for v in Variable if v is not Variable.RESIDUAL)
-
-
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything needed to reproduce one identification experiment.
-
-    Parameters
-    ----------
-    system : str
-        Benchmark preset name (``"heating"``, ``"bouc_wen"``, ``"valve"``)
-        or a path to a ``k,u,y`` CSV file of measured data.
-    design : InputDesignSpec or None
-        Excitation design; ``None`` when the data comes from a CSV.
-    degree, n_y, n_u, tau_d : int
-        Candidate-dictionary bounds: maximum monomial degree and lag
-        ranges for output and input factors.
-    variables : tuple of str
-        Signal kinds admitted as factors, from ``("y", "u", "phi1", "phi2")``.
-    hysteresis : HysteresisCandidateConfig or None
-        Exclusion-rule configuration; ``None`` disables rule filtering.
-    estimator : str
-        Final re-estimation method, ``"ls"`` or ``"els"``.
-    sweep_estimator : str
-        Estimator used inside the information-criterion sweep.
-    els : ElsConfig
-        Extended-least-squares convergence settings.
-    n_noise_terms : int
-        Number of lagged-residual columns in the extended regression.
-    noise_ratio : float
-        Output-noise standard deviation as a fraction of the clean
-        output's standard deviation.
-    seed : int
-        Base seed for data generation (and Monte Carlo sweeps).
-    output_dir : str
-        Directory where commands write their artifacts.
-    """
-
-    system: str
-    design: InputDesignSpec | None = None
-    degree: int = 3
-    n_y: int = 3
-    n_u: int = 3
-    tau_d: int = 1
-    variables: tuple = ("y", "u")
-    hysteresis: HysteresisCandidateConfig | None = None
-    estimator: str = "els"
-    sweep_estimator: str = "ls"
-    els: ElsConfig = dataclasses.field(default_factory=ElsConfig)
-    n_noise_terms: int = 1
-    noise_ratio: float = 0.05
-    seed: int = 0
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if not self.system:
-            raise ParameterError("config needs a system preset name or data path")
-        for v in self.variables:
-            if v not in _VALID_VARIABLES:
-                raise ParameterError(f"unknown variable kind {v!r}")
-        if self.estimator not in ("ls", "els") or self.sweep_estimator not in ("ls", "els"):
-            raise ParameterError("estimator must be 'ls' or 'els'")
-        if not (0.0 <= self.noise_ratio):
-            raise ParameterError("noise ratio must be nonnegative")
-
-    def build_candidates(self):
-        """Candidate set implied by the dictionary bounds, rules applied."""
-        variables = tuple(Variable(v) for v in self.variables)
-        candidates = generate_candidates(
-            self.degree, self.n_y, self.n_u, tau_d=self.tau_d, variables=variables
-        )
-        if self.hysteresis is not None:
-            candidates, _ = apply_exclusion_rules(candidates, self.hysteresis)
-        return candidates
-
-    def build_selection(self):
-        return SelectionConfig(
-            estimator=self.estimator,
-            sweep_estimator=self.sweep_estimator,
-            n_noise_terms=self.n_noise_terms,
-            els=self.els,
-        )
-
-    def to_experiment(self) -> ExperimentDefinition:
-        """Materialize an experiment definition for a benchmark system."""
-        if self.system not in ("heating", "bouc_wen"):
-            raise ParameterError(
-                f"cannot simulate system {self.system!r}; "
-                "only 'heating' and 'bouc_wen' have simulators"
-            )
-        if self.design is None:
-            raise ParameterError("benchmark experiments need an input design")
-        return ExperimentDefinition(
-            name=self.system,
-            description=f"experiment built from config ({self.system})",
-            design=self.design,
-            candidates=self.build_candidates(),
-            selection=self.build_selection(),
-            noise_ratio=self.noise_ratio,
-            system=self.system,
-        )
+#: (JSON key path, attribute, required in a file), in file order.  A
+#: dotted attribute is a field of a nested dataclass; ``design`` and
+#: ``hysteresis`` are JSON objects keyed by their dataclass field names,
+#: or null.
+CODEC = (
+    ("system", "system", True),
+    ("design", "design", False),
+    ("candidates.degree", "degree", True),
+    ("candidates.n_y", "n_y", True),
+    ("candidates.n_u", "n_u", True),
+    ("candidates.tau_d", "tau_d", True),
+    ("candidates.variables", "variables", True),
+    ("hysteresis", "hysteresis", False),
+    ("estimator.method", "estimator", True),
+    ("estimator.sweep_method", "sweep_estimator", False),
+    ("estimator.zeta", "els.zeta", False),
+    ("estimator.max_iterations", "els.max_iterations", False),
+    ("estimator.n_noise_terms", "n_noise_terms", False),
+    ("noise_ratio", "noise_ratio", False),
+    ("seed", "seed", False),
+    ("output_dir", "output_dir", False),
+)
+_OBJECTS = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig, "els": ElsConfig}
+_PATHS = {path for path, _, _ in CODEC}
+_SECTIONS = {path.rpartition(".")[0] for path in _PATHS} - {""}
 
 
-def config_from_experiment(defn: ExperimentDefinition, seed=0, output_dir=".") -> ExperimentConfig:
-    """Config equivalent of a built-in experiment definition."""
-    meta = defn.candidates.meta
-    variables = sorted(
-        {v.value for t in defn.candidates.terms for v, _, _ in t.factors},
-        key=lambda s: Variable(s).order,
-    )
-    hysteresis = None
-    if "phi1" in variables or "phi2" in variables:
-        hysteresis = HysteresisCandidateConfig()
-    return ExperimentConfig(
-        system=defn.system,
-        design=defn.design,
-        degree=meta.degree,
-        n_y=meta.n_y,
-        n_u=meta.n_u,
-        tau_d=meta.tau_d,
-        variables=tuple(variables),
-        hysteresis=hysteresis,
-        estimator=defn.selection.estimator,
-        sweep_estimator=defn.selection.sweep_estimator,
-        els=defn.selection.els,
-        n_noise_terms=defn.selection.n_noise_terms,
-        noise_ratio=defn.noise_ratio,
-        seed=seed,
-        output_dir=output_dir,
-    )
-
-
-def default_config(name, seed=0, output_dir=".") -> ExperimentConfig:
-    """Config for a named built-in experiment (``heating`` or ``bouc_wen``)."""
-    if name not in EXPERIMENTS:
-        raise ParameterError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        )
-    return config_from_experiment(EXPERIMENTS[name](), seed=seed, output_dir=output_dir)
+def _plain(value):
+    """JSON form of an attribute value: dataclasses become objects, tuples lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    d = {
-        "system": config.system,
-        "design": None,
-        "candidates": {
-            "degree": config.degree,
-            "n_y": config.n_y,
-            "n_u": config.n_u,
-            "tau_d": config.tau_d,
-            "variables": list(config.variables),
-        },
-        "hysteresis": None,
-        "estimator": {
-            "method": config.estimator,
-            "sweep_method": config.sweep_estimator,
-            "zeta": config.els.zeta,
-            "max_iterations": config.els.max_iterations,
-            "n_noise_terms": config.n_noise_terms,
-        },
-        "noise_ratio": config.noise_ratio,
-        "seed": config.seed,
-        "output_dir": config.output_dir,
-    }
-    if config.design is not None:
-        d["design"] = {
-            "frequencies": list(config.design.frequencies),
-            "segment_lengths": list(config.design.segment_lengths),
-            "operating_points": list(config.design.operating_points),
-            "amplitudes": list(config.design.amplitudes),
-            "sample_rate": config.design.sample_rate,
-            "filter_order": config.design.filter_order,
-            "seed": config.design.seed,
-        }
-    if config.hysteresis is not None:
-        h = config.hysteresis
-        d["hysteresis"] = {
-            "apply_rule_i": h.apply_rule_i,
-            "apply_rule_ii": h.apply_rule_ii,
-            "apply_rule_iii": h.apply_rule_iii,
-            "enforce_sigma_y": h.enforce_sigma_y,
-            "direction": h.direction,
-        }
+    d = {}
+    for path, attr, _ in CODEC:
+        *sections, key = path.split(".")
+        node = d
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = _plain(attrgetter(attr)(config))
     return d
 
 
+def _flatten(d, prefix=""):
+    """``{key path: value}`` of a config dict, raising on an unknown key."""
+    flat = {}
+    for key, value in d.items():
+        path = prefix + key
+        if path in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ParameterError(f"config field {path!r} must be an object")
+            flat.update(_flatten(value, path + "."))
+        elif path in _PATHS:
+            flat[path] = value
+        else:
+            raise ParameterError(f"unknown config key {path!r}")
+    return flat
+
+
+def _decode_object(cls, value, path):
+    if not isinstance(value, dict):
+        raise ParameterError(f"config field {path!r} must be an object or null")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in value:
+        if key not in names:
+            raise ParameterError(f"unknown config key '{path}.{key}'")
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and f.name not in value:
+            raise ParameterError(f"config is missing field '{path}.{f.name}'")
+    return cls(**value)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    try:
-        cand = d["candidates"]
-        est = d["estimator"]
-        design = None
-        if d.get("design") is not None:
-            dd = d["design"]
-            design = InputDesignSpec(
-                frequencies=tuple(dd["frequencies"]),
-                segment_lengths=tuple(dd["segment_lengths"]),
-                operating_points=tuple(dd["operating_points"]),
-                amplitudes=tuple(dd["amplitudes"]),
-                sample_rate=dd["sample_rate"],
-                filter_order=dd.get("filter_order", 5),
-                seed=dd.get("seed", 0),
-            )
-        hysteresis = None
-        if d.get("hysteresis") is not None:
-            hd = d["hysteresis"]
-            hysteresis = HysteresisCandidateConfig(
-                apply_rule_i=hd.get("apply_rule_i", True),
-                apply_rule_ii=hd.get("apply_rule_ii", True),
-                apply_rule_iii=hd.get("apply_rule_iii", True),
-                enforce_sigma_y=hd.get("enforce_sigma_y", False),
-                direction=hd.get("direction", "direct"),
-            )
-        return ExperimentConfig(
-            system=d["system"],
-            design=design,
-            degree=cand["degree"],
-            n_y=cand["n_y"],
-            n_u=cand["n_u"],
-            tau_d=cand["tau_d"],
-            variables=tuple(cand["variables"]),
-            hysteresis=hysteresis,
-            estimator=est["method"],
-            sweep_estimator=est.get("sweep_method", "ls"),
-            els=ElsConfig(
-                zeta=est.get("zeta", 1e-8),
-                max_iterations=est.get("max_iterations", 30),
-            ),
-            n_noise_terms=est.get("n_noise_terms", 1),
-            noise_ratio=d.get("noise_ratio", 0.05),
-            seed=d.get("seed", 0),
-            output_dir=d.get("output_dir", "."),
-        )
-    except KeyError as exc:
-        raise ParameterError(f"config is missing field {exc}") from exc
+    flat = _flatten(d)
+    kwargs = {}
+    nested = {}
+    for path, attr, required in CODEC:
+        if path not in flat:
+            if required:
+                raise ParameterError(f"config is missing field {path!r}")
+            continue
+        value = flat[path]
+        if attr in _OBJECTS and value is not None:
+            value = _decode_object(_OBJECTS[attr], value, path)
+        head, _, field = attr.partition(".")
+        if field:
+            nested.setdefault(head, {})[field] = value
+        else:
+            kwargs[attr] = value
+    for head, fields in nested.items():
+        kwargs[head] = _OBJECTS[head](**fields)
+    return ExperimentConfig(**kwargs)
 
 
 def save_config(config: ExperimentConfig, path):

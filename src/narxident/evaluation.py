@@ -16,7 +16,7 @@ from .experiments import (
     run_identification,
 )
 from .model import NarxModel
-from .regression import free_run_simulate, one_step_predict
+from .regression import divergence_bound, free_run_simulate, one_step_predict
 
 
 def mape(y, y_hat):
@@ -51,11 +51,11 @@ def validate(model: NarxModel, data: TimeSeriesData, mode="free_run",
     ``free_run`` feeds model outputs back (initialized from the first
     measured samples); ``one_step`` uses measured outputs for every lag.
     The error is computed over the samples actually predicted.  The
-    default divergence bound scales with the measured output so records
-    that start near zero are not flagged spuriously.
+    default divergence bound is :func:`divergence_bound` of the measured
+    output.
     """
     if bound is None:
-        bound = 1e6 * max(1.0, float(np.max(np.abs(data.y))))
+        bound = divergence_bound(data.y)
     if mode == "one_step":
         pred = one_step_predict(model, data)
         p = len(data) - len(pred)
@@ -116,8 +116,7 @@ def monte_carlo_noise_sweep(defn: ExperimentDefinition, ratios,
             seeds.append(seed)
             try:
                 result = run_identification(defn, seed, noise_ratio=ratio)
-                out = validate(result.model, val_data, mode="free_run",
-                               bound=1e9)
+                out = validate(result.model, val_data, mode="free_run")
                 if out.diverged or not np.isfinite(out.mape):
                     failures += 1
                     continue

@@ -34,6 +34,14 @@ from .selection import SelectionConfig, select_structure
 VALIDATION_SEED_OFFSET = 10_000
 
 
+#: the benchmark systems a config can simulate, with their descriptions
+SYSTEMS = {
+    "heating": "Hammerstein heating benchmark",
+    "bouc_wen": "Bouc-Wen hysteresis benchmark",
+}
+_VALID_VARIABLES = tuple(v.value for v in Variable if v is not Variable.RESIDUAL)
+
+
 @dataclass(frozen=True)
 class ExperimentDefinition:
     """A reproducible benchmark identification experiment."""
@@ -59,69 +67,182 @@ class ExperimentDefinition:
         raise ParameterError(f"unknown system {self.system!r}")
 
 
-def heating_experiment(noise_ratio=0.05):
-    """The heating-system identification experiment.
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything needed to reproduce one identification experiment.
 
-    The excitation uses two low-pass bands (0.001 Hz and 0.005 Hz) of
-    1000 samples each around operating points 0.3/0.5/0.7 with 0.2 V
-    excursions.  The sampling interval is 2 s: short enough that the
-    input decorrelates across the candidate lags, long enough that the
-    candidate dictionary with pure delay 2 captures the dominant input
-    dependence.  The information-criterion sweep re-estimates every
-    truncation with the extended estimator so colored-noise bias does
-    not masquerade as structural variance.
+    Parameters
+    ----------
+    system : str
+        Benchmark system name (``"heating"``, ``"bouc_wen"``, ``"valve"``)
+        or a path to a ``k,u,y`` CSV file of measured data.
+    design : InputDesignSpec or None
+        Excitation design; ``None`` when the data comes from a CSV.
+    degree, n_y, n_u, tau_d : int
+        Candidate-dictionary bounds: maximum monomial degree and lag
+        ranges for output and input factors.
+    variables : tuple of str
+        Signal kinds admitted as factors, from ``("y", "u", "phi1", "phi2")``.
+    hysteresis : HysteresisCandidateConfig or None
+        Exclusion-rule configuration; ``None`` disables rule filtering.
+    estimator : str
+        Final re-estimation method, ``"ls"`` or ``"els"``.
+    sweep_estimator : str
+        Estimator used inside the information-criterion sweep.
+    els : ElsConfig
+        Extended-least-squares convergence settings.
+    n_noise_terms : int
+        Number of lagged-residual columns in the extended regression.
+    noise_ratio : float
+        Output-noise standard deviation as a fraction of the clean
+        output's standard deviation.
+    seed : int
+        Base seed for data generation (and Monte Carlo sweeps).
+    output_dir : str
+        Directory where commands write their artifacts.
     """
-    design = InputDesignSpec(
-        frequencies=(0.001, 0.005),
-        segment_lengths=(1000, 1000),
-        operating_points=(0.3, 0.5, 0.7),
-        amplitudes=(0.2, 0.2, 0.2),
-        sample_rate=0.5,
-    )
-    candidates = generate_candidates(degree=3, n_y=3, n_u=3, tau_d=2)
-    selection = SelectionConfig(estimator="els", sweep_estimator="els", n_noise_terms=1)
-    return ExperimentDefinition(
-        name="heating",
-        description="Hammerstein heating benchmark, 3rd-degree polynomial dictionary",
-        design=design,
-        candidates=candidates,
-        selection=selection,
-        noise_ratio=noise_ratio,
+
+    system: str
+    design: InputDesignSpec | None = None
+    degree: int = 3
+    n_y: int = 3
+    n_u: int = 3
+    tau_d: int = 1
+    variables: tuple = ("y", "u")
+    hysteresis: HysteresisCandidateConfig | None = None
+    estimator: str = "els"
+    sweep_estimator: str = "ls"
+    els: ElsConfig = field(default_factory=ElsConfig)
+    n_noise_terms: int = 1
+    noise_ratio: float = 0.05
+    seed: int = 0
+    output_dir: str = "."
+
+    def __post_init__(self):
+        object.__setattr__(self, "variables", tuple(self.variables))
+        if not self.system:
+            raise ParameterError("config needs a system preset name or data path")
+        for v in self.variables:
+            if v not in _VALID_VARIABLES:
+                raise ParameterError(f"unknown variable kind {v!r}")
+        if self.estimator not in ("ls", "els") or self.sweep_estimator not in ("ls", "els"):
+            raise ParameterError("estimator must be 'ls' or 'els'")
+        if not (0.0 <= self.noise_ratio):
+            raise ParameterError("noise ratio must be nonnegative")
+
+    def to_experiment(self) -> ExperimentDefinition:
+        """Materialize the experiment definition of a benchmark system."""
+        if self.system not in SYSTEMS:
+            raise ParameterError(
+                f"cannot simulate system {self.system!r}; "
+                f"only {sorted(SYSTEMS)} have simulators"
+            )
+        if self.design is None:
+            raise ParameterError("benchmark experiments need an input design")
+        variables = tuple(Variable(v) for v in self.variables)
+        candidates = generate_candidates(
+            self.degree, self.n_y, self.n_u, tau_d=self.tau_d, variables=variables
+        )
+        if self.hysteresis is not None:
+            candidates, _ = apply_exclusion_rules(candidates, self.hysteresis)
+        return ExperimentDefinition(
+            name=self.system,
+            description=f"{SYSTEMS[self.system]}, {len(candidates)}-term "
+                        f"degree-{self.degree} dictionary",
+            design=self.design,
+            candidates=candidates,
+            selection=SelectionConfig(
+                estimator=self.estimator,
+                sweep_estimator=self.sweep_estimator,
+                n_noise_terms=self.n_noise_terms,
+                els=self.els,
+            ),
+            noise_ratio=self.noise_ratio,
+            system=self.system,
+        )
+
+
+#: The built-in experiments.
+#:
+#: heating: two low-pass bands (0.001 Hz and 0.005 Hz) of 1000 samples
+#: each around operating points 0.3/0.5/0.7 with 0.2 V excursions.  The
+#: sampling interval is 2 s: short enough that the input decorrelates
+#: across the candidate lags, long enough that the candidate dictionary
+#: with pure delay 2 captures the dominant input dependence.  The
+#: information-criterion sweep re-estimates every truncation with the
+#: extended estimator so colored-noise bias does not masquerade as
+#: structural variance.
+#:
+#: bouc_wen: a long 0.2 Hz band (16000 samples) and a short 5 Hz band
+#: (3200 samples) at amplitudes 25 V and 50 V around zero, sampled at the
+#: 5 ms integration step of the reference model.  The dictionary is the
+#: degree-3 polynomial set over y, u and the input difference pair,
+#: pruned by the hysteresis exclusion rules.
+PRESETS = {
+    "heating": ExperimentConfig(
         system="heating",
-    )
+        design=InputDesignSpec(
+            frequencies=(0.001, 0.005),
+            segment_lengths=(1000, 1000),
+            operating_points=(0.3, 0.5, 0.7),
+            amplitudes=(0.2, 0.2, 0.2),
+            sample_rate=0.5,
+        ),
+        tau_d=2,
+        sweep_estimator="els",
+    ),
+    "bouc_wen": ExperimentConfig(
+        system="bouc_wen",
+        design=InputDesignSpec(
+            frequencies=(0.2, 5.0),
+            segment_lengths=(16000, 3200),
+            operating_points=(0.0, 0.0),
+            amplitudes=(25.0, 50.0),
+            sample_rate=200.0,
+        ),
+        n_y=1,
+        n_u=1,
+        variables=("y", "u", "phi1", "phi2"),
+        hysteresis=HysteresisCandidateConfig(),
+        sweep_estimator="els",
+    ),
+}
+
+
+def check_available(system):
+    """Raise :class:`MissingInputError` for the valve benchmark, whose
+    experimental data is not distributed."""
+    if system == "valve":
+        raise MissingInputError(
+            "the valve benchmark needs experimental data that is not distributed"
+        )
+
+
+def default_config(name, seed=0, output_dir=".") -> ExperimentConfig:
+    """Config of a built-in experiment (``heating`` or ``bouc_wen``)."""
+    check_available(name)
+    try:
+        preset = PRESETS[name.replace("-", "_")]
+    except KeyError:
+        raise ParameterError(
+            f"unknown experiment {name!r}; choose from {sorted(PRESETS)}"
+        ) from None
+    return replace(preset, seed=seed, output_dir=output_dir)
+
+
+def get_experiment(name: str, noise_ratio=0.05) -> ExperimentDefinition:
+    """Definition of a built-in experiment at the given noise ratio."""
+    return replace(default_config(name), noise_ratio=noise_ratio).to_experiment()
+
+
+def heating_experiment(noise_ratio=0.05):
+    """The heating-system identification experiment (``PRESETS["heating"]``)."""
+    return get_experiment("heating", noise_ratio)
 
 
 def bouc_wen_experiment(noise_ratio=0.05):
-    """The hysteretic-actuator identification experiment.
-
-    The excitation covers a long 0.2 Hz band (16000 samples) and a short
-    5 Hz band (3200 samples) at amplitudes 25 V and 50 V around zero,
-    sampled at the 5 ms integration step of the reference model.  The
-    dictionary is the degree-3 polynomial set over y, u and the input
-    difference pair, pruned by the hysteresis exclusion rules.
-    """
-    design = InputDesignSpec(
-        frequencies=(0.2, 5.0),
-        segment_lengths=(16000, 3200),
-        operating_points=(0.0, 0.0),
-        amplitudes=(25.0, 50.0),
-        sample_rate=200.0,
-    )
-    raw = generate_candidates(
-        degree=3, n_y=1, n_u=1, tau_d=1,
-        variables=(Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2),
-    )
-    candidates, _removed = apply_exclusion_rules(raw, HysteresisCandidateConfig())
-    selection = SelectionConfig(estimator="els", sweep_estimator="els", n_noise_terms=1)
-    return ExperimentDefinition(
-        name="bouc_wen",
-        description="Bouc-Wen hysteresis benchmark, pruned hysteresis dictionary",
-        design=design,
-        candidates=candidates,
-        selection=selection,
-        noise_ratio=noise_ratio,
-        system="bouc_wen",
-    )
+    """The hysteretic-actuator identification experiment (``PRESETS["bouc_wen"]``)."""
+    return get_experiment("bouc_wen", noise_ratio)
 
 
 EXPERIMENTS = {
@@ -179,17 +300,3 @@ def run_identification(defn: ExperimentDefinition, seed, noise_ratio=None):
         seed=seed,
         noise_ratio=defn.noise_ratio if noise_ratio is None else noise_ratio,
     )
-
-
-def get_experiment(name: str, noise_ratio=0.05) -> ExperimentDefinition:
-    try:
-        factory = EXPERIMENTS[name.replace("-", "_")]
-    except KeyError:
-        if name == "valve":
-            raise MissingInputError(
-                "the valve benchmark needs experimental data that is not distributed"
-            ) from None
-        raise ParameterError(
-            f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
-        ) from None
-    return factory(noise_ratio=noise_ratio)

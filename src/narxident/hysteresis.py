@@ -34,21 +34,15 @@ def hysteresis_signals(x):
 
 @dataclass(frozen=True)
 class HysteresisCandidateConfig:
-    """Which exclusion rules to apply and the modeling direction.
+    """Which exclusion rules to apply.
 
-    ``direction="inverse"`` swaps the roles of input and output at the
-    data level; the rules themselves are direction-agnostic.
+    The rules are direction-agnostic; an inverse-direction model is
+    tagged by :attr:`NarxModel.direction`.
     """
 
     apply_rule_i: bool = True
     apply_rule_ii: bool = True
     apply_rule_iii: bool = True
-    enforce_sigma_y: bool = False
-    direction: str = "direct"
-
-    def __post_init__(self):
-        if self.direction not in ("direct", "inverse"):
-            raise ParameterError(f"unknown direction {self.direction!r}")
 
 
 def _rule_i(t: RegressorTerm):

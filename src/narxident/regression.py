@@ -12,7 +12,7 @@ from .hysteresis import hysteresis_signals
 from .model import CandidateSet, NarxModel, RegressorTerm, Variable
 
 
-def _signal_table(u, y, residuals=None):
+def _signal_table(u, y):
     """Full-length sample arrays for each variable kind.
 
     The difference signals are derived from the input on demand; their
@@ -27,8 +27,6 @@ def _signal_table(u, y, residuals=None):
         phi2 = np.zeros_like(u)
     table[Variable.PHI1] = phi1
     table[Variable.PHI2] = phi2
-    if residuals is not None:
-        table[Variable.RESIDUAL] = np.asarray(residuals, dtype=float)
     return table
 
 
@@ -43,7 +41,7 @@ def term_column(t: RegressorTerm, table, p, n):
     return col
 
 
-def build_regression(candidates, data: TimeSeriesData, residuals=None):
+def build_regression(candidates, data: TimeSeriesData):
     """Regression matrix and aligned target vector for a candidate set.
 
     Rows with incomplete lag history (the first ``p`` samples, ``p`` the
@@ -51,13 +49,11 @@ def build_regression(candidates, data: TimeSeriesData, residuals=None):
     with ``Psi`` of shape ``(N - p, n_candidates)``.
     """
     terms = candidates.terms if isinstance(candidates, CandidateSet) else tuple(candidates)
-    if any(t.uses(Variable.RESIDUAL) for t in terms) and residuals is None:
-        raise MissingInputError("candidate set uses residual terms but no residual sequence given")
     p = max((t.max_lag for t in terms), default=0)
     n = len(data)
     if n <= p:
         raise InsufficientDataError(f"need more than {p} samples, got {n}")
-    table = _signal_table(data.u, data.y, residuals)
+    table = _signal_table(data.u, data.y)
     psi = np.column_stack([term_column(t, table, p, n) for t in terms]) if terms else np.empty((n - p, 0))
     return psi, table[Variable.OUTPUT][p:]
 
@@ -87,11 +83,21 @@ class SimulationResult:
     diverged_at: int | None = None
 
 
+def divergence_bound(reference):
+    """Default free-run divergence bound, 1e6 * max(1, max|reference|).
+
+    The floor of 1 keeps a run that starts from a zero state from being
+    flagged on its first step.
+    """
+    return 1e6 * max(1.0, float(np.max(np.abs(reference), initial=0.0)))
+
+
 def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     """Simulate the model recursively, feeding outputs back as lagged outputs.
 
-    The difference signals are computed from ``u``; residual terms
-    contribute zero.  ``bound`` caps |y(k)|; when exceeded the run stops
+    The difference signals are computed from ``u``; the moving-average
+    noise terms are not simulated.  ``bound`` caps |y(k)| and defaults to
+    :func:`divergence_bound` of ``y_init``; when exceeded the run stops
     and the partial trajectory is returned with ``diverged=True``.
     """
     u = np.asarray(u, dtype=float)
@@ -106,7 +112,7 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     if n < start:
         raise InsufficientDataError("input shorter than the initialization horizon")
     if bound is None:
-        bound = 1e6 * float(np.max(np.abs(y_init), initial=0.0)) + 1.0
+        bound = divergence_bound(y_init)
 
     y = np.zeros(n)
     y[: len(y_init)] = y_init
@@ -118,9 +124,6 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
         for th, t in zip(theta, terms):
             val = th
             for var, lag, exp in t.factors:
-                if var is Variable.RESIDUAL:
-                    val = 0.0
-                    break
                 s = table[var][k - lag]
                 val *= s ** exp if exp > 1 else s
             acc += val

@@ -42,6 +42,72 @@ def test_valve_guard(capsys):
     assert "experimental data that is not distributed" in out.err
 
 
+def test_valve_guard_for_config_files(tmp_path, capsys):
+    cfg = tmp_path / "valve.json"
+    cfg.write_text('{"system": "valve", "candidates": {"degree": 3, "n_y": 2, "n_u": 1, '
+                   '"tau_d": 1, "variables": ["y", "u"]}, "estimator": {"method": "ls"}}')
+    code, out = run(["identify", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert "experimental data that is not distributed" in out.err
+
+
+HEATING_CONFIG = """\
+{
+  "system": "heating",
+  "design": {
+    "frequencies": [
+      0.001,
+      0.005
+    ],
+    "segment_lengths": [
+      1000,
+      1000
+    ],
+    "operating_points": [
+      0.3,
+      0.5,
+      0.7
+    ],
+    "amplitudes": [
+      0.2,
+      0.2,
+      0.2
+    ],
+    "sample_rate": 0.5,
+    "filter_order": 5,
+    "seed": 0
+  },
+  "candidates": {
+    "degree": 3,
+    "n_y": 3,
+    "n_u": 3,
+    "tau_d": 2,
+    "variables": [
+      "y",
+      "u"
+    ]
+  },
+  "hysteresis": null,
+  "estimator": {
+    "method": "els",
+    "sweep_method": "els",
+    "zeta": 1e-08,
+    "max_iterations": 30,
+    "n_noise_terms": 1
+  },
+  "noise_ratio": 0.05,
+  "seed": 0,
+  "output_dir": "."
+}
+"""
+
+
+def test_init_config_heating_golden_bytes(tmp_path):
+    cfg = tmp_path / "heating.json"
+    assert run(["init-config", "--experiment", "heating", "--output", str(cfg)]) == 0
+    assert cfg.read_text() == HEATING_CONFIG
+
+
 def test_design_input_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["design-input", "--experiment", "heating", "--seed", "9",

@@ -1,10 +1,16 @@
 """Experiment config serialization and materialization."""
 
+import copy
 import json
 
 import pytest
 
-from narxident import ParameterError
+from narxident import (
+    HysteresisCandidateConfig,
+    InputDesignSpec,
+    ParameterError,
+    make_identification_data,
+)
 from narxident.config import (
     ExperimentConfig,
     config_from_dict,
@@ -67,3 +73,147 @@ def test_csv_backed_config_cannot_simulate():
     cfg = ExperimentConfig(system="data/measured.csv")
     with pytest.raises(ParameterError):
         cfg.to_experiment()
+
+
+def _leaf_paths(d, prefix=""):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def _get(d, path):
+    for key in path.split("."):
+        d = d[key]
+    return d
+
+
+def _parent(d, path):
+    *sections, key = path.split(".")
+    for section in sections:
+        d = d[section]
+    return d, key
+
+
+_BOUC_WEN = config_to_dict(default_config("bouc_wen"))
+
+#: every codec key path of a config with a design and hysteresis rules,
+#: the value it is changed to, and whether the change reaches the built
+#: experiment.  ``seed`` and ``output_dir`` are read by the commands;
+#: ``design.seed`` is overridden by every command with ``seed`` and is
+#: kept only so that existing config files and artifacts stay unchanged.
+KEY_CHANGES = [
+    ("system", "bouc_wen", True),
+    ("design.frequencies", [0.002, 0.005], True),
+    ("design.segment_lengths", [900, 1100], True),
+    ("design.operating_points", [0.3, 0.5, 0.6], True),
+    ("design.amplitudes", [0.1, 0.2, 0.2], True),
+    ("design.sample_rate", 0.4, True),
+    ("design.filter_order", 4, True),
+    ("design.seed", 7, False),
+    ("candidates.degree", 2, True),
+    ("candidates.n_y", 2, True),
+    ("candidates.n_u", 4, True),
+    ("candidates.tau_d", 1, True),
+    ("candidates.variables", ["y", "u", "phi1"], True),
+    ("hysteresis.apply_rule_i", False, True),
+    ("hysteresis.apply_rule_ii", False, True),
+    ("hysteresis.apply_rule_iii", False, True),
+    ("estimator.method", "ls", True),
+    ("estimator.sweep_method", "ls", True),
+    ("estimator.zeta", 1e-6, True),
+    ("estimator.max_iterations", 10, True),
+    ("estimator.n_noise_terms", 2, True),
+    ("noise_ratio", 0.1, True),
+    ("seed", 7, False),
+    ("output_dir", "elsewhere", False),
+]
+
+
+def test_key_change_table_covers_every_codec_key():
+    assert sorted(_leaf_paths(_BOUC_WEN)) == sorted(path for path, _, _ in KEY_CHANGES)
+
+
+def _behaviour(cfg):
+    """What the built experiment does: its dictionary, its selection
+    settings and the identification record it generates."""
+    defn = cfg.to_experiment()
+    data, _ = make_identification_data(defn, seed=1)
+    return (defn.system, defn.candidates, defn.selection, data.ts,
+            data.u.tobytes(), data.y.tobytes())
+
+
+@pytest.mark.parametrize("path, value, reaches_experiment", KEY_CHANGES)
+def test_every_codec_key_changes_the_config(path, value, reaches_experiment):
+    # hysteresis rules only matter with the difference signals in play
+    base = config_to_dict(default_config("bouc_wen" if path.startswith("hysteresis")
+                                         else "heating"))
+    changed = copy.deepcopy(base)
+    node, key = _parent(changed, path)
+    node[key] = value
+    before, after = config_from_dict(base), config_from_dict(changed)
+    assert after != before
+    assert config_to_dict(after) == changed
+    assert (_behaviour(after) != _behaviour(before)) == reaches_experiment
+
+
+#: keys a config file must contain; every other key may be left out
+REQUIRED = {
+    "system", "candidates.degree", "candidates.n_y", "candidates.n_u",
+    "candidates.tau_d", "candidates.variables", "estimator.method",
+    "design.frequencies", "design.segment_lengths", "design.operating_points",
+    "design.amplitudes", "design.sample_rate",
+}
+
+
+@pytest.mark.parametrize("path", sorted(_leaf_paths(_BOUC_WEN)) + ["design", "hysteresis"])
+def test_left_out_keys_take_the_dataclass_defaults(path):
+    d = copy.deepcopy(_BOUC_WEN)
+    node, key = _parent(d, path)
+    del node[key]
+    if path in REQUIRED:
+        with pytest.raises(ParameterError, match=f"missing field '{path}'"):
+            config_from_dict(d)
+        return
+    design = {key: _get(_BOUC_WEN, f"design.{key}") for key in
+              ("frequencies", "segment_lengths", "operating_points", "amplitudes",
+               "sample_rate")}
+    defaults = config_to_dict(ExperimentConfig(
+        system="bouc_wen",
+        design=None if path == "design" else InputDesignSpec(**design),
+        hysteresis=None if path == "hysteresis" else HysteresisCandidateConfig(),
+    ))
+    assert _get(config_to_dict(config_from_dict(d)), path) == _get(defaults, path)
+
+
+@pytest.mark.parametrize("path, typo", [
+    ("estimator.max_iterations", "estimator.max_iteration"),
+    ("noise_ratio", "noise_ratoi"),
+    ("design.seed", "design.sead"),
+    ("hysteresis.apply_rule_i", "hysteresis.apply_rule_1"),
+    (None, "hysteresis.enforce_sigma_y"),
+    (None, "hysteresis.direction"),
+    (None, "candidates.max_degree"),
+    (None, "comment"),
+])
+def test_unknown_or_misspelled_key_is_rejected(path, typo, tmp_path):
+    d = copy.deepcopy(_BOUC_WEN)
+    value = 5
+    if path is not None:
+        node, key = _parent(d, path)
+        value = node.pop(key)
+    node, key = _parent(d, typo)
+    node[key] = value
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(d))
+    with pytest.raises(ParameterError, match=f"unknown config key '{typo}'"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("section, value", [("candidates", 3), ("design", [1, 2])])
+def test_sections_must_be_objects(section, value):
+    d = copy.deepcopy(_BOUC_WEN)
+    d[section] = value
+    with pytest.raises(ParameterError, match=f"'{section}' must be an object"):
+        config_from_dict(d)

@@ -17,6 +17,7 @@ from narxident import (
     term,
 )
 from narxident.errors import ParameterError
+from narxident.regression import divergence_bound
 
 Y, U, P1, P2 = Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2
 
@@ -98,6 +99,21 @@ def test_free_run_default_bound_scales_with_initial_state():
     m = small_model([term((Y, 1, 1))], [2.0])
     sim = free_run_simulate(m, np.zeros(25), y_init=[1.0])
     assert sim.diverged  # exceeds 1e6 * 1 + 1 after ~20 doublings
+
+
+def test_free_run_from_zero_state_is_not_flagged_diverged():
+    # y(k) = 0.5 y(k-1) + u(k-1) settles at 6 under u = 3; a bound that
+    # scales with |y_init| alone would be 1 here and stop the run at k=1
+    m = small_model([term((Y, 1, 1)), term((U, 1, 1))], [0.5, 1.0])
+    sim = free_run_simulate(m, np.full(60, 3.0), y_init=[0.0])
+    assert not sim.diverged
+    assert abs(sim.y[-1] - 6.0) < 1e-9
+
+
+@pytest.mark.parametrize("reference, bound", [([0.0], 1e6), ([0.5, -0.2], 1e6),
+                                              ([-3.0, 2.0], 3e6), ([], 1e6)])
+def test_divergence_bound_rule(reference, bound):
+    assert divergence_bound(reference) == bound
 
 
 def test_free_run_rejects_short_initialization():
