@@ -9,12 +9,15 @@ precision so pipeline results can be checked against them.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .errors import ParameterError
 from .model import CandidateMeta, NarxModel, Variable, term
+from .regression import zero_buffer
 
 Y, U, P1, P2 = Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2
 
@@ -45,15 +48,17 @@ def simulate_hammerstein(params: HammersteinParams, u):
     u = np.asarray(u, dtype=float)
     if np.any(u < 0) or np.any(u > 1):
         warnings.warn("input outside the model validity range [0, 1]", stacklevel=2)
-    v = params.p1 * u ** 2 + params.p2 * u
-    y = np.zeros(len(u))
+    v = array("d", (params.p1 * u ** 2 + params.p2 * u).tobytes())
+    b1, b2, b3, b4 = params.beta1, params.beta2, params.beta3, params.beta4
+    y, y_view = zero_buffer(len(u))
     for k in range(1, len(u)):
-        y[k] = params.beta1 * y[k - 1] + params.beta2 * v[k - 1]
+        yk = b1 * y[k - 1] + b2 * v[k - 1]
         if k >= 2:
-            y[k] += params.beta3 * y[k - 2] + params.beta4 * v[k - 2]
-        if not np.isfinite(y[k]) or abs(y[k]) > 1e9:
+            yk += b3 * y[k - 2] + b4 * v[k - 2]
+        if not isfinite(yk) or abs(yk) > 1e9:
             raise ParameterError(f"heating simulation diverged at step {k}")
-    return y
+        y[k] = yk
+    return y_view
 
 
 @dataclass(frozen=True)
@@ -108,27 +113,34 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
         if len(u_dot) != len(u):
             raise ParameterError("u_dot must match u in length")
 
-    def rate(du, h):
-        return params.alpha * du - params.beta * abs(du) * h - params.gamma * du * abs(h)
+    if du_half is None:
+        du_half = 0.5 * (u_dot[:-1] + u_dot[1:])
+    rates = array("d", u_dot.tobytes())
+    mid_rates = array("d", du_half.tobytes())
 
+    # the state equation dh/dt = alpha*du - beta*|du|*h - gamma*du*|h|,
+    # written out at each RK4 stage
+    alpha, beta, gamma, dt = params.alpha, params.beta, params.gamma, params.dt
     n = len(u)
-    h = np.zeros(n)
-    dt = params.dt
+    h, h_view = zero_buffer(n)
+    hk = 0.0
     for k in range(n - 1):
-        du0 = u_dot[k]
-        du1 = u_dot[k + 1]
-        du_mid = du_half[k] if du_half is not None else 0.5 * (du0 + du1)
-        hk = h[k]
-        k1 = rate(du0, hk)
-        k2 = rate(du_mid, hk + 0.5 * dt * k1)
-        k3 = rate(du_mid, hk + 0.5 * dt * k2)
-        k4 = rate(du1, hk + dt * k3)
-        h_next = hk + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if not np.isfinite(h_next) or abs(h_next) > 1e12:
-            h[k + 1:] = np.nan
-            return BoucWenTrajectory(y=params.nu_y * u - h, h=h, diverged=True)
-        h[k + 1] = h_next
-    return BoucWenTrajectory(y=params.nu_y * u - h, h=h)
+        du0 = rates[k]
+        du1 = rates[k + 1]
+        du_mid = mid_rates[k]
+        k1 = alpha * du0 - beta * abs(du0) * hk - gamma * du0 * abs(hk)
+        h_stage = hk + 0.5 * dt * k1
+        k2 = alpha * du_mid - beta * abs(du_mid) * h_stage - gamma * du_mid * abs(h_stage)
+        h_stage = hk + 0.5 * dt * k2
+        k3 = alpha * du_mid - beta * abs(du_mid) * h_stage - gamma * du_mid * abs(h_stage)
+        h_stage = hk + dt * k3
+        k4 = alpha * du1 - beta * abs(du1) * h_stage - gamma * du1 * abs(h_stage)
+        hk = hk + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        if not isfinite(hk) or abs(hk) > 1e12:
+            h_view[k + 1:] = np.nan
+            return BoucWenTrajectory(y=params.nu_y * u - h_view, h=h_view, diverged=True)
+        h[k + 1] = hk
+    return BoucWenTrajectory(y=params.nu_y * u - h_view, h=h_view)
 
 
 # Published-model catalog.  Numeric values are the published coefficients

@@ -23,31 +23,57 @@ from .experiments import ExperimentConfig, default_config  # default_config: re-
 from .hysteresis import HysteresisCandidateConfig
 from .input_design import InputDesignSpec
 
-#: (JSON key path, attribute, required in a file), in file order.  A
-#: dotted attribute is a field of a nested dataclass; ``design`` and
-#: ``hysteresis`` are JSON objects keyed by their dataclass field names,
-#: or null.
+#: JSON types of the ``design`` and ``hysteresis`` objects' fields
+_DESIGN = {"frequencies": [float], "segment_lengths": [int], "operating_points": [float],
+           "amplitudes": [float], "sample_rate": float, "filter_order": int, "seed": int}
+_HYSTERESIS = {"apply_rule_i": bool, "apply_rule_ii": bool, "apply_rule_iii": bool}
+
+#: (JSON key path, attribute, required in a file, JSON type), in file
+#: order.  A dotted attribute is a field of a nested dataclass.  A type is
+#: ``str``, ``int``, ``float`` (integers admitted), ``bool``, a one-item
+#: list for a list of that type, or a dict of field types for an object:
+#: ``design`` and ``hysteresis`` are JSON objects keyed by their
+#: dataclass field names, or null.
 CODEC = (
-    ("system", "system", True),
-    ("design", "design", False),
-    ("candidates.degree", "degree", True),
-    ("candidates.n_y", "n_y", True),
-    ("candidates.n_u", "n_u", True),
-    ("candidates.tau_d", "tau_d", True),
-    ("candidates.variables", "variables", True),
-    ("hysteresis", "hysteresis", False),
-    ("estimator.method", "estimator", True),
-    ("estimator.sweep_method", "sweep_estimator", False),
-    ("estimator.zeta", "els.zeta", False),
-    ("estimator.max_iterations", "els.max_iterations", False),
-    ("estimator.n_noise_terms", "n_noise_terms", False),
-    ("noise_ratio", "noise_ratio", False),
-    ("seed", "seed", False),
-    ("output_dir", "output_dir", False),
+    ("system", "system", True, str),
+    ("design", "design", False, _DESIGN),
+    ("candidates.degree", "degree", True, int),
+    ("candidates.n_y", "n_y", True, int),
+    ("candidates.n_u", "n_u", True, int),
+    ("candidates.tau_d", "tau_d", True, int),
+    ("candidates.variables", "variables", True, [str]),
+    ("hysteresis", "hysteresis", False, _HYSTERESIS),
+    ("estimator.method", "estimator", True, str),
+    ("estimator.sweep_method", "sweep_estimator", False, str),
+    ("estimator.zeta", "els.zeta", False, float),
+    ("estimator.max_iterations", "els.max_iterations", False, int),
+    ("estimator.n_noise_terms", "n_noise_terms", False, int),
+    ("noise_ratio", "noise_ratio", False, float),
+    ("seed", "seed", False, int),
+    ("output_dir", "output_dir", False, str),
 )
 _OBJECTS = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig, "els": ElsConfig}
-_PATHS = {path for path, _, _ in CODEC}
+_PATHS = {path for path, _, _, _ in CODEC}
 _SECTIONS = {path.rpartition(".")[0] for path in _PATHS} - {""}
+_JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
+               list: "list", dict: "object", type(None): "null"}
+
+
+def _check_type(value, kind, path):
+    """Raise :class:`ParameterError` naming ``path`` unless ``value`` has JSON type ``kind``."""
+    if isinstance(kind, list):
+        ok = isinstance(value, list)
+        if ok:
+            for i, item in enumerate(value):
+                _check_type(item, kind[0], f"{path}[{i}]")
+        expected = f"list of {_JSON_NAMES[kind[0]]}s"
+    else:
+        ok = (isinstance(value, (int, float) if kind is float else kind)
+              and isinstance(value, bool) == (kind is bool))
+        expected = _JSON_NAMES[kind]
+    if not ok:
+        raise ParameterError(f"config field {path!r} must be {expected}, "
+                             f"got {_JSON_NAMES.get(type(value), type(value).__name__)}")
 
 
 def _plain(value):
@@ -61,7 +87,7 @@ def _plain(value):
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     d = {}
-    for path, attr, _ in CODEC:
+    for path, attr, _, _ in CODEC:
         *sections, key = path.split(".")
         node = d
         for section in sections:
@@ -86,7 +112,7 @@ def _flatten(d, prefix=""):
     return flat
 
 
-def _decode_object(cls, value, path):
+def _decode_object(cls, value, path, types):
     if not isinstance(value, dict):
         raise ParameterError(f"config field {path!r} must be an object or null")
     fields = dataclasses.fields(cls)
@@ -94,6 +120,7 @@ def _decode_object(cls, value, path):
     for key in value:
         if key not in names:
             raise ParameterError(f"unknown config key '{path}.{key}'")
+        _check_type(value[key], types[key], f"{path}.{key}")
     for f in fields:
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if required and f.name not in value:
@@ -105,14 +132,17 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     flat = _flatten(d)
     kwargs = {}
     nested = {}
-    for path, attr, required in CODEC:
+    for path, attr, required, kind in CODEC:
         if path not in flat:
             if required:
                 raise ParameterError(f"config is missing field {path!r}")
             continue
         value = flat[path]
-        if attr in _OBJECTS and value is not None:
-            value = _decode_object(_OBJECTS[attr], value, path)
+        if isinstance(kind, dict):
+            if value is not None:
+                value = _decode_object(_OBJECTS[attr], value, path, kind)
+        else:
+            _check_type(value, kind, path)
         head, _, field = attr.partition(".")
         if field:
             nested.setdefault(head, {})[field] = value

@@ -19,21 +19,23 @@ from .errors import DegenerateRangeError, ParameterError
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A discrete low-pass filter: transfer-function coefficients plus a
-    second-order-sections form used for the actual filtering."""
+    """A discrete low-pass filter in second-order-sections form.
+
+    Each row of ``sos`` is one section ``[b0, b1, b2, 1, a1, a2]``.
+    """
 
     order: int
     cutoff: float
     sample_rate: float
-    b: np.ndarray
-    a: np.ndarray
     sos: np.ndarray
 
     def dc_gain(self):
-        return float(np.sum(self.b) / np.sum(self.a))
+        """Product of the sections' gains at z = 1."""
+        return float(np.prod(self.sos[:, :3].sum(axis=1) / self.sos[:, 3:].sum(axis=1)))
 
     def is_stable(self):
-        return bool(np.all(np.abs(np.roots(self.a)) < 1.0))
+        """Every section's poles lie inside the unit circle."""
+        return all(bool(np.all(np.abs(np.roots(section[3:])) < 1.0)) for section in self.sos)
 
     def magnitude(self, freqs):
         """|H| evaluated at the given frequencies in Hz."""
@@ -52,10 +54,8 @@ def design_butterworth(order, cutoff, sample_rate):
         raise ParameterError(f"cutoff {cutoff} Hz outside (0, {sample_rate / 2}) Hz")
     if order < 1:
         raise ParameterError("filter order must be >= 1")
-    b, a = scipy.signal.butter(order, cutoff, fs=sample_rate, output="ba")
     sos = scipy.signal.butter(order, cutoff, fs=sample_rate, output="sos")
-    return FilterSpec(order=order, cutoff=cutoff, sample_rate=sample_rate,
-                      b=b, a=a, sos=sos)
+    return FilterSpec(order=order, cutoff=cutoff, sample_rate=sample_rate, sos=sos)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -12,33 +14,36 @@ from .hysteresis import hysteresis_signals
 from .model import CandidateSet, NarxModel, RegressorTerm, Variable
 
 
-def _signal_table(u, y):
-    """Full-length sample arrays for each variable kind.
+def _signal_table(u):
+    """Full-length sample arrays of the input and its difference signals.
 
-    The difference signals are derived from the input on demand; their
-    value at k=0 is 0 by convention.
+    The difference signals are derived from the input; their value at k=0
+    is 0 by convention.
     """
     u = np.asarray(u, dtype=float)
-    table = {Variable.OUTPUT: np.asarray(y, dtype=float), Variable.INPUT: u}
     if len(u) >= 2:
         phi1, phi2 = hysteresis_signals(u)
     else:
         phi1 = np.zeros_like(u)
         phi2 = np.zeros_like(u)
-    table[Variable.PHI1] = phi1
-    table[Variable.PHI2] = phi2
-    return table
+    return {Variable.INPUT: u, Variable.PHI1: phi1, Variable.PHI2: phi2}
+
+
+def _multiply_factors(col, factors, table, p):
+    """Multiply ``col``, rows k = p .. p + len(col) - 1, in place by the factors."""
+    n = p + len(col)
+    for var, lag, exp in factors:
+        samples = table[var][p - lag:n - lag]
+        col *= samples ** exp if exp > 1 else samples
+    return col
 
 
 def term_column(t: RegressorTerm, table, p, n):
     """Evaluate one term over rows k = p .. n-1 as a column vector."""
-    col = np.ones(n - p)
-    for var, lag, exp in t.factors:
+    for var, _, _ in t.factors:
         if var not in table:
             raise MissingInputError(f"term {t} needs the {var.value} signal, which was not supplied")
-        samples = table[var][p - lag:n - lag]
-        col = col * (samples ** exp if exp > 1 else samples)
-    return col
+    return _multiply_factors(np.ones(n - p), t.factors, table, p)
 
 
 def build_regression(candidates, data: TimeSeriesData):
@@ -53,7 +58,8 @@ def build_regression(candidates, data: TimeSeriesData):
     n = len(data)
     if n <= p:
         raise InsufficientDataError(f"need more than {p} samples, got {n}")
-    table = _signal_table(data.u, data.y)
+    table = _signal_table(data.u)
+    table[Variable.OUTPUT] = np.asarray(data.y, dtype=float)
     psi = np.column_stack([term_column(t, table, p, n) for t in terms]) if terms else np.empty((n - p, 0))
     return psi, table[Variable.OUTPUT][p:]
 
@@ -92,6 +98,16 @@ def divergence_bound(reference):
     return 1e6 * max(1.0, float(np.max(np.abs(reference), initial=0.0)))
 
 
+def zero_buffer(n):
+    """A zero-filled ``array('d')`` of length n and a numpy view of it.
+
+    The recursions read and write the buffer, whose items are Python
+    floats; the view fills it and is returned as the result.
+    """
+    buf = array("d", [0.0]) * n
+    return buf, np.frombuffer(buf)
+
+
 def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     """Simulate the model recursively, feeding outputs back as lagged outputs.
 
@@ -99,6 +115,10 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     noise terms are not simulated.  ``bound`` caps |y(k)| and defaults to
     :func:`divergence_bound` of ``y_init``; when exceeded the run stops
     and the partial trajectory is returned with ``diverged=True``.
+
+    Each term's exogenous part (its parameter times its input and
+    difference-signal factors) is computed once as a vector; the
+    recursion multiplies it by the term's lagged outputs on Python floats.
     """
     u = np.asarray(u, dtype=float)
     y_init = np.atleast_1d(np.asarray(y_init, dtype=float))
@@ -114,24 +134,31 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     if bound is None:
         bound = divergence_bound(y_init)
 
-    y = np.zeros(n)
-    y[: len(y_init)] = y_init
-    table = _signal_table(u, y)
-    theta = np.asarray(model.theta)
-    terms = model.process_terms
+    table = _signal_table(u)
+    terms = []  # (exogenous part over k = 0 .. n-1, output lags with repeats)
+    for th, t in zip(model.theta, model.process_terms):
+        exogenous = [f for f in t.factors if f[0] is not Variable.OUTPUT]
+        buf, view = zero_buffer(n)
+        view[start:] = th
+        _multiply_factors(view[start:], exogenous, table, start)
+        lags = tuple(lag for var, lag, exp in t.factors if var is Variable.OUTPUT
+                     for _ in range(exp))
+        terms.append((buf, lags))
+
+    y, y_view = zero_buffer(n)
+    y_view[: len(y_init)] = y_init
     for k in range(start, n):
         acc = 0.0
-        for th, t in zip(theta, terms):
-            val = th
-            for var, lag, exp in t.factors:
-                s = table[var][k - lag]
-                val *= s ** exp if exp > 1 else s
+        for part, lags in terms:
+            val = part[k]
+            for lag in lags:
+                val *= y[k - lag]
             acc += val
-        if not np.isfinite(acc) or abs(acc) > bound:
-            y[k:] = np.nan
-            return SimulationResult(y, diverged=True, diverged_at=k)
+        if not isfinite(acc) or abs(acc) > bound:
+            y_view[k:] = np.nan
+            return SimulationResult(y_view, diverged=True, diverged_at=k)
         y[k] = acc
-    return SimulationResult(y)
+    return SimulationResult(y_view)
 
 
 def run_inverse_model(model: NarxModel, y, u_init):

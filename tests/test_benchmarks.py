@@ -8,6 +8,8 @@ from narxident import (
     PZT_BOUC_WEN,
     VALVE_BOUC_WEN,
     BoucWenParams,
+    HammersteinParams,
+    ParameterError,
     preset_models,
     simulate_bouc_wen,
     simulate_hammerstein,
@@ -115,3 +117,116 @@ def test_preset_heating_model_parameters():
     m = preset_models()["heating_narx"].model
     assert [str(t) for t in m.process_terms] == ["y(k-1)", "u(k-2)^2", "y(k-2)"]
     assert np.allclose(m.theta, (0.8958185, 0.06393347, -0.0174675))
+
+
+def reference_hammerstein(params, u):
+    """Per-step Hammerstein recursion on numpy elements, kept as an oracle."""
+    u = np.asarray(u, dtype=float)
+    v = params.p1 * u ** 2 + params.p2 * u
+    y = np.zeros(len(u))
+    for k in range(1, len(u)):
+        y[k] = params.beta1 * y[k - 1] + params.beta2 * v[k - 1]
+        if k >= 2:
+            y[k] += params.beta3 * y[k - 2] + params.beta4 * v[k - 2]
+        if not np.isfinite(y[k]) or abs(y[k]) > 1e9:
+            raise ParameterError(f"heating simulation diverged at step {k}")
+    return y
+
+
+def reference_bouc_wen(params, u, u_dot=None):
+    """RK4 integration with a separate rate function on numpy elements,
+    kept as an oracle; returns (y, h, diverged)."""
+    u = np.asarray(u, dtype=float)
+    du_half = None
+    if u_dot is None:
+        u_dot = np.gradient(u, params.dt)
+    elif callable(u_dot):
+        t = np.arange(len(u)) * params.dt
+        du_half = np.asarray(u_dot(t[:-1] + 0.5 * params.dt), dtype=float)
+        u_dot = np.asarray(u_dot(t), dtype=float)
+    else:
+        u_dot = np.asarray(u_dot, dtype=float)
+
+    def rate(du, h):
+        return params.alpha * du - params.beta * abs(du) * h - params.gamma * du * abs(h)
+
+    n = len(u)
+    h = np.zeros(n)
+    dt = params.dt
+    for k in range(n - 1):
+        du0 = u_dot[k]
+        du1 = u_dot[k + 1]
+        du_mid = du_half[k] if du_half is not None else 0.5 * (du0 + du1)
+        hk = h[k]
+        k1 = rate(du0, hk)
+        k2 = rate(du_mid, hk + 0.5 * dt * k1)
+        k3 = rate(du_mid, hk + 0.5 * dt * k2)
+        k4 = rate(du1, hk + dt * k3)
+        h_next = hk + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        if not np.isfinite(h_next) or abs(h_next) > 1e12:
+            h[k + 1:] = np.nan
+            return params.nu_y * u - h, h, True
+        h[k + 1] = h_next
+    return params.nu_y * u - h, h, False
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def hysteresis_drive(n, dt, scale=1.0):
+    """Two-tone input of amplitude 40 * ``scale`` and its analytic rate."""
+    t = np.arange(n) * dt
+    a, b = 30.0 * scale, 10.0 * scale
+    u = a * np.sin(2 * np.pi * 0.4 * t) + b * np.sin(2 * np.pi * 3.1 * t)
+    u_dot = lambda tt: (a * 2 * np.pi * 0.4 * np.cos(2 * np.pi * 0.4 * tt)
+                        + b * 2 * np.pi * 3.1 * np.cos(2 * np.pi * 3.1 * tt))
+    return u, u_dot
+
+
+@pytest.mark.parametrize("rate", ["default", "array", "callable"])
+@pytest.mark.parametrize("params, scale", [(PZT_BOUC_WEN, 1.0), (VALVE_BOUC_WEN, 0.01)],
+                         ids=["pzt", "valve"])
+def test_bouc_wen_bit_identical_to_per_step_reference(params, scale, rate):
+    u, u_dot = hysteresis_drive(3000, params.dt, scale)
+    if rate == "default":
+        u_dot = None
+    elif rate == "array":
+        u_dot = u_dot(np.arange(len(u)) * params.dt)
+    traj = simulate_bouc_wen(params, u, u_dot=u_dot)
+    y, h, diverged = reference_bouc_wen(params, u, u_dot=u_dot)
+    assert not diverged and not traj.diverged
+    assert same_bits(traj.h, h) and same_bits(traj.y, y)
+
+
+@pytest.mark.parametrize("rate", ["default", "array", "callable"])
+def test_bouc_wen_divergence_bit_identical_to_per_step_reference(rate):
+    # negative beta and gamma make the state grow without bound on loading
+    params = BoucWenParams(alpha=1.0, beta=-0.5, gamma=-0.5)
+    u, u_dot = hysteresis_drive(3000, params.dt)
+    if rate == "default":
+        u_dot = None
+    elif rate == "array":
+        u_dot = u_dot(np.arange(len(u)) * params.dt)
+    traj = simulate_bouc_wen(params, u, u_dot=u_dot)
+    y, h, diverged = reference_bouc_wen(params, u, u_dot=u_dot)
+    assert diverged and traj.diverged
+    assert np.isnan(traj.h[-1]) and not np.isnan(traj.h[1])
+    assert same_bits(traj.h, h) and same_bits(traj.y, y)
+
+
+def test_hammerstein_bit_identical_to_per_step_reference():
+    u = np.random.default_rng(4).uniform(0.0, 1.0, 4000)
+    assert same_bits(simulate_hammerstein(HEATING_SYSTEM, u),
+                     reference_hammerstein(HEATING_SYSTEM, u))
+
+
+def test_hammerstein_raises_at_the_reference_divergence_step():
+    unstable = HammersteinParams(beta1=1.9, beta3=0.1)
+    u = np.full(200, 0.5)
+    with pytest.raises(ParameterError) as want:
+        reference_hammerstein(unstable, u)
+    with pytest.raises(ParameterError) as got:
+        simulate_hammerstein(unstable, u)
+    assert str(got.value) == str(want.value)
+    assert "step" in str(got.value)

@@ -1,6 +1,7 @@
 """Command-line interface: artifact round trips and error paths."""
 
 import filecmp
+import json
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ def test_valve_guard_for_config_files(tmp_path, capsys):
     code, out = run(["identify", "--config", str(cfg)], capsys)
     assert code == 1
     assert "experimental data that is not distributed" in out.err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("design", "frequencies", 5),
+    ("candidates", "degree", "3"),
+])
+def test_wrong_type_config_value_is_reported(tmp_path, capsys, section, key, value):
+    d = json.loads(HEATING_CONFIG)
+    d[section][key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d))
+    code, out = run(["identify", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert f"config field '{section}.{key}' must be" in out.err
 
 
 HEATING_CONFIG = """\

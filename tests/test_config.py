@@ -1,6 +1,7 @@
 """Experiment config serialization and materialization."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from narxident import (
     make_identification_data,
 )
 from narxident.config import (
+    CODEC,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -217,3 +219,38 @@ def test_sections_must_be_objects(section, value):
     d[section] = value
     with pytest.raises(ParameterError, match=f"'{section}' must be an object"):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize("path, value, where, message", [
+    ("design.frequencies", 5, "design.frequencies", "must be list of numbers, got integer"),
+    ("candidates.degree", "3", "candidates.degree", "must be integer, got string"),
+    ("candidates.n_y", True, "candidates.n_y", "must be integer, got boolean"),
+    ("candidates.variables", ["y", 1], "candidates.variables[1]", "must be string, got integer"),
+    ("design.segment_lengths", [1000, 1000.5], "design.segment_lengths[1]",
+     "must be integer, got number"),
+    ("hysteresis.apply_rule_i", 1, "hysteresis.apply_rule_i", "must be boolean, got integer"),
+    ("estimator.zeta", "1e-8", "estimator.zeta", "must be number, got string"),
+    ("noise_ratio", None, "noise_ratio", "must be number, got null"),
+    ("output_dir", ["out"], "output_dir", "must be string, got list"),
+])
+def test_wrong_type_value_is_a_parameter_error(path, value, where, message):
+    d = copy.deepcopy(_BOUC_WEN)
+    node, key = _parent(d, path)
+    node[key] = value
+    with pytest.raises(ParameterError) as exc:
+        config_from_dict(d)
+    assert str(exc.value) == f"config field '{where}' {message}"
+
+
+def test_integers_are_accepted_as_numbers():
+    d = copy.deepcopy(_BOUC_WEN)
+    d["noise_ratio"], d["design"]["sample_rate"] = 0, 200
+    cfg = config_from_dict(d)
+    assert cfg.noise_ratio == 0 and cfg.design.sample_rate == 200.0
+
+
+def test_object_types_cover_every_dataclass_field():
+    for path, attr, _, kind in CODEC:
+        if isinstance(kind, dict):
+            cls = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig}[attr]
+            assert sorted(kind) == sorted(f.name for f in dataclasses.fields(cls)), path

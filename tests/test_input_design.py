@@ -11,7 +11,7 @@ from narxident import (
     design_input,
     sine_input,
 )
-from narxident.input_design import design_butterworth, normalize_unit_range
+from narxident.input_design import FilterSpec, design_butterworth, normalize_unit_range
 
 
 def test_butterworth_dc_gain_unity():
@@ -112,3 +112,16 @@ def test_add_output_noise_zero_ratio_copies():
 def test_sine_input_samples():
     u = sine_input(2.0, 0.25, 0.0, 1.0, 5, 1.0)
     assert np.allclose(u, [1.0, 3.0, 1.0, -1.0, 1.0], atol=1e-12)
+
+
+def test_filter_gain_and_stability_come_from_the_sections():
+    # two sections with gains 2 and 2/3 at z = 1 and poles 0 and 0.25; moving
+    # the second pole to 1.25 makes the filter unstable
+    sos = np.array([[1.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+                    [0.25, 0.25, 0.0, 1.0, -0.25, 0.0]])
+    spec = FilterSpec(order=2, cutoff=0.1, sample_rate=1.0, sos=sos)
+    assert spec.dc_gain() == 2.0 * (0.5 / 0.75)
+    assert spec.is_stable()
+    unstable = FilterSpec(order=2, cutoff=0.1, sample_rate=1.0,
+                          sos=np.vstack([sos[0], [0.25, 0.25, 0.0, 1.0, -1.25, 0.0]]))
+    assert not unstable.is_stable()

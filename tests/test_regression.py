@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from narxident import (
     CandidateMeta,
@@ -13,10 +14,14 @@ from narxident import (
     free_run_simulate,
     generate_candidates,
     one_step_predict,
+    preset_models,
     run_inverse_model,
+    simulate_bouc_wen,
     term,
+    VALVE_BOUC_WEN,
 )
 from narxident.errors import ParameterError
+from narxident.hysteresis import hysteresis_signals
 from narxident.regression import divergence_bound
 
 Y, U, P1, P2 = Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2
@@ -151,3 +156,113 @@ def test_run_inverse_model_requires_inverse_direction():
     m = small_model([term((Y, 1, 1))], [1.0])
     with pytest.raises(ParameterError):
         run_inverse_model(m, np.zeros(10), u_init=[0.0])
+
+
+def reference_free_run(model, u, y_init, bound=None):
+    """Per-step free run kept as an oracle: every factor of every term is
+    read from a signal table at each step, in the term's factor order."""
+    u = np.asarray(u, dtype=float)
+    y_init = np.atleast_1d(np.asarray(y_init, dtype=float))
+    n = len(u)
+    start = max(len(y_init), model.max_lag)
+    if bound is None:
+        bound = divergence_bound(y_init)
+    y = np.zeros(n)
+    y[:len(y_init)] = y_init
+    phi1, phi2 = hysteresis_signals(u)
+    table = {Y: y, U: u, P1: phi1, P2: phi2}
+    for k in range(start, n):
+        acc = 0.0
+        for th, t in zip(model.theta, model.process_terms):
+            val = th
+            for var, lag, exp in t.factors:
+                s = table[var][k - lag]
+                val *= s ** exp if exp > 1 else s
+            acc += val
+        if not np.isfinite(acc) or abs(acc) > bound:
+            y[k:] = np.nan
+            return y, True, k
+        y[k] = acc
+    return y, False, None
+
+
+def assert_matches_reference(sim, reference, rel=1e-12):
+    """Same divergence flag and step, NaN exactly after it, and the
+    computed samples within ``rel`` of the reference's largest one."""
+    y_ref, diverged, diverged_at = reference
+    assert sim.diverged == diverged
+    assert sim.diverged_at == diverged_at
+    assert np.array_equal(np.isnan(sim.y), np.isnan(y_ref))
+    done = ~np.isnan(y_ref)
+    scale = float(np.max(np.abs(y_ref[done]), initial=0.0))
+    assert np.max(np.abs(sim.y[done] - y_ref[done]), initial=0.0) <= rel * scale
+
+
+FACTORS = st.one_of(
+    st.tuples(st.just(Y), st.integers(1, 3), st.integers(1, 2)),
+    st.tuples(st.just(U), st.integers(1, 3), st.integers(1, 2)),
+    st.tuples(st.just(P1), st.integers(1, 3), st.integers(1, 2)),
+    st.tuples(st.just(P2), st.integers(1, 2), st.just(1)),
+)
+
+
+@st.composite
+def free_run_cases(draw):
+    """A random model (output powers, difference signals, cross terms and
+    a constant term among its terms), an input, an initial state that may
+    be longer than the largest lag, and an output-term gain that is either
+    contractive or large enough to make many runs diverge."""
+    terms = draw(st.lists(st.lists(FACTORS, max_size=3).map(lambda f: term(*f)),
+                          min_size=1, max_size=6))
+    theta = draw(st.lists(st.floats(-1, 1), min_size=len(terms), max_size=len(terms)))
+    gain = draw(st.sampled_from([0.3, 1.0, 1e4]))
+    theta = [th * (gain if t.uses(Y) else 1.0) / len(terms) for th, t in zip(theta, terms)]
+    model = small_model(terms, theta)
+    n_init = draw(st.integers(max(model.max_output_lag, 1), model.max_lag + 3))
+    n = draw(st.integers(max(n_init, model.max_lag, 2), 60))
+    u = np.asarray(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    y_init = np.asarray(draw(st.lists(st.floats(-1, 1), min_size=n_init, max_size=n_init)))
+    return model, u, y_init
+
+
+@given(free_run_cases())
+@settings(max_examples=300, deadline=None)
+def test_free_run_matches_per_step_reference(case):
+    model, u, y_init = case
+    assert_matches_reference(free_run_simulate(model, u, y_init),
+                             reference_free_run(model, u, y_init))
+
+
+def test_free_run_reference_cases_diverge_and_settle():
+    # the oracle property above draws both kinds of run; pin one of each
+    m = small_model([term((Y, 1, 2)), term((Y, 2, 1), (U, 1, 1), (P2, 1, 1)), term()],
+                    [3.0, 0.5, 0.2])
+    u = np.sin(np.linspace(0, 6, 50))
+    sim = free_run_simulate(m, u, y_init=[0.5, 0.4, 0.3])
+    assert sim.diverged and sim.diverged_at == 8
+    assert_matches_reference(sim, reference_free_run(m, u, [0.5, 0.4, 0.3]))
+    m = small_model([term((Y, 1, 1)), term((Y, 1, 1), (P1, 2, 1)), term((U, 3, 2))],
+                    [0.6, -0.4, 0.1])
+    sim = free_run_simulate(m, u, y_init=[0.1])
+    assert not sim.diverged
+    assert_matches_reference(sim, reference_free_run(m, u, [0.1]))
+
+
+@pytest.mark.parametrize("name", ["heating_narx", "pzt_narx", "valve_constrained_narx",
+                                  "valve_compensation_narx"])
+def test_catalog_free_runs_match_per_step_reference(name):
+    m = preset_models()[name].model
+    rng = np.random.default_rng(3)
+    u = 0.5 + 0.2 * np.cumsum(rng.standard_normal(1500)) / 30
+    y_init = np.full(max(m.max_lag, 1), 0.5)
+    assert_matches_reference(free_run_simulate(m, u, y_init),
+                             reference_free_run(m, u, y_init))
+
+
+def test_inverse_valve_model_matches_per_step_reference():
+    inverse = preset_models()["valve_inverse_narx"].model
+    t = np.arange(3000) * inverse.ts
+    u = 0.5 + 0.25 * np.sin(2 * np.pi * 0.1 * t)
+    position = simulate_bouc_wen(VALVE_BOUC_WEN, u).y
+    sim = run_inverse_model(inverse, position, u_init=u[:2])
+    assert_matches_reference(sim, reference_free_run(inverse, position, u[:2]))
