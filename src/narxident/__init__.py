@@ -35,7 +35,6 @@ from .estimation import (
     ElsConfig,
     EstimationReport,
     constrained_ls_estimate,
-    els_estimate,
     ls_estimate,
 )
 from .evaluation import (
@@ -46,7 +45,6 @@ from .evaluation import (
     validate,
 )
 from .experiments import (
-    EXPERIMENTS,
     ExperimentConfig,
     ExperimentDefinition,
     IdentificationResult,

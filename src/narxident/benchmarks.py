@@ -264,9 +264,3 @@ def preset_models():
                     bouc_wen=PZT_BOUC_WEN),
     ]
     return {e.name: e for e in entries}
-
-
-PUBLISHED_MODEL_NAMES = (
-    "heating_narx", "pzt_narx", "valve_constrained_narx",
-    "valve_bouc_wen", "valve_compensation_narx", "valve_inverse_narx",
-)

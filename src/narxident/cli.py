@@ -27,7 +27,7 @@ from .data import TimeSeriesData, load_csv, save_csv
 from .errors import NarxError, ParameterError
 from .evaluation import monte_carlo_noise_sweep, validate
 from .experiments import (
-    EXPERIMENTS,
+    PRESETS,
     ExperimentConfig,
     check_available,
     default_config,
@@ -207,7 +207,7 @@ def cmd_init_config(args):
 
 def _add_common(parser, noise=True):
     parser.add_argument("--config", help="JSON experiment config file")
-    parser.add_argument("--experiment", choices=sorted(EXPERIMENTS) + ["valve"],
+    parser.add_argument("--experiment", choices=sorted(PRESETS) + ["valve"],
                         help="built-in experiment name")
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--output-dir", default=None, help="artifact directory")
@@ -264,7 +264,7 @@ def build_parser():
     p.set_defaults(func=cmd_presets)
 
     p = sub.add_parser("init-config", help="write a default config for an experiment")
-    p.add_argument("--experiment", required=True, choices=sorted(EXPERIMENTS))
+    p.add_argument("--experiment", required=True, choices=sorted(PRESETS))
     p.add_argument("--output", required=True, help="config file to write")
     p.set_defaults(func=cmd_init_config)
 

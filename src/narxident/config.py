@@ -22,6 +22,7 @@ from .estimation import ElsConfig
 from .experiments import ExperimentConfig, default_config  # default_config: re-exported
 from .hysteresis import HysteresisCandidateConfig
 from .input_design import InputDesignSpec
+from .selection import SelectionConfig
 
 #: JSON types of the ``design`` and ``hysteresis`` objects' fields
 _DESIGN = {"frequencies": [float], "segment_lengths": [int], "operating_points": [float],
@@ -43,16 +44,17 @@ CODEC = (
     ("candidates.tau_d", "tau_d", True, int),
     ("candidates.variables", "variables", True, [str]),
     ("hysteresis", "hysteresis", False, _HYSTERESIS),
-    ("estimator.method", "estimator", True, str),
-    ("estimator.sweep_method", "sweep_estimator", False, str),
-    ("estimator.zeta", "els.zeta", False, float),
-    ("estimator.max_iterations", "els.max_iterations", False, int),
-    ("estimator.n_noise_terms", "n_noise_terms", False, int),
+    ("estimator.method", "selection.estimator", True, str),
+    ("estimator.sweep_method", "selection.sweep_estimator", False, str),
+    ("estimator.zeta", "selection.els.zeta", False, float),
+    ("estimator.max_iterations", "selection.els.max_iterations", False, int),
+    ("estimator.n_noise_terms", "selection.n_noise_terms", False, int),
     ("noise_ratio", "noise_ratio", False, float),
     ("seed", "seed", False, int),
     ("output_dir", "output_dir", False, str),
 )
-_OBJECTS = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig, "els": ElsConfig}
+_OBJECTS = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig,
+            "selection": SelectionConfig, "els": ElsConfig}
 _PATHS = {path for path, _, _, _ in CODEC}
 _SECTIONS = {path.rpartition(".")[0] for path in _PATHS} - {""}
 _JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
@@ -128,10 +130,15 @@ def _decode_object(cls, value, path, types):
     return cls(**value)
 
 
+def _build(cls, fields):
+    """``cls(**fields)``; a dict value is built into the ``_OBJECTS`` class named by its key."""
+    return cls(**{name: _build(_OBJECTS[name], value) if isinstance(value, dict) else value
+                  for name, value in fields.items()})
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     flat = _flatten(d)
-    kwargs = {}
-    nested = {}
+    fields = {}
     for path, attr, required, kind in CODEC:
         if path not in flat:
             if required:
@@ -143,14 +150,12 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 value = _decode_object(_OBJECTS[attr], value, path, kind)
         else:
             _check_type(value, kind, path)
-        head, _, field = attr.partition(".")
-        if field:
-            nested.setdefault(head, {})[field] = value
-        else:
-            kwargs[attr] = value
-    for head, fields in nested.items():
-        kwargs[head] = _OBJECTS[head](**fields)
-    return ExperimentConfig(**kwargs)
+        *heads, name = attr.split(".")
+        node = fields
+        for head in heads:
+            node = node.setdefault(head, {})
+        node[name] = value
+    return _build(ExperimentConfig, fields)
 
 
 def save_config(config: ExperimentConfig, path):

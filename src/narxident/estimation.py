@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .data import TimeSeriesData
 from .errors import ConstraintError, ParameterError, SingularMatrixError
-from .model import CandidateSet
-from .regression import build_regression
+from .regression import build_regression  # noqa: F401  perfbench/tracing.py wraps this binding
 
 _RANK_RTOL = 1e-10
 #: prefix sizes iterated together; bounds the m x block working buffers
@@ -321,13 +319,6 @@ def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
     borders that factorization with the noise columns.
     """
     return _fit_one(psi, y_s, n_noise_terms, config)
-
-
-def els_estimate(candidates: CandidateSet, data: TimeSeriesData, n_noise_terms=1,
-                 config=ElsConfig()):
-    """Extended least squares over a candidate set and data record."""
-    psi, y_s = build_regression(candidates, data)
-    return els_core(psi, y_s, n_noise_terms, config)
 
 
 def constrained_ls_estimate(psi, y_s, constraints):

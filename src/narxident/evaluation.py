@@ -117,7 +117,7 @@ def monte_carlo_noise_sweep(defn: ExperimentDefinition, ratios,
             try:
                 result = run_identification(defn, seed, noise_ratio=ratio)
                 out = validate(result.model, val_data, mode="free_run")
-                if out.diverged or not np.isfinite(out.mape):
+                if out.diverged:
                     failures += 1
                     continue
                 scores.append(out.mape)

@@ -23,7 +23,6 @@ from .benchmarks import (
 )
 from .data import TimeSeriesData
 from .errors import MissingInputError, ParameterError
-from .estimation import ElsConfig
 from .hysteresis import HysteresisCandidateConfig, apply_exclusion_rules
 from .input_design import InputDesignSpec, add_output_noise, design_input
 from .model import CandidateSet, Variable, generate_candidates
@@ -85,14 +84,9 @@ class ExperimentConfig:
         Signal kinds admitted as factors, from ``("y", "u", "phi1", "phi2")``.
     hysteresis : HysteresisCandidateConfig or None
         Exclusion-rule configuration; ``None`` disables rule filtering.
-    estimator : str
-        Final re-estimation method, ``"ls"`` or ``"els"``.
-    sweep_estimator : str
-        Estimator used inside the information-criterion sweep.
-    els : ElsConfig
-        Extended-least-squares convergence settings.
-    n_noise_terms : int
-        Number of lagged-residual columns in the extended regression.
+    selection : SelectionConfig
+        Estimator settings: final and sweep estimator, extended-least-squares
+        convergence settings, and the number of lagged-residual columns.
     noise_ratio : float
         Output-noise standard deviation as a fraction of the clean
         output's standard deviation.
@@ -110,10 +104,7 @@ class ExperimentConfig:
     tau_d: int = 1
     variables: tuple = ("y", "u")
     hysteresis: HysteresisCandidateConfig | None = None
-    estimator: str = "els"
-    sweep_estimator: str = "ls"
-    els: ElsConfig = field(default_factory=ElsConfig)
-    n_noise_terms: int = 1
+    selection: SelectionConfig = field(default_factory=SelectionConfig)
     noise_ratio: float = 0.05
     seed: int = 0
     output_dir: str = "."
@@ -125,8 +116,6 @@ class ExperimentConfig:
         for v in self.variables:
             if v not in _VALID_VARIABLES:
                 raise ParameterError(f"unknown variable kind {v!r}")
-        if self.estimator not in ("ls", "els") or self.sweep_estimator not in ("ls", "els"):
-            raise ParameterError("estimator must be 'ls' or 'els'")
         if not (0.0 <= self.noise_ratio):
             raise ParameterError("noise ratio must be nonnegative")
 
@@ -151,12 +140,7 @@ class ExperimentConfig:
                         f"degree-{self.degree} dictionary",
             design=self.design,
             candidates=candidates,
-            selection=SelectionConfig(
-                estimator=self.estimator,
-                sweep_estimator=self.sweep_estimator,
-                n_noise_terms=self.n_noise_terms,
-                els=self.els,
-            ),
+            selection=self.selection,
             noise_ratio=self.noise_ratio,
             system=self.system,
         )
@@ -189,7 +173,7 @@ PRESETS = {
             sample_rate=0.5,
         ),
         tau_d=2,
-        sweep_estimator="els",
+        selection=SelectionConfig(sweep_estimator="els"),
     ),
     "bouc_wen": ExperimentConfig(
         system="bouc_wen",
@@ -204,7 +188,7 @@ PRESETS = {
         n_u=1,
         variables=("y", "u", "phi1", "phi2"),
         hysteresis=HysteresisCandidateConfig(),
-        sweep_estimator="els",
+        selection=SelectionConfig(sweep_estimator="els"),
     ),
 }
 
@@ -243,12 +227,6 @@ def heating_experiment(noise_ratio=0.05):
 def bouc_wen_experiment(noise_ratio=0.05):
     """The hysteretic-actuator identification experiment (``PRESETS["bouc_wen"]``)."""
     return get_experiment("bouc_wen", noise_ratio)
-
-
-EXPERIMENTS = {
-    "heating": heating_experiment,
-    "bouc_wen": bouc_wen_experiment,
-}
 
 
 @dataclass(frozen=True)

@@ -163,12 +163,6 @@ class CandidateSet:
     def max_lag(self):
         return max((t.max_lag for t in self.terms), default=0)
 
-    def restrict(self, keep_terms):
-        """New candidate set holding only ``keep_terms`` (canonical order)."""
-        keep = set(keep_terms)
-        terms = tuple(t for t in self.terms if t in keep)
-        return CandidateSet(terms, self.meta, self.include_constant)
-
 
 DEFAULT_VARIABLES = frozenset({Variable.OUTPUT, Variable.INPUT})
 

@@ -136,8 +136,8 @@ def report_to_text(report) -> str:
         f"residual_variance = {float(report.residual_variance)!r}",
         "theta = " + ", ".join(repr(float(t)) for t in report.theta),
     ]
-    if getattr(report, "noise_theta", None) is not None and len(report.noise_theta):
+    if len(report.noise_theta):
         lines.append("noise_theta = " + ", ".join(repr(float(t)) for t in report.noise_theta))
-    if getattr(report, "change_norms", None) is not None and len(report.change_norms):
+    if len(report.change_norms):
         lines.append("change_norms = " + ", ".join(repr(float(c)) for c in report.change_norms))
     return "\n".join(lines) + "\n"

@@ -138,10 +138,8 @@ class AicCurve:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Knobs for the ranking/truncation pipeline."""
+    """Estimator settings of the ranking/truncation pipeline."""
 
-    max_terms: int | None = None
-    err_floor: float = 1e-10
     estimator: str = "els"  # final re-estimation: "ls" or "els"
     sweep_estimator: str = "ls"  # estimator inside the information-criterion sweep
     n_noise_terms: int = 1
@@ -155,8 +153,7 @@ class SelectionConfig:
         check_noise_terms(self.n_noise_terms)
 
 
-def aic_curve(ranking: ErrRanking, data: TimeSeriesData, estimator="ls",
-              els_config=ElsConfig(), n_noise_terms=1):
+def aic_curve(ranking: ErrRanking, data: TimeSeriesData, config=SelectionConfig()):
     """Cost curve N*ln(residual variance) + 2*n over the ranked term list.
 
     The residual variance at each size is that of the one-step-ahead
@@ -165,6 +162,8 @@ def aic_curve(ranking: ErrRanking, data: TimeSeriesData, estimator="ls",
     variances are comparable.  Every size is estimated in one
     :func:`els_sweep` call over the ranked columns, with no noise columns
     for least squares; a size the sweep could not fit is a NaN point.
+    The sweep uses ``config.sweep_estimator``, ``config.els`` and
+    ``config.n_noise_terms``.
     """
     if len(ranking) == 0:
         raise ParameterError("empty ranking")
@@ -172,8 +171,8 @@ def aic_curve(ranking: ErrRanking, data: TimeSeriesData, estimator="ls",
     col_of = {t: i for i, t in enumerate(ranking.candidates.terms)}
     cols = [col_of[t] for t in ranking.ordered_terms]
     sizes = np.arange(1, len(ranking) + 1)
-    fits = els_sweep(psi, y_s, cols, sizes, n_noise_terms if estimator == "els" else 0,
-                     els_config)
+    n_noise_terms = config.n_noise_terms if config.sweep_estimator == "els" else 0
+    fits = els_sweep(psi, y_s, cols, sizes, n_noise_terms, config.els)
     costs = np.full(len(sizes), np.nan)
     converged, iterations = [False] * len(sizes), [0] * len(sizes)
     for i, (n_theta, fit) in enumerate(zip(sizes, fits)):
@@ -199,9 +198,8 @@ def select_structure(candidates: CandidateSet, data: TimeSeriesData,
     data with the configured estimator.  Returns the model together with
     the ranking, the cost curve, and the final estimation report.
     """
-    ranking = frols_rank(candidates, data, config.max_terms, config.err_floor)
-    curve = aic_curve(ranking, data, estimator=config.sweep_estimator,
-                      els_config=config.els, n_noise_terms=config.n_noise_terms)
+    ranking = frols_rank(candidates, data)
+    curve = aic_curve(ranking, data, config)
     n_sel = curve.argmin
     chosen = ranking.ordered_terms[:n_sel]
     psi, y_s = build_regression(chosen, data)

@@ -7,9 +7,12 @@ import json
 import pytest
 
 from narxident import (
+    ElsConfig,
     HysteresisCandidateConfig,
     InputDesignSpec,
     ParameterError,
+    SelectionConfig,
+    get_experiment,
     make_identification_data,
 )
 from narxident.config import (
@@ -37,9 +40,8 @@ def test_config_round_trip(name, tmp_path):
 
 
 def test_config_builds_same_experiment_as_builtin():
-    from narxident import EXPERIMENTS
     for name in ("heating", "bouc_wen"):
-        builtin = EXPERIMENTS[name]()
+        builtin = get_experiment(name)
         rebuilt = default_config(name).to_experiment()
         assert rebuilt.candidates.terms == builtin.candidates.terms
         assert rebuilt.selection == builtin.selection
@@ -50,8 +52,6 @@ def test_config_builds_same_experiment_as_builtin():
 def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(system="heating", variables=("y", "w"))
-    with pytest.raises(ParameterError):
-        ExperimentConfig(system="heating", estimator="ridge")
     with pytest.raises(ParameterError):
         ExperimentConfig(system="heating", noise_ratio=-0.1)
     with pytest.raises(ParameterError):
@@ -254,3 +254,18 @@ def test_object_types_cover_every_dataclass_field():
         if isinstance(kind, dict):
             cls = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig}[attr]
             assert sorted(kind) == sorted(f.name for f in dataclasses.fields(cls)), path
+
+
+def test_codec_reaches_every_selection_setting(tmp_path):
+    # every field of SelectionConfig and of its ElsConfig has one codec row
+    attrs = [attr for _, attr, _, _ in CODEC]
+    paths = sorted(_leaf_paths(dataclasses.asdict(SelectionConfig()), "selection."))
+    assert sorted(a for a in attrs if a.startswith("selection.")) == paths
+    assert all(attrs.count(path) == 1 for path in paths)
+    selection = SelectionConfig(estimator="ls", sweep_estimator="els", n_noise_terms=2,
+                                els=ElsConfig(zeta=1e-6, max_iterations=50))
+    assert all(getattr(selection, f.name) != getattr(SelectionConfig(), f.name)
+               for f in dataclasses.fields(SelectionConfig))
+    cfg = ExperimentConfig(system="heating", selection=selection)
+    save_config(cfg, tmp_path / "config.json")
+    assert load_config(tmp_path / "config.json") == cfg

@@ -15,7 +15,6 @@ from narxident import (
     Variable,
     build_regression,
     constrained_ls_estimate,
-    els_estimate,
     generate_candidates,
     ls_estimate,
     term,
@@ -104,7 +103,8 @@ def test_els_beats_ls_on_armax():
 def test_els_converges_and_reports():
     data = _armax_record(3)
     cs = generate_candidates(1, 1, 1)
-    report = els_estimate(cs, data, n_noise_terms=1, config=ElsConfig(zeta=1e-4))
+    psi, y_s = build_regression(cs, data)
+    report = els_core(psi, y_s, n_noise_terms=1, config=ElsConfig(zeta=1e-4))
     assert report.converged
     assert report.iterations <= 30
     assert len(report.noise_theta) == 1
@@ -121,9 +121,9 @@ def test_els_zero_noise_terms_is_ls():
 
 def test_els_validates_arguments():
     data = _armax_record(5)
-    cs = generate_candidates(1, 1, 1)
+    psi, y_s = build_regression(generate_candidates(1, 1, 1), data)
     with pytest.raises(ParameterError):
-        els_estimate(cs, data, n_noise_terms=-1)
+        els_core(psi, y_s, n_noise_terms=-1)
     with pytest.raises(ParameterError):
         ElsConfig(zeta=0.0)
     with pytest.raises(ParameterError):
@@ -131,7 +131,6 @@ def test_els_validates_arguments():
     for bad in (2.5, True):
         with pytest.raises(ParameterError):
             ElsConfig(max_iterations=bad)
-    psi, y_s = build_regression(cs, data)
     for bad in (-1, 1.5, True):
         with pytest.raises(ParameterError):
             els_core(psi, y_s, bad)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from narxident import (
-    EXPERIMENTS,
     MissingInputError,
     bouc_wen_experiment,
     get_experiment,
@@ -12,10 +11,11 @@ from narxident import (
     make_identification_data,
     make_validation_data,
 )
+from narxident.experiments import PRESETS
 
 
 def test_experiment_catalog():
-    assert set(EXPERIMENTS) == {"heating", "bouc_wen"}
+    assert set(PRESETS) == {"heating", "bouc_wen"}
     assert get_experiment("heating").name == "heating"
 
 

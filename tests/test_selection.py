@@ -1,12 +1,12 @@
 """FROLS/ERR ranking and information-criterion truncation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from narxident import (
-    ElsConfig,
     SelectionConfig,
     TimeSeriesData,
     Variable,
@@ -125,7 +125,7 @@ def test_aic_formula_matches_definition():
     data = synthetic_record(true_terms, theta, seed=3, noise=0.1)
     cs = generate_candidates(1, 1, 1)
     ranking = frols_rank(cs, data)
-    curve = aic_curve(ranking, data, estimator="ls")
+    curve = aic_curve(ranking, data, SelectionConfig(sweep_estimator="ls"))
     # recompute J for the 1-term model by hand
     psi, y_s = build_regression((ranking.ordered_terms[0],), data)
     # ls on the full-candidate row frame: rebuild with all candidates to
@@ -152,7 +152,7 @@ def test_aic_curve_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(selection, "els_sweep", broken)
     ranking, data = _noisy_ranking()
     with pytest.raises(TypeError):
-        aic_curve(ranking, data, estimator="els")
+        aic_curve(ranking, data, SelectionConfig(sweep_estimator="els"))
 
 
 def test_aic_curve_singular_point_is_nan(monkeypatch):
@@ -165,7 +165,7 @@ def test_aic_curve_singular_point_is_nan(monkeypatch):
 
     monkeypatch.setattr(selection, "els_sweep", singular_at_two)
     ranking, data = _noisy_ranking()
-    curve = aic_curve(ranking, data, estimator="els")
+    curve = aic_curve(ranking, data, SelectionConfig(sweep_estimator="els"))
     assert np.isnan(curve.j_values[1])
     assert np.all(np.isfinite(np.delete(curve.j_values, 1)))
     assert curve.converged[1] is False
@@ -200,7 +200,7 @@ def test_aic_curve_reports_iterations_per_point():
         assert (it == 0) == bool(np.isnan(j))
 
 
-def _per_prefix_reference(ranking, data, estimator, n_noise_terms, config):
+def _per_prefix_reference(ranking, data, config):
     """(J, converged, iterations) of each size from its own estimator call."""
     psi, y_s = build_regression(ranking.candidates, data)
     cols = [ranking.candidates.terms.index(t) for t in ranking.ordered_terms]
@@ -208,8 +208,8 @@ def _per_prefix_reference(ranking, data, estimator, n_noise_terms, config):
     for n_theta in range(1, len(ranking) + 1):
         sub = psi[:, cols[:n_theta]]
         try:
-            if estimator == "els":
-                report = els_core(sub, y_s, n_noise_terms, config)
+            if config.sweep_estimator == "els":
+                report = els_core(sub, y_s, config.n_noise_terms, config.els)
             else:
                 report = ls_estimate(sub, y_s)
         except (NarxError, np.linalg.LinAlgError):
@@ -221,10 +221,9 @@ def _per_prefix_reference(ranking, data, estimator, n_noise_terms, config):
     return points
 
 
-def _assert_sweep_matches_per_prefix(ranking, data, estimator="els", n_noise_terms=1,
-                                     config=ElsConfig()):
-    curve = aic_curve(ranking, data, estimator, config, n_noise_terms)
-    ref = _per_prefix_reference(ranking, data, estimator, n_noise_terms, config)
+def _assert_sweep_matches_per_prefix(ranking, data, config):
+    curve = aic_curve(ranking, data, config)
+    ref = _per_prefix_reference(ranking, data, config)
     j_ref = np.array([p[0] for p in ref])
     assert np.array_equal(np.isnan(curve.j_values), np.isnan(j_ref))
     ok = ~np.isnan(j_ref)
@@ -239,15 +238,16 @@ def _assert_sweep_matches_per_prefix(ranking, data, estimator="els", n_noise_ter
 def test_aic_sweep_matches_per_prefix_estimation(make):
     defn = make()
     data, _ = make_identification_data(defn, seed=1)
-    sel = defn.selection
-    ranking = frols_rank(defn.candidates, data, sel.max_terms, sel.err_floor)
-    _assert_sweep_matches_per_prefix(ranking, data, "els", sel.n_noise_terms, sel.els)
-    _assert_sweep_matches_per_prefix(ranking, data, "ls")
+    ranking = frols_rank(defn.candidates, data)
+    els = dataclasses.replace(defn.selection, sweep_estimator="els")
+    _assert_sweep_matches_per_prefix(ranking, data, els)
+    _assert_sweep_matches_per_prefix(ranking, data, SelectionConfig(sweep_estimator="ls"))
 
 
 def test_aic_curve_least_squares_points_converge():
     ranking, data = _noisy_ranking()
-    assert aic_curve(ranking, data, estimator="ls").converged == (True,) * len(ranking)
+    curve = aic_curve(ranking, data, SelectionConfig(sweep_estimator="ls"))
+    assert curve.converged == (True,) * len(ranking)
 
 
 def test_select_structure_recovers_true_model():
