@@ -16,6 +16,7 @@ from narxident import (
     run_identification,
     sine_input,
 )
+from narxident.experiments import SYSTEMS
 
 
 def loop_area(u, y):
@@ -24,11 +25,11 @@ def loop_area(u, y):
 
 
 def main(seed=0):
-    defn = bouc_wen_experiment()
-    print(f"experiment: {defn.name} — {defn.description}")
-    print(f"pruned candidate dictionary: {len(defn.candidates.terms)} terms")
+    config = bouc_wen_experiment()
+    print(f"experiment: {config.system} — {SYSTEMS[config.system]}")
+    print(f"pruned candidate dictionary: {len(config.candidates.terms)} terms")
 
-    result = run_identification(defn, seed=seed)
+    result = run_identification(config, seed=seed)
     print("\nselected model:")
     for t, th in zip(result.model.process_terms, result.model.theta):
         print(f"  {str(t):22s} theta = {th:+.7g}")

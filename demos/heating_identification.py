@@ -15,17 +15,16 @@ from narxident import (
     run_identification,
     validate,
 )
+from narxident.experiments import SYSTEMS
 
 
 def main(seed=1):
-    defn = heating_experiment()
-    print(f"experiment: {defn.name} — {defn.description}")
-    print(f"candidate dictionary: {len(defn.candidates.terms)} terms, "
-          f"degree {defn.candidates.meta.degree}, "
-          f"lags y:1..{defn.candidates.meta.n_y} "
-          f"u:{defn.candidates.meta.tau_d}..{defn.candidates.meta.n_u}")
+    config = heating_experiment()
+    print(f"experiment: {config.system} — {SYSTEMS[config.system]}")
+    print(f"candidate dictionary: {len(config.candidates.terms)} terms, "
+          f"degree {config.degree}, lags y:1..{config.n_y} u:{config.tau_d}..{config.n_u}")
 
-    result = run_identification(defn, seed=seed)
+    result = run_identification(config, seed=seed)
 
     print("\ntop of the error-reduction-ratio ranking:")
     for t, e in zip(result.ranking.ordered_terms[:6], result.ranking.err_values[:6]):
@@ -38,7 +37,7 @@ def main(seed=1):
     for t, th in zip(result.model.process_terms, result.model.theta):
         print(f"  {str(t):16s} theta = {th:+.7f}")
 
-    validation = make_validation_data(defn, seed=seed)
+    validation = make_validation_data(config, seed=seed)
     scored = validate(result.model, validation, mode="free_run")
     print(f"\nfree-run MAPE on fresh noise-free data: {scored.mape:.3f}%")
 

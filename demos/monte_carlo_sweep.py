@@ -11,10 +11,10 @@ from narxident import heating_experiment, monte_carlo_noise_sweep
 
 
 def main(ratios=(0.05, 0.1, 0.2, 0.3), trials=5, base_seed=0):
-    defn = heating_experiment()
+    config = heating_experiment()
     print(f"sweeping noise ratios {ratios} with {trials} trials each")
 
-    report = monte_carlo_noise_sweep(defn, ratios, trials, base_seed=base_seed)
+    report = monte_carlo_noise_sweep(config, ratios, trials, base_seed=base_seed)
 
     print(f"\n{'ratio':>6} {'mean MAPE %':>12} {'std':>10} {'failures':>9}")
     for r, m, s, f in zip(report.ratios, report.mape_mean,

@@ -46,11 +46,9 @@ from .evaluation import (
 )
 from .experiments import (
     ExperimentConfig,
-    ExperimentDefinition,
     IdentificationResult,
     bouc_wen_experiment,
     default_config,
-    get_experiment,
     heating_experiment,
     make_identification_data,
     make_validation_data,

@@ -29,7 +29,6 @@ from .evaluation import monte_carlo_noise_sweep, validate
 from .experiments import (
     PRESETS,
     ExperimentConfig,
-    check_available,
     default_config,
     make_identification_data,
     make_validation_data,
@@ -49,7 +48,6 @@ from .modelio import (
 def _resolve_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
-        check_available(cfg.system)
     elif getattr(args, "experiment", None):
         cfg = default_config(args.experiment)
     else:
@@ -102,8 +100,7 @@ def cmd_design_input(args):
 
 def cmd_simulate(args):
     cfg = _resolve_config(args)
-    defn = cfg.to_experiment()
-    data, y_clean = make_identification_data(defn, cfg.seed, noise_ratio=cfg.noise_ratio)
+    data, y_clean = make_identification_data(cfg, cfg.seed)
     out = _outdir(cfg)
     path = out / "data.csv"
     save_csv(path, data, y_clean=y_clean)
@@ -113,8 +110,7 @@ def cmd_simulate(args):
 
 def cmd_identify(args):
     cfg = _resolve_config(args)
-    defn = cfg.to_experiment()
-    result = run_identification(defn, cfg.seed, noise_ratio=cfg.noise_ratio)
+    result = run_identification(cfg, cfg.seed)
     out = _outdir(cfg)
     save_model(result.model, out / "model.txt")
     ranking_to_csv(result.ranking, out / "err_ranking.csv")
@@ -132,12 +128,11 @@ def cmd_identify(args):
 def _validation_record(args, cfg, model):
     if args.data:
         return load_csv(args.data, ts=model.ts)
-    defn = cfg.to_experiment()
     if args.sine_frequency is not None:
         u = sine_input(args.sine_amplitude, args.sine_frequency, 0.0,
                        args.sine_offset, args.sine_samples, model.ts)
-        return TimeSeriesData(u, defn.simulate(u), ts=model.ts, label="sine validation")
-    return make_validation_data(defn, cfg.seed)
+        return TimeSeriesData(u, cfg.simulate(u), ts=model.ts, label="sine validation")
+    return make_validation_data(cfg, cfg.seed)
 
 
 def cmd_validate(args):
@@ -161,9 +156,11 @@ def cmd_validate(args):
 
 def cmd_monte_carlo(args):
     cfg = _resolve_config(args)
-    defn = cfg.to_experiment()
-    ratios = tuple(float(r) for r in args.ratios.split(","))
-    report = monte_carlo_noise_sweep(defn, ratios, args.trials, base_seed=cfg.seed)
+    try:
+        ratios = [float(r) for r in args.ratios.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"--ratios: {exc}") from None
+    report = monte_carlo_noise_sweep(cfg, ratios, args.trials, base_seed=cfg.seed)
     out = _outdir(cfg)
     path = out / "monte_carlo.csv"
     report.to_csv(path)

@@ -1,9 +1,9 @@
 """Experiment configuration files.
 
-One JSON config drives a whole experiment: which system to use (a named
-benchmark preset or a CSV data file), the input-design spec, the candidate
-dictionary bounds, hysteresis handling, estimator choice, noise ratio,
-seeds, and the output directory.  Configs round-trip losslessly through
+One JSON config drives a whole experiment: which benchmark system to
+simulate, the input-design spec, the candidate dictionary bounds,
+hysteresis handling, estimator choice, noise ratio, seeds, and the output
+directory.  Configs round-trip losslessly through
 :func:`save_config` / :func:`load_config`.
 
 The codec is one table, :data:`CODEC`, that maps each JSON key path to one

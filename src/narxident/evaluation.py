@@ -4,17 +4,13 @@ noise-robustness sweep."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import TimeSeriesData
 from .errors import DegenerateRangeError, NarxError, ParameterError
-from .experiments import (
-    ExperimentDefinition,
-    make_validation_data,
-    run_identification,
-)
+from .experiments import ExperimentConfig, make_validation_data, run_identification
 from .model import NarxModel
 from .regression import divergence_bound, free_run_simulate, one_step_predict
 
@@ -89,7 +85,7 @@ class MonteCarloReport:
                 writer.writerow([repr(float(r)), repr(float(m)), repr(float(s)), f])
 
 
-def monte_carlo_noise_sweep(defn: ExperimentDefinition, ratios,
+def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,
                             trials_per_ratio, base_seed=0):
     """Fig-2-style noise-robustness sweep.
 
@@ -103,11 +99,13 @@ def monte_carlo_noise_sweep(defn: ExperimentDefinition, ratios,
     ratios = tuple(float(r) for r in ratios)
     if any(b < a for a, b in zip(ratios, ratios[1:])):
         raise ParameterError("noise ratios must be ascending")
+    # building each ratio's config rejects a negative ratio before any trial runs
+    configs = [replace(config, noise_ratio=ratio) for ratio in ratios]
     if trials_per_ratio < 1:
         raise ParameterError("need at least one trial per ratio")
-    val_data = make_validation_data(defn, base_seed)
+    val_data = make_validation_data(config, base_seed)
     means, stds, seed_log, fail_log, mape_log = [], [], [], [], []
-    for i, ratio in enumerate(ratios):
+    for i, ratio_config in enumerate(configs):
         scores = []
         seeds = []
         failures = 0
@@ -115,7 +113,7 @@ def monte_carlo_noise_sweep(defn: ExperimentDefinition, ratios,
             seed = base_seed + 1 + i * trials_per_ratio + t
             seeds.append(seed)
             try:
-                result = run_identification(defn, seed, noise_ratio=ratio)
+                result = run_identification(ratio_config, seed)
                 out = validate(result.model, val_data, mode="free_run")
                 if out.diverged:
                     failures += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,45 +39,28 @@ SYSTEMS = {
     "heating": "Hammerstein heating benchmark",
     "bouc_wen": "Bouc-Wen hysteresis benchmark",
 }
-_VALID_VARIABLES = tuple(v.value for v in Variable if v is not Variable.RESIDUAL)
+_VALID_VARIABLES = tuple(v.value for v in Variable)
 
 
-@dataclass(frozen=True)
-class ExperimentDefinition:
-    """A reproducible benchmark identification experiment."""
-
-    name: str
-    description: str
-    design: InputDesignSpec
-    candidates: CandidateSet
-    selection: SelectionConfig
-    noise_ratio: float = 0.05
-    system: str = "heating"  # simulator key: "heating" or "bouc_wen"
-
-    def simulate(self, u):
-        if self.system == "heating":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return simulate_hammerstein(HEATING_SYSTEM, u)
-        if self.system == "bouc_wen":
-            traj = simulate_bouc_wen(PZT_BOUC_WEN, u)
-            if traj.diverged:
-                raise ParameterError("reference Bouc-Wen simulation diverged")
-            return traj.y
-        raise ParameterError(f"unknown system {self.system!r}")
+def check_available(system):
+    """Raise :class:`MissingInputError` for the valve benchmark, whose
+    experimental data is not distributed."""
+    if system == "valve":
+        raise MissingInputError(
+            "the valve benchmark needs experimental data that is not distributed"
+        )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one identification experiment.
+    """One reproducible identification experiment.
 
     Parameters
     ----------
     system : str
-        Benchmark system name (``"heating"``, ``"bouc_wen"``, ``"valve"``)
-        or a path to a ``k,u,y`` CSV file of measured data.
+        Benchmark system to simulate, a key of :data:`SYSTEMS`.
     design : InputDesignSpec or None
-        Excitation design; ``None`` when the data comes from a CSV.
+        Excitation design; commands that generate data need one.
     degree, n_y, n_u, tau_d : int
         Candidate-dictionary bounds: maximum monomial degree and lag
         ranges for output and input factors.
@@ -111,39 +95,39 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        if not self.system:
-            raise ParameterError("config needs a system preset name or data path")
+        check_available(self.system)
+        if self.system not in SYSTEMS:
+            raise ParameterError(
+                f"unknown system {self.system!r}; choose from {sorted(SYSTEMS)}"
+            )
         for v in self.variables:
             if v not in _VALID_VARIABLES:
                 raise ParameterError(f"unknown variable kind {v!r}")
         if not (0.0 <= self.noise_ratio):
             raise ParameterError("noise ratio must be nonnegative")
 
-    def to_experiment(self) -> ExperimentDefinition:
-        """Materialize the experiment definition of a benchmark system."""
-        if self.system not in SYSTEMS:
-            raise ParameterError(
-                f"cannot simulate system {self.system!r}; "
-                f"only {sorted(SYSTEMS)} have simulators"
-            )
-        if self.design is None:
-            raise ParameterError("benchmark experiments need an input design")
+    @cached_property
+    def candidates(self) -> CandidateSet:
+        """The candidate dictionary: every monomial within the degree and
+        lag bounds, pruned by the exclusion rules when ``hysteresis`` is set."""
         variables = tuple(Variable(v) for v in self.variables)
         candidates = generate_candidates(
             self.degree, self.n_y, self.n_u, tau_d=self.tau_d, variables=variables
         )
         if self.hysteresis is not None:
             candidates, _ = apply_exclusion_rules(candidates, self.hysteresis)
-        return ExperimentDefinition(
-            name=self.system,
-            description=f"{SYSTEMS[self.system]}, {len(candidates)}-term "
-                        f"degree-{self.degree} dictionary",
-            design=self.design,
-            candidates=candidates,
-            selection=self.selection,
-            noise_ratio=self.noise_ratio,
-            system=self.system,
-        )
+        return candidates
+
+    def simulate(self, u):
+        """Noise-free output of the benchmark system under input ``u``."""
+        if self.system == "heating":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return simulate_hammerstein(HEATING_SYSTEM, u)
+        traj = simulate_bouc_wen(PZT_BOUC_WEN, u)
+        if traj.diverged:
+            raise ParameterError("reference Bouc-Wen simulation diverged")
+        return traj.y
 
 
 #: The built-in experiments.
@@ -193,15 +177,6 @@ PRESETS = {
 }
 
 
-def check_available(system):
-    """Raise :class:`MissingInputError` for the valve benchmark, whose
-    experimental data is not distributed."""
-    if system == "valve":
-        raise MissingInputError(
-            "the valve benchmark needs experimental data that is not distributed"
-        )
-
-
 def default_config(name, seed=0, output_dir=".") -> ExperimentConfig:
     """Config of a built-in experiment (``heating`` or ``bouc_wen``)."""
     check_available(name)
@@ -214,19 +189,14 @@ def default_config(name, seed=0, output_dir=".") -> ExperimentConfig:
     return replace(preset, seed=seed, output_dir=output_dir)
 
 
-def get_experiment(name: str, noise_ratio=0.05) -> ExperimentDefinition:
-    """Definition of a built-in experiment at the given noise ratio."""
-    return replace(default_config(name), noise_ratio=noise_ratio).to_experiment()
-
-
-def heating_experiment(noise_ratio=0.05):
+def heating_experiment():
     """The heating-system identification experiment (``PRESETS["heating"]``)."""
-    return get_experiment("heating", noise_ratio)
+    return default_config("heating")
 
 
-def bouc_wen_experiment(noise_ratio=0.05):
+def bouc_wen_experiment():
     """The hysteretic-actuator identification experiment (``PRESETS["bouc_wen"]``)."""
-    return get_experiment("bouc_wen", noise_ratio)
+    return default_config("bouc_wen")
 
 
 @dataclass(frozen=True)
@@ -243,31 +213,40 @@ class IdentificationResult:
     noise_ratio: float
 
 
-def make_identification_data(defn: ExperimentDefinition, seed, noise_ratio=None):
+def _designed_run(config: ExperimentConfig, rng):
+    """Design an input from ``rng`` and simulate the system under it."""
+    if config.design is None:
+        raise ParameterError("config has no input-design section")
+    u = design_input(config.design, rng)
+    return u, config.simulate(u)
+
+
+def make_identification_data(config: ExperimentConfig, seed):
     """Design the input, simulate the system, and add output noise."""
-    if noise_ratio is None:
-        noise_ratio = defn.noise_ratio
     rng = np.random.default_rng(seed)
-    u = design_input(defn.design, rng)
-    y_clean = defn.simulate(u)
-    y = add_output_noise(y_clean, noise_ratio, rng) if noise_ratio > 0 else y_clean
-    ts = 1.0 / defn.design.sample_rate
-    return TimeSeriesData(u, y, ts=ts, label=defn.name), y_clean
+    u, y_clean = _designed_run(config, rng)
+    ratio = config.noise_ratio
+    y = add_output_noise(y_clean, ratio, rng) if ratio > 0 else y_clean
+    ts = 1.0 / config.design.sample_rate
+    return TimeSeriesData(u, y, ts=ts, label=config.system), y_clean
 
 
-def make_validation_data(defn: ExperimentDefinition, seed):
+def make_validation_data(config: ExperimentConfig, seed):
     """Noise-free data from an independent realization of the same design."""
-    rng = np.random.default_rng(seed + VALIDATION_SEED_OFFSET)
-    u = design_input(defn.design, rng)
-    y_clean = defn.simulate(u)
-    ts = 1.0 / defn.design.sample_rate
-    return TimeSeriesData(u, y_clean, ts=ts, label=f"{defn.name}-validation")
+    u, y_clean = _designed_run(config, np.random.default_rng(seed + VALIDATION_SEED_OFFSET))
+    ts = 1.0 / config.design.sample_rate
+    return TimeSeriesData(u, y_clean, ts=ts, label=f"{config.system}-validation")
 
 
-def run_identification(defn: ExperimentDefinition, seed, noise_ratio=None):
-    """Run the full pipeline once and return all intermediate products."""
-    data, y_clean = make_identification_data(defn, seed, noise_ratio)
-    model, ranking, curve, report = select_structure(defn.candidates, data, defn.selection)
+def run_identification(config: ExperimentConfig, seed, noise_ratio=None):
+    """Run the full pipeline once and return all intermediate products.
+
+    ``noise_ratio``, when given, replaces ``config.noise_ratio``.
+    """
+    if noise_ratio is not None:
+        config = replace(config, noise_ratio=noise_ratio)
+    data, y_clean = make_identification_data(config, seed)
+    model, ranking, curve, report = select_structure(config.candidates, data, config.selection)
     return IdentificationResult(
         model=model,
         ranking=ranking,
@@ -276,5 +255,5 @@ def run_identification(defn: ExperimentDefinition, seed, noise_ratio=None):
         data=data,
         clean_output=y_clean,
         seed=seed,
-        noise_ratio=defn.noise_ratio if noise_ratio is None else noise_ratio,
+        noise_ratio=config.noise_ratio,
     )

@@ -21,14 +21,13 @@ class Variable(Enum):
 
     OUTPUT and INPUT are the model output and exogenous input (swapped
     roles for inverse-direction models).  PHI1 is the first difference of
-    the input, PHI2 its sign, RESIDUAL the moving-average noise signal.
+    the input, PHI2 its sign.
     """
 
     OUTPUT = "y"
     INPUT = "u"
     PHI1 = "phi1"
     PHI2 = "phi2"
-    RESIDUAL = "xi"
 
     @property
     def order(self):
@@ -40,7 +39,6 @@ _VARIABLE_ORDER = {
     Variable.INPUT: 1,
     Variable.PHI1: 2,
     Variable.PHI2: 3,
-    Variable.RESIDUAL: 4,
 }
 
 
@@ -104,7 +102,7 @@ class RegressorTerm:
         return "*".join(parts)
 
 
-_FACTOR_RE = re.compile(r"^(y|u|phi1|phi2|xi)\(k-(\d+)\)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^(y|u|phi1|phi2)\(k-(\d+)\)(?:\^(\d+))?$")
 
 
 def parse_term(text):
@@ -185,8 +183,6 @@ def generate_candidates(degree, n_y, n_u, tau_d=1, variables=DEFAULT_VARIABLES,
     meta = CandidateMeta(degree, n_y, n_u, tau_d)
     atoms = []
     for var in sorted(variables, key=lambda v: v.order):
-        if var is Variable.RESIDUAL:
-            raise ParameterError("residual terms are added by the estimator, not enumerated")
         for lag in lag_range(var, meta):
             atoms.append((var, lag))
     terms = []
@@ -201,8 +197,7 @@ def generate_candidates(degree, n_y, n_u, tau_d=1, variables=DEFAULT_VARIABLES,
 
 @dataclass(frozen=True)
 class NarxModel:
-    """A polynomial NARX model: process terms with parameters, plus optional
-    moving-average noise terms kept separate from the deterministic part.
+    """A polynomial NARX model: process terms with their parameters.
 
     ``direction`` is ``"direct"`` for output-predicting models and
     ``"inverse"`` for input-predicting models (input and output roles
@@ -213,23 +208,14 @@ class NarxModel:
     theta: tuple
     meta: CandidateMeta
     ts: float = 1.0
-    noise_terms: tuple = ()
-    noise_theta: tuple = ()
     direction: str = "direct"
     label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "process_terms", tuple(self.process_terms))
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-        object.__setattr__(self, "noise_terms", tuple(self.noise_terms))
-        object.__setattr__(self, "noise_theta", tuple(float(t) for t in self.noise_theta))
         if len(self.theta) != len(self.process_terms):
             raise ParameterError("theta length must match process term count")
-        if len(self.noise_theta) != len(self.noise_terms):
-            raise ParameterError("noise parameter length must match noise term count")
-        for t in self.process_terms:
-            if t.uses(Variable.RESIDUAL):
-                raise ParameterError(f"residual factor in deterministic term {t}")
         if self.direction not in ("direct", "inverse"):
             raise ParameterError(f"unknown direction {self.direction!r}")
 

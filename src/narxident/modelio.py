@@ -32,10 +32,6 @@ def model_to_text(model: NarxModel) -> str:
     ]
     for t, th in zip(model.process_terms, model.theta):
         lines.append(f"{t}\t{float(th)!r}")
-    if model.noise_terms:
-        lines.append("[noise]")
-        for t, th in zip(model.noise_terms, model.noise_theta):
-            lines.append(f"{t}\t{float(th)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -49,15 +45,14 @@ def model_from_text(text: str) -> NarxModel:
     if not lines or lines[0] != _FORMAT_HEADER:
         raise ParameterError("not a narxident model file")
     fields = {}
-    section = None
-    process, noise = [], []
+    process = None  # the term list, once the [process] line is read
     for ln in lines[1:]:
         if ln.startswith("#"):
             continue
-        if ln in ("[process]", "[noise]"):
-            section = ln
+        if ln == "[process]":
+            process = []
             continue
-        if section is None:
+        if process is None:
             if "=" not in ln:
                 raise ParameterError(f"malformed header line {ln!r}")
             key, _, value = ln.partition("=")
@@ -67,8 +62,7 @@ def model_from_text(text: str) -> NarxModel:
                 term_str, theta_str = ln.split("\t")
             except ValueError as exc:
                 raise ParameterError(f"malformed term line {ln!r}") from exc
-            pair = (parse_term(term_str), float(theta_str))
-            (process if section == "[process]" else noise).append(pair)
+            process.append((parse_term(term_str), float(theta_str)))
     if not process:
         raise ParameterError("model file has no process terms")
     try:
@@ -88,8 +82,6 @@ def model_from_text(text: str) -> NarxModel:
         theta=tuple(th for _, th in process),
         meta=meta,
         ts=ts,
-        noise_terms=tuple(t for t, _ in noise),
-        noise_theta=tuple(th for _, th in noise),
         direction=direction,
         label=label,
     )

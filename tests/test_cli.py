@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from narxident import heating_experiment, preset_models, save_model, sine_input
 from narxident.cli import main
 
 
@@ -172,6 +173,28 @@ def test_monte_carlo_csv(tmp_path):
     lines = (out / "monte_carlo.csv").read_text().strip().splitlines()
     assert lines[0] == "ratio,mean_mape,std_mape,failures"
     assert len(lines) == 3
+
+
+def test_monte_carlo_bad_ratio_is_reported(tmp_path, capsys):
+    code, out = run(["monte-carlo", "--experiment", "heating", "--ratios", "0,abc",
+                     "--output-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out.err.startswith("error: ") and "'abc'" in out.err
+
+
+def test_validate_on_generated_sine(tmp_path, capsys):
+    # --sine-frequency validates against the experiment's system driven by a sinusoid
+    model = preset_models()["heating_narx"].model
+    save_model(model, tmp_path / "model.txt")
+    code, out = run(["validate", "--experiment", "heating", "--output-dir", str(tmp_path),
+                     "--model", str(tmp_path / "model.txt"), "--sine-frequency", "0.002",
+                     "--sine-amplitude", "0.2", "--sine-offset", "0.5",
+                     "--sine-samples", "300"], capsys)
+    assert code == 0 and "free_run MAPE" in out.out
+    rows = (tmp_path / "prediction.csv").read_text().strip().splitlines()[1:]
+    u = sine_input(0.2, 0.002, 0.0, 0.5, 300, model.ts)
+    y = [float(row.split(",")[1]) for row in rows]
+    assert y == list(heating_experiment().simulate(u))
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -10,9 +10,11 @@ from narxident import (
     ElsConfig,
     HysteresisCandidateConfig,
     InputDesignSpec,
+    MissingInputError,
     ParameterError,
     SelectionConfig,
-    get_experiment,
+    bouc_wen_experiment,
+    heating_experiment,
     make_identification_data,
 )
 from narxident.config import (
@@ -39,14 +41,12 @@ def test_config_round_trip(name, tmp_path):
     assert path.read_text() == path2.read_text()
 
 
-def test_config_builds_same_experiment_as_builtin():
-    for name in ("heating", "bouc_wen"):
-        builtin = get_experiment(name)
-        rebuilt = default_config(name).to_experiment()
-        assert rebuilt.candidates.terms == builtin.candidates.terms
-        assert rebuilt.selection == builtin.selection
-        assert rebuilt.design == builtin.design
-        assert rebuilt.noise_ratio == builtin.noise_ratio
+def test_config_builds_same_experiment_as_builtin(tmp_path):
+    for builtin in (heating_experiment(), bouc_wen_experiment()):
+        save_config(builtin, tmp_path / "config.json")
+        loaded = load_config(tmp_path / "config.json")
+        assert loaded == builtin
+        assert loaded.candidates == builtin.candidates
 
 
 def test_config_validation():
@@ -71,10 +71,17 @@ def test_load_config_reports_json_errors_with_line(tmp_path):
     assert "line 3" in str(exc.value)
 
 
-def test_csv_backed_config_cannot_simulate():
-    cfg = ExperimentConfig(system="data/measured.csv")
-    with pytest.raises(ParameterError):
-        cfg.to_experiment()
+def test_csv_backed_config_cannot_simulate(tmp_path):
+    with pytest.raises(ParameterError, match="unknown system 'data/measured.csv'"):
+        ExperimentConfig(system="data/measured.csv")
+    d = copy.deepcopy(_BOUC_WEN)
+    d["system"] = "data/measured.csv"
+    path = tmp_path / "csv.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ParameterError, match="unknown system"):
+        load_config(path)
+    with pytest.raises(MissingInputError):
+        ExperimentConfig(system="valve")
 
 
 def _leaf_paths(d, prefix=""):
@@ -138,11 +145,10 @@ def test_key_change_table_covers_every_codec_key():
 
 
 def _behaviour(cfg):
-    """What the built experiment does: its dictionary, its selection
-    settings and the identification record it generates."""
-    defn = cfg.to_experiment()
-    data, _ = make_identification_data(defn, seed=1)
-    return (defn.system, defn.candidates, defn.selection, data.ts,
+    """What the experiment does: its dictionary, its selection settings
+    and the identification record it generates."""
+    data, _ = make_identification_data(cfg, seed=1)
+    return (cfg.system, cfg.candidates, cfg.selection, data.ts,
             data.u.tobytes(), data.y.tobytes())
 
 

@@ -112,6 +112,12 @@ def test_monte_carlo_requires_ascending_ratios():
         monte_carlo_noise_sweep(heating_experiment(), (0.3, 0.1), 1)
 
 
+def test_monte_carlo_rejects_negative_ratios():
+    from narxident import heating_experiment, monte_carlo_noise_sweep
+    with pytest.raises(ParameterError, match="nonnegative"):
+        monte_carlo_noise_sweep(heating_experiment(), [-0.5], 1)
+
+
 def test_monte_carlo_counts_estimation_failures_and_propagates_bugs(monkeypatch):
     from narxident import SingularMatrixError, evaluation, heating_experiment
 

@@ -39,7 +39,7 @@ def test_parse_term_round_trip_simple():
 
 
 def test_parse_term_rejects_garbage():
-    for s in ("", "y(k)", "y(k+1)", "z(k-1)", "y(k-1)^0"):
+    for s in ("", "y(k)", "y(k+1)", "z(k-1)", "y(k-1)^0", "xi(k-1)"):
         with pytest.raises(ParameterError):
             parse_term(s)
 

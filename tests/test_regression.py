@@ -127,22 +127,6 @@ def test_free_run_rejects_short_initialization():
         free_run_simulate(m, np.zeros(10), y_init=[1.0])
 
 
-def test_free_run_noise_terms_contribute_zero():
-    # the moving-average part carries no signal in free-run simulation
-    meta = CandidateMeta(degree=3, n_y=3, n_u=3)
-    m = NarxModel(
-        process_terms=(term((Y, 1, 1)),), theta=(0.5,), meta=meta,
-        noise_terms=(term((Variable.RESIDUAL, 1, 1)),), noise_theta=(100.0,),
-    )
-    sim = free_run_simulate(m, np.zeros(4), y_init=[1.0])
-    assert np.allclose(sim.y, [1, 0.5, 0.25, 0.125])
-
-
-def test_model_rejects_residual_process_terms():
-    with pytest.raises(ParameterError):
-        small_model([term((Variable.RESIDUAL, 1, 1))], [1.0])
-
-
 def test_free_run_difference_signals_from_input():
     # y(k) = phi2(k-1): the sign of the input's first difference, with
     # phi1(0) defined as 0
