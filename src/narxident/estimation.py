@@ -8,9 +8,13 @@ of its square.  Extended least squares has one implementation,
 matrix together: the prefixes share a single Householder QR (the QR of a
 column prefix is the prefix of the QR), and each iteration borders that
 factorization with the noise columns of every size still iterating, at
-O(m n k) work per size for m rows, n process and k noise columns.
-:func:`els_core` is its one-size case and :func:`ls_estimate` the
-one-size case without noise columns.
+O(m n k) work per size for m rows, n process and k noise columns.  The
+border is orthogonalized against Q a second time only when one pass lost
+more than half a column's squared norm ("twice is enough": Daniel, Gragg,
+Kaufman & Stewart 1976), and the new residual is the prefix's
+least-squares residual minus the border's share Q_W Q_W^T y, so no
+iteration forms Psi theta.  :func:`els_core` is its one-size case and
+:func:`ls_estimate` the one-size case without noise columns.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ _RANK_RTOL = 1e-10
 _BLOCK_SIZES = 10
 
 
-def _is_int(value):
+def is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -41,13 +45,13 @@ class ElsConfig:
     max_iterations: int = 30
 
     def __post_init__(self):
-        if not (self.zeta > 0) or not _is_int(self.max_iterations) or self.max_iterations < 1:
+        if not (self.zeta > 0) or not is_int(self.max_iterations) or self.max_iterations < 1:
             raise ParameterError("zeta must be positive and max_iterations an integer >= 1")
 
 
 def check_noise_terms(n_noise_terms):
     """Raise :class:`ParameterError` unless ``n_noise_terms`` is an integer >= 0."""
-    if not _is_int(n_noise_terms) or n_noise_terms < 0:
+    if not is_int(n_noise_terms) or n_noise_terms < 0:
         raise ParameterError("n_noise_terms must be a nonnegative integer")
 
 
@@ -100,16 +104,6 @@ def _lagged_columns(xi, n_lags, out=None):
     return out
 
 
-def _subtract_fit(psi, y_s, cols, theta, out):
-    """out = y_s - psi @ theta for each column of ``theta``, whose rows are
-    the coefficients of ``psi[:, cols]``; theta is scattered into the
-    column order of psi rather than copying the columns."""
-    theta_all = np.zeros((psi.shape[1], theta.shape[1]))
-    theta_all[cols[:theta.shape[0]]] = theta
-    np.matmul(psi, theta_all, out=out)
-    np.subtract(y_s[:, None], out, out=out)
-
-
 def _orthonormalize(w):
     """Gram-Schmidt QR of every m x k slice ``w[:, :, j]`` in place.
 
@@ -144,19 +138,26 @@ def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
     n_top = sizes[-1]
     below = np.arange(n_top)[:, None] < sizes  # rows inside each size's prefix
     theta = np.linalg.solve(r[:n_top, :n_top], qty[:n_top, None] * below)
-    xi = np.empty((m, len(sizes)))
-    _subtract_fit(psi, y_s, cols, theta, xi)
+    # least-squares residual of each prefix, theta scattered into psi's column order
+    theta_all = np.zeros((psi.shape[1], len(sizes)))
+    theta_all[cols[:n_top]] = theta
+    r0 = y_s[:, None] - psi @ theta_all
     if k == 0:
-        return {j: EstimationReport(theta=theta[:s, j].copy(), residuals=xi[:, j].copy())
+        return {j: EstimationReport(theta=theta[:s, j].copy(), residuals=r0[:, j].copy())
                 for j, s in enumerate(sizes)}
+    xi = r0.copy()
     pos = np.arange(len(sizes))
     phi = np.zeros((k, len(sizes)))
     history, fits, iterations = [], {}, 0
 
     def report(j, converged):
+        # the residual y - Psi theta - Xi phi itself, not its projected form,
+        # so that it holds exactly for the reported theta and phi
+        theta_j = np.zeros(psi.shape[1])
+        theta_j[cols[:sizes[j]]] = theta[:sizes[j], j]
         return EstimationReport(
             theta=theta[:sizes[j], j].copy(),
-            residuals=xi[:, j].copy(),
+            residuals=y_s - psi @ theta_j - noise[:, :, j] @ phi[:, j],
             iterations=iterations,
             converged=converged,
             noise_theta=phi[:, j].copy(),
@@ -168,12 +169,12 @@ def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
     while True:
         if stay is not None:
             noise = w = flat = w_flat = None  # free the buffers before xi shrinks
-            sizes, pos, theta, phi, xi = (
-                sizes[stay], pos[stay], theta[:, stay], phi[:, stay], xi[:, stay])
+            sizes, pos, theta, phi, r0, xi = (
+                sizes[stay], pos[stay], theta[:, stay], phi[:, stay], r0[:, stay], xi[:, stay])
             below = below[:, stay]
             history = [h[stay] for h in history]
             stay = None
-        if not sizes.size or iterations == config.max_iterations:
+        if not sizes.size:
             break
         if noise is None:
             n_top = sizes[-1]
@@ -182,16 +183,19 @@ def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
             mask = below[:, None, :]
             noise, w = np.empty((m, k, len(sizes))), np.empty((m, k, len(sizes)))
         flat, w_flat = noise.reshape(m, -1), w.reshape(m, -1)
-        # border W = Xi - Q C with C = Q^T Xi, and one re-orthogonalization
-        # pass; the second product goes into the noise buffer, rebuilt below
+        # border W = Xi - Q C with C = Q^T Xi.  A second pass against Q runs
+        # only if some column kept less than 1/sqrt(2) of its norm; otherwise
+        # one pass is orthogonal to working precision (Daniel, Gragg, Kaufman
+        # & Stewart 1976).  Xi stays intact for the reported residuals.
         _lagged_columns(xi, k, out=noise)
         c = (qb.T @ flat).reshape(n_top, k, -1) * mask
         np.matmul(qb, c.reshape(n_top, -1), out=w_flat)
         np.subtract(flat, w_flat, out=w_flat)
-        c2 = (qb.T @ w_flat).reshape(n_top, k, -1) * mask
-        np.matmul(qb, c2.reshape(n_top, -1), out=flat)
-        w_flat -= flat
-        c += c2
+        if np.any(np.einsum("ij,ij->j", w_flat, w_flat)
+                  < 0.5 * np.einsum("ij,ij->j", flat, flat)):
+            c2 = (qb.T @ w_flat).reshape(n_top, k, -1) * mask
+            w_flat -= qb @ c2.reshape(n_top, -1)
+            c += c2
         r_w = _orthonormalize(w)
         d_w = np.abs(r_w[np.arange(k), np.arange(k)])
         top = np.maximum(hi[sizes - 1], d_w.max(axis=0))
@@ -214,24 +218,19 @@ def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
             known = np.einsum("pj,pj->j", r_w[l, l + 1:], phi_new[l + 1:])
             phi_new[l] = (rhs_w[l] - known) / r_w[l, l]
         theta_new = np.linalg.solve(r_top, qty_below - np.einsum("ilj,lj->ij", c, phi_new))
-        # residual y - Psi theta - Xi phi
-        _lagged_columns(xi, k, out=noise)
-        _subtract_fit(psi, y_s, cols, theta_new, xi)
-        noise *= phi_new
-        for l in range(k):
-            xi -= noise[:, l]
+        # residual y - Psi theta - Xi phi = r0 - Q_W Q_W^T y, as Q_W is orthogonal to Q
+        np.einsum("ilj,lj->ij", w, rhs_w, out=xi)
+        np.subtract(r0, xi, out=xi)
         change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=0)
                          + np.sum((phi_new - phi) ** 2, axis=0))
         history.append(change)
         theta, phi = theta_new, phi_new
         done = change < config.zeta
-        if done.any():
-            for j in np.flatnonzero(done):
-                fits[pos[j]] = report(j, True)
-            stay = ~done
-    noise = w = flat = w_flat = None  # free the buffers before copying out the residuals
-    for j in range(len(sizes)):
-        fits[pos[j]] = report(j, False)
+        finished = done | (iterations == config.max_iterations)
+        if finished.any():
+            for j in np.flatnonzero(finished):
+                fits[pos[j]] = report(j, bool(done[j]))
+            stay = ~finished
     return fits
 
 
@@ -245,13 +244,15 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
     ``sizes`` must be increasing and within 1..len(cols).
 
     The ranked columns are factored once.  Sizes are fitted in blocks of
-    ``_BLOCK_SIZES``, each block using only the Q prefix it needs; each
-    iteration of a block forms C = Q^T Xi for all its sizes in one matrix
-    product (masked to each size's prefix), the border W = Xi - Q C with
-    one re-orthogonalization pass, a small QR of each size's W, and one
-    triangular solve on R for all sizes.  The rank check is applied per
-    size to the prefix diagonal of R and the diagonal of its R_W, and
-    each size keeps its own convergence test.
+    ``_BLOCK_SIZES``, each block using only the Q prefix it needs and
+    forming each size's least-squares residual r0 once.  Each iteration of
+    a block forms C = Q^T Xi for all its sizes in one matrix product
+    (masked to each size's prefix) and the border W = Xi - Q C, repeated
+    on W only if some column of the block kept less than 1/sqrt(2) of its
+    norm; then a small QR W = Q_W R_W of each size, one triangular solve on
+    R for all sizes, and the residual r0 - Q_W Q_W^T y.  The rank check is
+    applied per size to the prefix diagonal of R and the diagonal of its
+    R_W, and each size keeps its own convergence test.
     """
     psi = np.asarray(psi, dtype=float)
     y_s = np.asarray(y_s, dtype=float)

@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import TimeSeriesData
 from .errors import DegenerateRangeError, NarxError, ParameterError
+from .estimation import is_int
 from .experiments import ExperimentConfig, make_validation_data, run_identification
 from .model import NarxModel
 from .regression import divergence_bound, free_run_simulate, one_step_predict
@@ -96,13 +97,13 @@ def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,
     once for the whole sweep.  Diverging or singular trials are counted
     as failures and excluded from the statistics.
     """
+    if not is_int(trials_per_ratio) or trials_per_ratio < 1:
+        raise ParameterError("trials per ratio must be an integer >= 1")
     ratios = tuple(float(r) for r in ratios)
     if any(b < a for a, b in zip(ratios, ratios[1:])):
         raise ParameterError("noise ratios must be ascending")
     # building each ratio's config rejects a negative ratio before any trial runs
     configs = [replace(config, noise_ratio=ratio) for ratio in ratios]
-    if trials_per_ratio < 1:
-        raise ParameterError("need at least one trial per ratio")
     val_data = make_validation_data(config, base_seed)
     means, stds, seed_log, fail_log, mape_log = [], [], [], [], []
     for i, ratio_config in enumerate(configs):

@@ -11,7 +11,7 @@ import numpy as np
 from .data import TimeSeriesData
 from .errors import ParameterError
 from .estimation import (ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep,
-                         ls_estimate)
+                         is_int, ls_estimate)
 from .model import CandidateSet, NarxModel, RegressorTerm
 from .regression import build_regression
 
@@ -49,14 +49,18 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
     largest fraction of the output energy is selected.  Selection stops
     at ``max_terms`` or when the best remaining ratio falls below
     ``err_floor``.  Ties break on canonical term order, which also makes
-    the result independent of candidate input order.
+    the result independent of candidate input order.  ``max_terms``
+    (default ``min(30, len(candidates))``) must be an integer in
+    1..len(candidates) and ``err_floor`` finite and nonnegative.
     """
     if len(candidates) == 0:
         raise ParameterError("empty candidate set")
     if max_terms is None:
         max_terms = min(30, len(candidates))
-    if max_terms > len(candidates):
-        raise ParameterError("max_terms exceeds candidate count")
+    if not is_int(max_terms) or not 1 <= max_terms <= len(candidates):
+        raise ParameterError(f"max_terms must be an integer in 1..{len(candidates)}")
+    if not np.isfinite(err_floor) or err_floor < 0:
+        raise ParameterError("err_floor must be finite and nonnegative")
 
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]
@@ -65,27 +69,23 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
     yty = float(y_s @ y_s)
     if yty == 0.0:
         raise ParameterError("target vector has zero energy")
-    norms0 = np.sum(work ** 2, axis=0)
+    floor = _ZERO_COLUMN_RTOL * np.maximum(np.einsum("ij,ij->j", work, work), 1.0)
 
-    remaining = list(range(len(terms)))
-    selected = []
-    err_values = []
-    skipped = []
+    active = np.ones(len(terms), dtype=bool)  # not yet selected
+    selected, err_values, skipped = [], [], []
     basis = []  # orthonormal selected columns
-    while remaining and len(selected) < max_terms:
-        best_j = None
-        best_err = -1.0
-        for j in remaining:
-            w = work[:, j]
-            ww = float(w @ w)
-            if ww <= _ZERO_COLUMN_RTOL * max(norms0[j], 1.0):
-                continue
-            err = (float(w @ y_s) ** 2) / (ww * yty)
+    while active.any() and len(selected) < max_terms:
+        # score every column in one pass each; scan in canonical order
+        ww = np.einsum("ij,ij->j", work, work)
+        live = np.flatnonzero(active & (ww > floor))
+        errs = (y_s @ work)[live] ** 2 / (ww[live] * yty)
+        best_j, best_err = None, -1.0
+        for j, err in zip(live.tolist(), errs.tolist()):
             if err > best_err + 1e-15:
                 best_err = err
                 best_j = j
         if best_j is None:
-            skipped.extend(remaining)
+            skipped = np.flatnonzero(active).tolist()
             break
         if best_err < err_floor:
             break
@@ -97,14 +97,12 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
         basis.append(q)
         selected.append(best_j)
         err_values.append((float(w @ y_s) ** 2) / (float(w @ w) * yty))
-        remaining.remove(best_j)
-        # deflate every remaining candidate column
-        proj = q @ work[:, remaining]
-        work[:, remaining] -= np.outer(q, proj)
+        active[best_j] = False
+        # deflate every column; the selected ones are not read again
+        work -= np.outer(q, q @ work)
 
-    ordered_terms = tuple(terms[j] for j in selected)
     return ErrRanking(
-        ordered_terms=ordered_terms,
+        ordered_terms=tuple(terms[j] for j in selected),
         err_values=np.array(err_values),
         candidates=candidates,
         skipped=tuple(terms[j] for j in skipped),

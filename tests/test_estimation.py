@@ -15,11 +15,13 @@ from narxident import (
     Variable,
     build_regression,
     constrained_ls_estimate,
+    frols_rank,
     generate_candidates,
     ls_estimate,
     term,
 )
 from narxident.benchmarks import HEATING_SYSTEM
+from narxident.experiments import heating_experiment, make_identification_data
 from narxident.estimation import _lagged_columns, els_core, els_sweep
 
 U = Variable.INPUT
@@ -193,6 +195,45 @@ def test_els_matches_reference_on_random_shapes(n, k, extra_rows, seed):
     e = rng.standard_normal(m + 1)
     y_s = psi @ rng.standard_normal(n) + 0.3 * (e[1:] + 0.6 * e[:-1])
     _assert_matches_reference(psi, y_s, k, ElsConfig(zeta=1e-6, max_iterations=10))
+
+
+
+@pytest.mark.parametrize("noise, second_pass", [(3.0, True), (0.1, False)])
+def test_els_matches_reference_with_and_without_second_pass(noise, second_pass):
+    # ARX output plus white measurement noise: the louder the noise, the more
+    # of the lagged residual lies in the span of the lagged outputs in Psi.
+    # The border keeps less than 1/sqrt(2) of its norm exactly when the
+    # re-orthogonalization pass against Q has to run.
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(500)
+    y = np.zeros(500)
+    for t in range(1, 500):
+        y[t] = 0.8 * y[t - 1] + u[t - 1]
+    data = TimeSeriesData(u, y + noise * rng.standard_normal(500), ts=1.0)
+    psi, y_s = build_regression(generate_candidates(1, 2, 1), data)
+    q, _ = np.linalg.qr(psi)
+    xi = _lagged_columns(y_s - q @ (q.T @ y_s), 2)
+    border = xi - q @ (q.T @ xi)
+    kept = np.sum(border ** 2, axis=0) / np.sum(xi ** 2, axis=0)
+    assert np.all(kept < 0.5) if second_pass else np.all(kept > 0.5)
+    _assert_matches_reference(psi, y_s, 2, ElsConfig(zeta=1e-6, max_iterations=10))
+
+
+def test_els_residual_row_without_history_is_exact():
+    # row 0 has no lagged-residual history (Xi is 0 there), so each reported
+    # residual is y - Psi theta exactly in that row.  Heating seed 7 ranks
+    # ill-conditioned prefixes (theta up to ~900 at 30 terms), where a
+    # residual formed by projection rather than from theta misses by ~1e-11.
+    config = heating_experiment()
+    data, _ = make_identification_data(config, 7)
+    ranking = frols_rank(config.candidates, data)
+    psi, y_s = build_regression(config.candidates, data)
+    cols = [config.candidates.terms.index(t) for t in ranking.ordered_terms]
+    sizes = np.arange(1, len(cols) + 1)
+    for s, fit in zip(sizes, els_sweep(psi, y_s, cols, sizes, 1, config.selection.els)):
+        row0 = psi[0, cols[:s]]
+        scale = abs(y_s[0]) + np.abs(row0) @ np.abs(fit.theta) + abs(fit.residuals[0])
+        assert abs(fit.residuals[0] - (y_s[0] - row0 @ fit.theta)) <= 1e-12 * scale
 
 
 def test_els_exact_fit_is_singular_in_noise_column():

@@ -118,6 +118,19 @@ def test_monte_carlo_rejects_negative_ratios():
         monte_carlo_noise_sweep(heating_experiment(), [-0.5], 1)
 
 
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "2"])
+def test_monte_carlo_rejects_bad_trial_counts_before_any_work(bad, monkeypatch):
+    from narxident import evaluation, heating_experiment, monte_carlo_noise_sweep
+
+    def no_validation_record(*args):
+        raise AssertionError("validation record built before the trial count was checked")
+
+    monkeypatch.setattr(evaluation, "make_validation_data", no_validation_record)
+    with pytest.raises(ParameterError, match="trials per ratio"):
+        monte_carlo_noise_sweep(heating_experiment(), [0.1], bad)
+
+
 def test_monte_carlo_counts_estimation_failures_and_propagates_bugs(monkeypatch):
     from narxident import SingularMatrixError, evaluation, heating_experiment
 

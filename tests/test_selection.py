@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from narxident import (
     SelectionConfig,
@@ -13,6 +14,7 @@ from narxident import (
     aic_curve,
     bouc_wen_experiment,
     build_regression,
+    default_config,
     frols_rank,
     generate_candidates,
     heating_experiment,
@@ -105,6 +107,105 @@ def test_frols_skips_degenerate_columns():
     # u(k-1), u(k-2), u(k-1)^2 ... all reduce to the same constant column
     assert len(ranking.ordered_terms) + len(ranking.skipped) == len(cs.terms)
     assert len(ranking.skipped) > 0
+
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, 15, "3"])
+def test_frols_rejects_bad_max_terms(bad):
+    data = synthetic_record(*TRUE_SYSTEMS[1])
+    with pytest.raises(ParameterError):
+        frols_rank(generate_candidates(2, 2, 2), data, max_terms=bad)  # 14 candidates
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
+def test_frols_rejects_bad_err_floor(bad):
+    data = synthetic_record(*TRUE_SYSTEMS[1])
+    with pytest.raises(ParameterError):
+        frols_rank(generate_candidates(2, 2, 2), data, err_floor=bad)
+
+
+def _reference_frols(candidates, psi, y_s, max_terms, err_floor):
+    """The scalar-loop FROLS: score and deflate the remaining columns one by
+    one.  Returns (ordered terms, ERR values, skipped terms)."""
+    order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
+    terms = [candidates.terms[i] for i in order]
+    work = psi[:, order].copy()
+    yty = float(y_s @ y_s)
+    norms0 = np.sum(work ** 2, axis=0)
+    remaining = list(range(len(terms)))
+    selected, err_values, skipped, basis = [], [], [], []
+    while remaining and len(selected) < max_terms:
+        best_j, best_err = None, -1.0
+        for j in remaining:
+            w = work[:, j]
+            ww = float(w @ w)
+            if ww <= 1e-12 * max(norms0[j], 1.0):
+                continue
+            err = (float(w @ y_s) ** 2) / (ww * yty)
+            if err > best_err + 1e-15:
+                best_err, best_j = err, j
+        if best_j is None:
+            skipped.extend(remaining)
+            break
+        if best_err < err_floor:
+            break
+        w = work[:, best_j]
+        for q in basis:
+            w = w - (q @ w) * q
+        q = w / np.linalg.norm(w)
+        basis.append(q)
+        selected.append(best_j)
+        err_values.append((float(w @ y_s) ** 2) / (float(w @ w) * yty))
+        remaining.remove(best_j)
+        proj = q @ work[:, remaining]
+        work[:, remaining] -= np.outer(q, proj)
+    return (tuple(terms[j] for j in selected), np.array(err_values),
+            tuple(terms[j] for j in skipped))
+
+
+def _assert_frols_matches_reference(candidates, data, psi, y_s, max_terms=None,
+                                    err_floor=1e-10):
+    ranking = frols_rank(candidates, data, max_terms, err_floor)
+    if max_terms is None:
+        max_terms = min(30, len(candidates))
+    terms, err_values, skipped = _reference_frols(candidates, psi, y_s, max_terms, err_floor)
+    assert ranking.ordered_terms == terms
+    assert ranking.skipped == skipped
+    assert np.all(np.abs(ranking.err_values - err_values) <= 1e-9 * np.abs(err_values))
+
+
+@pytest.mark.parametrize("name, seed", [("heating", s) for s in range(5)] + [("bouc_wen", 0)])
+def test_frols_matches_scalar_loop_reference(name, seed):
+    config = default_config(name)
+    data, _ = make_identification_data(config, seed)
+    psi, y_s = build_regression(config.candidates, data)
+    _assert_frols_matches_reference(config.candidates, data, psi, y_s)
+
+
+@given(st.integers(0, 30), st.integers(0, 3), st.integers(0, 3), st.booleans(),
+       st.integers(1, 14), st.sampled_from([0.0, 1e-10, 1e-3]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_frols_matches_reference_on_random_dictionaries(extra_rows, n_dup, n_const, zero,
+                                                        max_terms, err_floor, seed):
+    # columns duplicated (some negated), constant columns of several
+    # scales (their ERRs tie up to rounding), and an all-zero column
+    candidates = generate_candidates(2, 2, 2)  # 14 terms
+    n = len(candidates)
+    rng = np.random.default_rng(seed)
+    m = n + 1 + extra_rows
+    psi = rng.standard_normal((m, n))
+    cols = rng.permutation(n)
+    for i in range(n_dup):
+        psi[:, cols[i]] = rng.choice([-1.0, 1.0]) * psi[:, cols[n_dup + i]]
+    for i in range(2 * n_dup, 2 * n_dup + n_const):
+        psi[:, cols[i]] = rng.choice([0.5, 1.0, 3.0])
+    if zero:
+        psi[:, cols[-1]] = 0.0
+    y_s = psi @ (rng.standard_normal(n) * rng.integers(0, 2, n)) + rng.standard_normal(m)
+    data = synthetic_record(*TRUE_SYSTEMS[0])  # replaced by the matrix above
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "build_regression", lambda *args: (psi, y_s))
+        _assert_frols_matches_reference(candidates, data, psi, y_s, max_terms, err_floor)
 
 
 def test_aic_penalty_dominates_on_perfect_model():
