@@ -9,12 +9,15 @@ matrix together: the prefixes share a single Householder QR (the QR of a
 column prefix is the prefix of the QR), and each iteration borders that
 factorization with the noise columns of every size still iterating, at
 O(m n k) work per size for m rows, n process and k noise columns.  The
-border is orthogonalized against Q a second time only when one pass lost
-more than half a column's squared norm ("twice is enough": Daniel, Gragg,
-Kaufman & Stewart 1976), and the new residual is the prefix's
-least-squares residual minus the border's share Q_W Q_W^T y, so no
-iteration forms Psi theta.  :func:`els_core` is its one-size case and
-:func:`ls_estimate` the one-size case without noise columns.
+noise columns are views of one zero-padded residual buffer, and the
+border W (the part of the noise columns orthogonal to Q) is left
+unnormalised: it is orthogonalized against Q a second time only when one
+pass lost more than half a column's squared norm ("twice is enough":
+Daniel, Gragg, Kaufman & Stewart 1976), its squared column norms serve
+the rank check and the solve, and the new residual is the prefix's
+least-squares residual minus W phi, so no iteration forms Psi theta.
+:func:`els_core` is its one-size case and :func:`ls_estimate` the
+one-size case without noise columns.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError, ParameterError, SingularMatrixError
 from .regression import build_regression  # noqa: F401  perfbench/tracing.py wraps this binding
@@ -88,76 +92,43 @@ def _rank_error(diag):
     )
 
 
-def _lagged_columns(xi, n_lags, out=None):
-    """Lagged copies of residual vectors within the regression row frame.
-
-    ``xi`` is (m,) or (m, b); column j - 1 of the result, (m, n_lags) or
-    (m, n_lags, b), holds lag j.  Rows without lagged-residual history
-    get 0.
-    """
-    m = len(xi)
-    if out is None:
-        out = np.empty((m, n_lags) + xi.shape[1:])
-    for j in range(1, n_lags + 1):
-        out[:j, j - 1] = 0.0
-        out[j:, j - 1] = xi[:m - j]
-    return out
-
-
-def _orthonormalize(w):
-    """Gram-Schmidt QR of every m x k slice ``w[:, :, j]`` in place.
-
-    ``w`` becomes the orthonormal factors; returns R as a (k, k, b) array.
-    Each column is orthogonalized twice against its predecessors.  A zero
-    column stays zero (its R diagonal is 0, which the rank check rejects).
-    """
-    k, b = w.shape[1:]
-    r = np.zeros((k, k, b))
-    for l in range(k):
-        for _ in range(2):
-            for p in range(l):
-                proj = np.einsum("ij,ij->j", w[:, p], w[:, l])
-                w[:, l] -= w[:, p] * proj
-                r[p, l] += proj
-        r[l, l] = np.sqrt(np.einsum("ij,ij->j", w[:, l], w[:, l]))
-        np.divide(w[:, l], r[l, l], out=w[:, l], where=r[l, l] > 0)
-    return r
-
-
-def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
+def _fit_block(a, y_s, q, r, qty, sizes, n_noise_terms, config):
     """Fit the prefix sizes ``sizes`` (ascending, all of full rank) together.
 
-    Returns ``{position in sizes: report or SingularMatrixError}``.  Every
-    size still iterating has done the same number of iterations, so one
-    counter serves the block; a size leaves the block when it converges
-    or its noise columns fail the rank check.
+    ``a`` holds the ranked columns, factored as ``q r``.  Returns
+    ``{position in sizes: report or SingularMatrixError}``.  Every size
+    still iterating has done the same number of iterations, so one counter
+    serves the block; a size leaves the block when it converges or its
+    noise columns fail the rank check.  The tall buffers hold one row per
+    size.
     """
     m, k = len(y_s), n_noise_terms
     diag = np.abs(np.diag(r))
     lo, hi = np.minimum.accumulate(diag), np.maximum.accumulate(diag)
     n_top = sizes[-1]
-    below = np.arange(n_top)[:, None] < sizes  # rows inside each size's prefix
-    theta = np.linalg.solve(r[:n_top, :n_top], qty[:n_top, None] * below)
-    # least-squares residual of each prefix, theta scattered into psi's column order
-    theta_all = np.zeros((psi.shape[1], len(sizes)))
-    theta_all[cols[:n_top]] = theta
-    r0 = y_s[:, None] - psi @ theta_all
+    below = np.arange(n_top) < sizes[:, None]  # columns inside each size's prefix
+    theta = np.linalg.solve(r[:n_top, :n_top], (qty[:n_top] * below).T).T
+    # least-squares residual of each prefix, one row per size
+    r0 = np.ascontiguousarray((y_s[:, None] - a[:, :n_top] @ theta.T).T)
     if k == 0:
-        return {j: EstimationReport(theta=theta[:s, j].copy(), residuals=r0[:, j].copy())
+        return {j: EstimationReport(theta=theta[j, :s].copy(), residuals=r0[j].copy())
                 for j, s in enumerate(sizes)}
-    xi = r0.copy()
+    # the residual Xi is lagged from, after k zeros: lag l is buf[:, k - l:m + k - l]
+    buf = np.zeros((len(sizes), m + k))
+    buf[:, k:] = r0
     pos = np.arange(len(sizes))
     phi = np.zeros((k, len(sizes)))
     history, fits, iterations = [], {}, 0
 
     def report(j, converged):
         # the residual y - Psi theta - Xi phi itself, not its projected form,
-        # so that it holds exactly for the reported theta and phi
-        theta_j = np.zeros(psi.shape[1])
-        theta_j[cols[:sizes[j]]] = theta[:sizes[j], j]
+        # so that it holds exactly for the reported theta and phi; buf still
+        # holds the residual this iteration's Xi was lagged from
+        s = sizes[j]
+        lags = sliding_window_view(buf[j], k)[:m]  # row i holds lags k, ..., 1
         return EstimationReport(
-            theta=theta[:sizes[j], j].copy(),
-            residuals=y_s - psi @ theta_j - noise[:, :, j] @ phi[:, j],
+            theta=theta[j, :s].copy(),
+            residuals=y_s - a[:, :s] @ theta[j, :s] - lags @ phi[::-1, j],
             iterations=iterations,
             converged=converged,
             noise_theta=phi[:, j].copy(),
@@ -165,63 +136,79 @@ def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
         )
 
     stay = None  # set when sizes leave the block
-    noise = None
+    w = None
     while True:
         if stay is not None:
-            noise = w = flat = w_flat = None  # free the buffers before xi shrinks
-            sizes, pos, theta, phi, r0, xi = (
-                sizes[stay], pos[stay], theta[:, stay], phi[:, stay], r0[:, stay], xi[:, stay])
-            below = below[:, stay]
+            w = None  # reallocated for the sizes that stay
+            sizes, pos, theta, below, r0, buf = (
+                x[stay] for x in (sizes, pos, theta, below, r0, buf))
+            phi = phi[:, stay]
             history = [h[stay] for h in history]
             stay = None
         if not sizes.size:
             break
-        if noise is None:
+        if w is None:
             n_top = sizes[-1]
-            theta, below = theta[:n_top], below[:n_top]
-            qb, r_top, qty_below = q[:, :n_top], r[:n_top, :n_top], qty[:n_top, None] * below
-            mask = below[:, None, :]
-            noise, w = np.empty((m, k, len(sizes))), np.empty((m, k, len(sizes)))
-        flat, w_flat = noise.reshape(m, -1), w.reshape(m, -1)
-        # border W = Xi - Q C with C = Q^T Xi.  A second pass against Q runs
-        # only if some column kept less than 1/sqrt(2) of its norm; otherwise
-        # one pass is orthogonal to working precision (Daniel, Gragg, Kaufman
-        # & Stewart 1976).  Xi stays intact for the reported residuals.
-        _lagged_columns(xi, k, out=noise)
-        c = (qb.T @ flat).reshape(n_top, k, -1) * mask
-        np.matmul(qb, c.reshape(n_top, -1), out=w_flat)
-        np.subtract(flat, w_flat, out=w_flat)
-        if np.any(np.einsum("ij,ij->j", w_flat, w_flat)
-                  < 0.5 * np.einsum("ij,ij->j", flat, flat)):
-            c2 = (qb.T @ w_flat).reshape(n_top, k, -1) * mask
-            w_flat -= qb @ c2.reshape(n_top, -1)
-            c += c2
-        r_w = _orthonormalize(w)
-        d_w = np.abs(r_w[np.arange(k), np.arange(k)])
-        top = np.maximum(hi[sizes - 1], d_w.max(axis=0))
-        failed = np.minimum(lo[sizes - 1], d_w.min(axis=0)) <= _RANK_RTOL * top
+            theta, below = theta[:, :n_top], below[:, :n_top]
+            qb, r_top, qty_below = q[:, :n_top], r[:n_top, :n_top], qty[:n_top] * below
+            w, c = np.empty((k, len(sizes), m)), np.empty((k, len(sizes), n_top))
+        # border W = Xi - Q C with C = Q^T Xi, masked to each size's prefix
+        for l in range(k):
+            lag = buf[:, k - 1 - l:m + k - 1 - l]  # lag l + 1
+            np.matmul(lag, qb, out=c[l])
+            c[l] *= below
+            np.matmul(c[l], qb.T, out=w[l])
+            np.subtract(lag, w[l], out=w[l])
+        d = np.einsum("...i,...i->...", w, w)
+        # Xi = Q C + W with W orthogonal to Q, so a column kept less than
+        # 1/sqrt(2) of its norm exactly when |W|^2 < |C|^2.  Only then does a
+        # second pass against Q run; otherwise one pass is orthogonal to
+        # working precision (Daniel, Gragg, Kaufman & Stewart 1976).
+        if np.any(d < np.einsum("...i,...i->...", c, c)):
+            for l in range(k):
+                c2 = (w[l] @ qb) * below
+                w[l] -= c2 @ qb.T
+                c[l] += c2
+            d = np.einsum("...i,...i->...", w, w)
+        # scaled Gram-Schmidt among the lags, twice against each predecessor:
+        # W = V U with V's columns orthogonal (kept in w), U unit upper
+        # triangular, and d the squared column norms of V, which are R_W's
+        # squared diagonal.  A lag is divided by only after its norm passed
+        # the rank check.
+        u = np.zeros((k, k, len(sizes)))
+        for l in range(k):
+            for _ in range(2):
+                for p in range(l):
+                    proj = np.einsum("ij,ij->i", w[p], w[l]) / d[p]
+                    w[l] -= proj[:, None] * w[p]
+                    u[p, l] += proj
+            if l:
+                d[l] = np.einsum("ij,ij->i", w[l], w[l])
+            root = np.sqrt(d[:l + 1])
+            failed = (np.minimum(lo[sizes - 1], root.min(axis=0))
+                      <= _RANK_RTOL * np.maximum(hi[sizes - 1], root.max(axis=0)))
+            if failed.any():
+                break
         if failed.any():
             for j in np.flatnonzero(failed):
-                fits[pos[j]] = _rank_error(np.concatenate([diag[:sizes[j]], d_w[:, j]]))
+                fits[pos[j]] = _rank_error(np.concatenate([diag[:sizes[j]], root[:, j]]))
             stay = ~failed
             continue
         iterations += 1
-        # back substitution: R_W phi = Q_W^T y, then R theta = Q^T y - C phi
-        # for every size at once; a right-hand side that is zero below row s
-        # solves the leading s x s block.  The LU inside np.linalg.solve has
-        # L = I on triangular R, so this is the triangular solve, and it keeps
-        # the loop in numpy's BLAS (scipy's has its own thread pool, and the
-        # two pools contend when their calls alternate).
-        rhs_w = (y_s @ w_flat).reshape(k, -1)
-        phi_new = np.empty_like(rhs_w)
+        # back substitution: U phi = D^-1 V^T y, then R theta = Q^T y - C phi
+        # for every size at once; a right-hand side that is zero beyond
+        # column s solves the leading s x s block.  The LU inside
+        # np.linalg.solve has L = I on triangular R, so this is the
+        # triangular solve, and it keeps the loop in numpy's BLAS (scipy's
+        # has its own thread pool, and the two pools contend when their
+        # calls alternate).
+        g = (w @ y_s) / d
+        phi_new = np.empty_like(g)
         for l in reversed(range(k)):
-            known = np.einsum("pj,pj->j", r_w[l, l + 1:], phi_new[l + 1:])
-            phi_new[l] = (rhs_w[l] - known) / r_w[l, l]
-        theta_new = np.linalg.solve(r_top, qty_below - np.einsum("ilj,lj->ij", c, phi_new))
-        # residual y - Psi theta - Xi phi = r0 - Q_W Q_W^T y, as Q_W is orthogonal to Q
-        np.einsum("ilj,lj->ij", w, rhs_w, out=xi)
-        np.subtract(r0, xi, out=xi)
-        change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=0)
+            phi_new[l] = g[l] - np.einsum("pj,pj->j", u[l, l + 1:], phi_new[l + 1:])
+        theta_new = np.linalg.solve(
+            r_top, (qty_below - np.einsum("lji,lj->ji", c, phi_new)).T).T
+        change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=1)
                          + np.sum((phi_new - phi) ** 2, axis=0))
         history.append(change)
         theta, phi = theta_new, phi_new
@@ -231,6 +218,13 @@ def _fit_block(psi, y_s, cols, q, r, qty, sizes, n_noise_terms, config):
             for j in np.flatnonzero(finished):
                 fits[pos[j]] = report(j, bool(done[j]))
             stay = ~finished
+        # next residual y - Psi theta - Xi phi = r0 - W phi = r0 - V g, as W
+        # is orthogonal to Q; it overwrites the one Xi was lagged from
+        xi = buf[:, k:]
+        w *= g[:, :, None]
+        np.subtract(r0, w[0], out=xi)
+        for l in range(1, k):
+            xi -= w[l]
     return fits
 
 
@@ -245,14 +239,19 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
 
     The ranked columns are factored once.  Sizes are fitted in blocks of
     ``_BLOCK_SIZES``, each block using only the Q prefix it needs and
-    forming each size's least-squares residual r0 once.  Each iteration of
-    a block forms C = Q^T Xi for all its sizes in one matrix product
-    (masked to each size's prefix) and the border W = Xi - Q C, repeated
-    on W only if some column of the block kept less than 1/sqrt(2) of its
-    norm; then a small QR W = Q_W R_W of each size, one triangular solve on
-    R for all sizes, and the residual r0 - Q_W Q_W^T y.  The rank check is
-    applied per size to the prefix diagonal of R and the diagonal of its
-    R_W, and each size keeps its own convergence test.
+    forming each size's least-squares residual r0 once.  The noise columns
+    Xi are views of one residual buffer padded with k zeros.  Each
+    iteration forms C = Q^T Xi (masked to each size's prefix) and the
+    unnormalised border W = Xi - Q C, repeated on W only if |W|^2 < |C|^2
+    for some column, i.e. it kept less than 1/sqrt(2) of its norm; for
+    k > 1 a scaled Gram-Schmidt W = V U (U unit upper triangular) makes the
+    lags orthogonal.  Then U phi = D^-1 V^T y with D the squared norms of V
+    (phi = W^T y / W^T W for k = 1), one triangular solve on R for all
+    sizes, and the next residual r0 - W phi in place, after the finishing
+    sizes have reported y - Psi theta - Xi phi.  The rank
+    check is applied per size to the prefix diagonal of R and to sqrt(D),
+    each lag before it is divided by; each size keeps its own convergence
+    test.
     """
     psi = np.asarray(psi, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
@@ -266,7 +265,9 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
         raise ParameterError("sizes must increase within 1..len(cols)")
     m = psi.shape[0]
     k = n_noise_terms
-    q, r = np.linalg.qr(psi[:, cols[:min(sizes[-1], m)]])
+    # row-major like psi, so a one-size fit's Psi theta sums each row as psi @ theta does
+    a = psi.take(cols[:min(sizes[-1], m)], axis=1)
+    q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     rank_bad = np.minimum.accumulate(diag) <= _RANK_RTOL * np.maximum.accumulate(diag)
     fits = []
@@ -285,7 +286,7 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
     qty = q.T @ y_s
     for start in range(0, n_ok, _BLOCK_SIZES):
         block = sizes[start:min(start + _BLOCK_SIZES, n_ok)]
-        for j, fit in _fit_block(psi, y_s, cols, q, r, qty, block, k, config).items():
+        for j, fit in _fit_block(a, y_s, q, r, qty, block, k, config).items():
             fits[start + j] = fit
     return fits
 

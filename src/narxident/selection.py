@@ -65,41 +65,49 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]
     psi, y_s = build_regression(candidates, data)
-    work = psi[:, order].copy()
+    # Psi column-major, one row per column: the live columns are the
+    # contiguous rows work[:n_live], and at[p] is the term index of row p
+    work = psi.T[order]
+    at = np.arange(len(terms))
     yty = float(y_s @ y_s)
     if yty == 0.0:
         raise ParameterError("target vector has zero energy")
-    floor = _ZERO_COLUMN_RTOL * np.maximum(np.einsum("ij,ij->j", work, work), 1.0)
+    floor = _ZERO_COLUMN_RTOL * np.maximum(np.einsum("ij,ij->i", work, work), 1.0)
 
-    active = np.ones(len(terms), dtype=bool)  # not yet selected
+    n_live = len(terms)  # columns not yet selected
     selected, err_values, skipped = [], [], []
     basis = []  # orthonormal selected columns
-    while active.any() and len(selected) < max_terms:
-        # score every column in one pass each; scan in canonical order
-        ww = np.einsum("ij,ij->j", work, work)
-        live = np.flatnonzero(active & (ww > floor))
-        errs = (y_s @ work)[live] ** 2 / (ww[live] * yty)
-        best_j, best_err = None, -1.0
-        for j, err in zip(live.tolist(), errs.tolist()):
+    while n_live and len(selected) < max_terms:
+        live = work[:n_live]
+        ww = np.einsum("ij,ij->i", live, live)
+        ok = np.flatnonzero(ww > floor[at[:n_live]])
+        ok = ok[np.argsort(at[ok])]  # scan in canonical term order
+        errs = (live @ y_s)[ok] ** 2 / (ww[ok] * yty)
+        best_p, best_err = None, -1.0
+        for p, err in zip(ok.tolist(), errs.tolist()):
             if err > best_err + 1e-15:
                 best_err = err
-                best_j = j
-        if best_j is None:
-            skipped = np.flatnonzero(active).tolist()
+                best_p = p
+        if best_p is None:
+            skipped = sorted(at[:n_live].tolist())
             break
         if best_err < err_floor:
             break
-        w = work[:, best_j]
+        # swap the selected column just past the live block
+        n_live -= 1
+        work[[best_p, n_live]] = work[[n_live, best_p]]
+        at[[best_p, n_live]] = at[[n_live, best_p]]
+        w = work[n_live]
         # re-orthogonalization pass against the accumulated basis
         for q in basis:
             w = w - (q @ w) * q
         q = w / np.linalg.norm(w)
         basis.append(q)
-        selected.append(best_j)
+        selected.append(int(at[n_live]))
         err_values.append((float(w @ y_s) ** 2) / (float(w @ w) * yty))
-        active[best_j] = False
-        # deflate every column; the selected ones are not read again
-        work -= np.outer(q, q @ work)
+        # deflate the live columns only
+        live = work[:n_live]
+        live -= np.outer(live @ q, q)
 
     return ErrRanking(
         ordered_terms=tuple(terms[j] for j in selected),
@@ -171,15 +179,14 @@ def aic_curve(ranking: ErrRanking, data: TimeSeriesData, config=SelectionConfig(
     sizes = np.arange(1, len(ranking) + 1)
     n_noise_terms = config.n_noise_terms if config.sweep_estimator == "els" else 0
     fits = els_sweep(psi, y_s, cols, sizes, n_noise_terms, config.els)
+    ranked = psi.take(cols, axis=1)
     costs = np.full(len(sizes), np.nan)
     converged, iterations = [False] * len(sizes), [0] * len(sizes)
     for i, (n_theta, fit) in enumerate(zip(sizes, fits)):
         if not isinstance(fit, EstimationReport):
             continue  # the error that failed this size
         converged[i], iterations[i] = fit.converged, fit.iterations
-        theta = np.zeros(psi.shape[1])
-        theta[cols[:n_theta]] = fit.theta
-        var = float(np.var(y_s - psi @ theta))
+        var = float(np.var(y_s - ranked[:, :n_theta] @ fit.theta))
         if var <= 0:
             var = np.finfo(float).tiny
         costs[i] = len(y_s) * np.log(var) + 2.0 * n_theta

@@ -1,5 +1,7 @@
 """Least squares, extended least squares, and constrained least squares."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,9 +24,12 @@ from narxident import (
 )
 from narxident.benchmarks import HEATING_SYSTEM
 from narxident.experiments import heating_experiment, make_identification_data
-from narxident.estimation import _lagged_columns, els_core, els_sweep
+from narxident.estimation import els_core, els_sweep
 
 U = Variable.INPUT
+
+# a division by a zero border or column norm fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_ls_exact_fit():
@@ -140,6 +145,14 @@ def test_els_validates_arguments():
             els_sweep(psi, y_s, [0, 1], [1, 2], bad)
 
 
+def _lagged_columns(xi, n_lags):
+    """Lagged copies of a residual vector; column j - 1 holds lag j, 0 before its start."""
+    out = np.zeros((len(xi), n_lags))
+    for j in range(1, n_lags + 1):
+        out[j:, j - 1] = xi[:len(xi) - j]
+    return out
+
+
 def _reference_els(psi, y_s, n_noise_terms, config):
     """From-scratch ELS: stack [Psi Xi] and run a full QR solve each iteration."""
 
@@ -219,6 +232,38 @@ def test_els_matches_reference_with_and_without_second_pass(noise, second_pass):
     _assert_matches_reference(psi, y_s, 2, ElsConfig(zeta=1e-6, max_iterations=10))
 
 
+def test_els_second_pass_keeps_a_nearly_dependent_border_accurate():
+    # Psi's second column is the lag of the least-squares residual e plus a
+    # 1e-6 perturbation (e is iterated to be orthogonal to Psi), so in the
+    # first iteration the noise column of size 2 keeps ~1e-6 of its norm
+    # outside span(Psi) while that of size 1 keeps most of it: one block,
+    # two prefix masks, only one size needing the second pass.  One pass
+    # leaves the border a cosine of ~eps/1e-6 with Q.  That is the order of
+    # the rounding Xi already carries, so single seeds overlap; over twenty
+    # seeds the median error against the reference is ~8e-10 with the
+    # second pass and ~4e-8 without it.
+    m, config = 1000, ElsConfig(max_iterations=1)
+    errors = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x, noise, e = rng.standard_normal((3, m))
+        for _ in range(20):
+            psi = np.column_stack([x, np.r_[0.0, e[:-1]] + 1e-6 * np.std(e) * noise])
+            q, _ = np.linalg.qr(psi)
+            e -= q @ (q.T @ e)
+        y_s = 10.0 * psi @ np.array([1.0, 0.5]) + e
+        fits = els_sweep(psi, y_s, [0, 1], [1, 2], 1, config)
+        for s, fit in zip([1, 2], fits):
+            theta, residuals, _ = _reference_els(psi[:, :s], y_s, 1, config)
+            error = (np.max(np.abs(np.r_[fit.theta, fit.noise_theta] - theta))
+                     / np.max(np.abs(theta)))
+            if s == 1:
+                assert error <= 1e-12
+            else:
+                errors.append(error)
+    assert np.median(errors) <= 5e-9
+
+
 def test_els_residual_row_without_history_is_exact():
     # row 0 has no lagged-residual history (Xi is 0 there), so each reported
     # residual is y - Psi theta exactly in that row.  Heating seed 7 ranks
@@ -236,13 +281,21 @@ def test_els_residual_row_without_history_is_exact():
         assert abs(fit.residuals[0] - (y_s[0] - row0 @ fit.theta)) <= 1e-12 * scale
 
 
-def test_els_exact_fit_is_singular_in_noise_column():
-    # y = Psi theta leaves no residual, so the noise column Xi is zero
+def _assert_exact_fit_is_singular_in_noise_column(n_noise_terms):
+    # y = Psi theta leaves no residual, so the noise columns Xi are zero
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((50, 3))
     with pytest.raises(SingularMatrixError) as exc:
-        els_core(psi, psi @ np.array([1.0, -2.0, 0.5]), 1)
+        els_core(psi, psi @ np.array([1.0, -2.0, 0.5]), n_noise_terms)
     assert exc.value.column == 3
+
+
+def test_els_exact_fit_is_singular_in_noise_column():
+    _assert_exact_fit_is_singular_in_noise_column(1)
+
+
+def test_els_exact_fit_is_singular_in_two_noise_columns():
+    _assert_exact_fit_is_singular_in_noise_column(2)
 
 
 def test_els_rejects_too_few_rows_for_noise_columns():
@@ -297,6 +350,25 @@ def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, s
                                (np.array(fit.change_norms), np.array(want.change_norms),
                                 max(want.change_norms, default=0.0))):
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-9 * size
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_els_sweep_leaves_its_inputs_and_returns_unshared_arrays(k):
+    # two blocks of sizes, several finishing in the same iteration: each
+    # report is built before the sweep's working buffers are overwritten,
+    # and no returned array is a view of them, of another report or of an input
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal((150, 14))
+    e = rng.standard_normal(151)
+    y_s = psi @ rng.standard_normal(14) + e[1:] + 0.6 * e[:-1]
+    psi_before, y_before = psi.copy(), y_s.copy()
+    cols = rng.permutation(14)[:12]
+    fits = els_sweep(psi, y_s, cols, np.arange(1, 13), k, ElsConfig(zeta=1e-6, max_iterations=4))
+    assert np.array_equal(psi, psi_before) and np.array_equal(y_s, y_before)
+    returned = [a for f in fits for a in (f.theta, f.residuals, f.noise_theta)]
+    assert all(a.flags.owndata for a in returned)
+    for a, b in itertools.combinations([psi, y_s] + returned, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_constrained_ls_satisfies_constraint_exactly():

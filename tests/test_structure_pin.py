@@ -39,6 +39,36 @@ PINNED = (
     ("bouc_wen", 0, 5,
      "y(k-1) phi1(k-1) u(k-1)*phi1(k-1)*phi2(k-1) "
      "y(k-1)*phi1(k-1)*phi2(k-1) phi1(k-1)^2"),
+    ("bouc_wen", 1, 5,
+     "y(k-1) phi1(k-1) u(k-1)*phi1(k-1)*phi2(k-1) "
+     "y(k-1)*phi1(k-1)*phi2(k-1) phi1(k-1)^2"),
+)
+
+# (experiment, seed, whole FROLS order, ELS iterations at each AIC point):
+# where the argmin is short, a reordered tail would not show above
+PINNED_FULL = (
+    ("heating", 1,
+     "y(k-1) y(k-2) u(k-2)^2 u(k-3) u(k-2)*u(k-3) y(k-3) y(k-3)^3 y(k-2)*y(k-3) "
+     "u(k-2) y(k-2)*u(k-3)^2 y(k-1)*y(k-3)*u(k-2) y(k-1)*u(k-3)^2 y(k-1)*y(k-3) "
+     "u(k-3)^2 y(k-2)^2*u(k-3) y(k-1)*u(k-2) y(k-1)*y(k-3)*u(k-3) y(k-1)*u(k-3) "
+     "y(k-3)^2 y(k-1)*y(k-2) y(k-2)^2 y(k-1)^2*u(k-2) y(k-2)*u(k-2) y(k-2)*u(k-3) "
+     "y(k-2)*y(k-3)^2 u(k-3)^3 y(k-1)*y(k-3)^2 y(k-2)*y(k-3)*u(k-3) "
+     "y(k-1)^2*y(k-3) y(k-2)^2*u(k-2)",
+     (22, 18, 23) + (30,) * 27),
+    ("bouc_wen", 0,
+     "y(k-1) phi1(k-1) u(k-1)*phi1(k-1)*phi2(k-1) y(k-1)*phi1(k-1)*phi2(k-1) "
+     "phi1(k-1)^2 u(k-1)*phi1(k-1)^2 phi1(k-1)*phi2(k-1) y(k-1)*phi1(k-1)^2 "
+     "u(k-1)*phi2(k-1) phi1(k-1)^3 u(k-1)^2*phi1(k-1) u(k-1)*phi1(k-1) "
+     "y(k-1)*phi1(k-1) y(k-1)*u(k-1)*phi1(k-1) y(k-1)*phi2(k-1) "
+     "phi1(k-1)^2*phi2(k-1) u(k-1)^2*phi2(k-1) y(k-1)*u(k-1)*phi2(k-1) phi2(k-1)",
+     (24,) + (30,) * 18),
+    ("bouc_wen", 1,
+     "y(k-1) phi1(k-1) u(k-1)*phi1(k-1)*phi2(k-1) y(k-1)*phi1(k-1)*phi2(k-1) "
+     "phi1(k-1)^2 phi1(k-1)*phi2(k-1) phi1(k-1)^2*phi2(k-1) u(k-1)*phi1(k-1)^2 "
+     "y(k-1)*phi1(k-1)^2 u(k-1)^2*phi1(k-1) y(k-1)*u(k-1)*phi1(k-1) phi1(k-1)^3 "
+     "y(k-1)*phi1(k-1) u(k-1)*phi2(k-1) y(k-1)*phi2(k-1) phi2(k-1) "
+     "y(k-1)*u(k-1)*phi2(k-1) u(k-1)^2*phi2(k-1) u(k-1)*phi1(k-1)",
+     (18,) + (30,) * 18),
 )
 
 
@@ -48,3 +78,11 @@ def test_selected_structure_is_pinned(name, seed, argmin, prefix):
     assert result.curve.argmin == argmin
     assert [str(t) for t in result.ranking.ordered_terms[:argmin]] == prefix.split()
     assert [str(t) for t in result.model.process_terms] == prefix.split()
+
+
+@pytest.mark.parametrize("name, seed, order, iterations", PINNED_FULL)
+def test_ranking_and_sweep_iterations_are_pinned(name, seed, order, iterations):
+    result = run_identification(default_config(name), seed)
+    assert [str(t) for t in result.ranking.ordered_terms] == order.split()
+    assert result.ranking.skipped == ()
+    assert result.curve.iterations == iterations
