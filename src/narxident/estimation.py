@@ -5,10 +5,10 @@ All solvers go through orthogonal decompositions rather than the normal
 equations, which keeps the condition number of the data matrix instead
 of its square.  Extended least squares has one implementation,
 :func:`els_sweep`, which fits several column prefixes of one regression
-matrix together: the prefixes share a single Householder QR (the QR of a
-column prefix is the prefix of the QR), and each iteration borders that
-factorization with the noise columns of every size still iterating, at
-O(m n k) work per size for m rows, n process and k noise columns.  The
+matrix in one block: the prefixes share a single Householder QR (the QR
+of a column prefix is the prefix of the QR), and each iteration borders
+that factorization with the noise columns of every size still iterating,
+at O(m n k) work per size for m rows, n process and k noise columns.  The
 noise columns are views of one zero-padded residual buffer, and the
 border W (the part of the noise columns orthogonal to Q) is left
 unnormalised: it is orthogonalized against Q a second time only when one
@@ -32,12 +32,14 @@ from .errors import ConstraintError, ParameterError, SingularMatrixError
 from .regression import build_regression  # noqa: F401  perfbench/tracing.py wraps this binding
 
 _RANK_RTOL = 1e-10
-#: prefix sizes iterated together; bounds the m x block working buffers
-_BLOCK_SIZES = 10
 
 
 def is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value):
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,9 @@ class ElsConfig:
     max_iterations: int = 30
 
     def __post_init__(self):
-        if not (self.zeta > 0) or not is_int(self.max_iterations) or self.max_iterations < 1:
-            raise ParameterError("zeta must be positive and max_iterations an integer >= 1")
+        if (not is_real(self.zeta) or not 0 < self.zeta < np.inf
+                or not is_int(self.max_iterations) or self.max_iterations < 1):
+            raise ParameterError("zeta must be finite and > 0, max_iterations an integer >= 1")
 
 
 def check_noise_terms(n_noise_terms):
@@ -95,12 +98,11 @@ def _rank_error(diag):
 def _fit_block(a, y_s, q, r, qty, sizes, n_noise_terms, config):
     """Fit the prefix sizes ``sizes`` (ascending, all of full rank) together.
 
-    ``a`` holds the ranked columns, factored as ``q r``.  Returns
-    ``{position in sizes: report or SingularMatrixError}``.  Every size
-    still iterating has done the same number of iterations, so one counter
-    serves the block; a size leaves the block when it converges or its
-    noise columns fail the rank check.  The tall buffers hold one row per
-    size.
+    ``a`` holds the ranked columns, factored as ``q r``.  Returns a report
+    or :class:`SingularMatrixError` for each size, in order.  The sizes
+    still iterating have done the same number of iterations, so one counter
+    serves them; a size leaves when it converges or its noise columns fail
+    the rank check.
     """
     m, k = len(y_s), n_noise_terms
     diag = np.abs(np.diag(r))
@@ -111,14 +113,14 @@ def _fit_block(a, y_s, q, r, qty, sizes, n_noise_terms, config):
     # least-squares residual of each prefix, one row per size
     r0 = np.ascontiguousarray((y_s[:, None] - a[:, :n_top] @ theta.T).T)
     if k == 0:
-        return {j: EstimationReport(theta=theta[j, :s].copy(), residuals=r0[j].copy())
-                for j, s in enumerate(sizes)}
+        return [EstimationReport(theta=theta[j, :s].copy(), residuals=r0[j].copy())
+                for j, s in enumerate(sizes)]
     # the residual Xi is lagged from, after k zeros: lag l is buf[:, k - l:m + k - l]
     buf = np.zeros((len(sizes), m + k))
     buf[:, k:] = r0
     pos = np.arange(len(sizes))
     phi = np.zeros((k, len(sizes)))
-    history, fits, iterations = [], {}, 0
+    history, fits, iterations = [], [None] * len(sizes), 0
 
     def report(j, converged):
         # the residual y - Psi theta - Xi phi itself, not its projected form,
@@ -237,21 +239,20 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
     it raises for that size; invalid arguments raise for the whole call.
     ``sizes`` must be increasing and within 1..len(cols).
 
-    The ranked columns are factored once.  Sizes are fitted in blocks of
-    ``_BLOCK_SIZES``, each block using only the Q prefix it needs and
-    forming each size's least-squares residual r0 once.  The noise columns
-    Xi are views of one residual buffer padded with k zeros.  Each
-    iteration forms C = Q^T Xi (masked to each size's prefix) and the
-    unnormalised border W = Xi - Q C, repeated on W only if |W|^2 < |C|^2
-    for some column, i.e. it kept less than 1/sqrt(2) of its norm; for
-    k > 1 a scaled Gram-Schmidt W = V U (U unit upper triangular) makes the
-    lags orthogonal.  Then U phi = D^-1 V^T y with D the squared norms of V
-    (phi = W^T y / W^T W for k = 1), one triangular solve on R for all
-    sizes, and the next residual r0 - W phi in place, after the finishing
-    sizes have reported y - Psi theta - Xi phi.  The rank
-    check is applied per size to the prefix diagonal of R and to sqrt(D),
-    each lag before it is divided by; each size keeps its own convergence
-    test.
+    The ranked columns are factored once and all sizes fitted in one block:
+    the tall buffers hold a row per size still iterating, the Q prefix is
+    the largest such size's, and each size's residual r0 is formed once.
+    The noise columns Xi are views of one residual buffer padded with k
+    zeros.  Each iteration forms C = Q^T Xi (masked to each size's prefix)
+    and the unnormalised border W = Xi - Q C, repeated on W only if
+    |W|^2 < |C|^2 for some column, i.e. it kept less than 1/sqrt(2) of its
+    norm; for k > 1 a scaled Gram-Schmidt W = V U (U unit upper triangular)
+    makes the lags orthogonal.  Then U phi = D^-1 V^T y with D the squared
+    norms of V (phi = W^T y / W^T W for k = 1), one triangular solve on R
+    for all sizes, and the next residual r0 - W phi in place, after the
+    finishing sizes have reported y - Psi theta - Xi phi.  The rank check
+    is applied per size to the prefix diagonal of R and to sqrt(D), each
+    lag before it is divided by; each size keeps its own convergence test.
     """
     psi = np.asarray(psi, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
@@ -283,11 +284,7 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
     # the failing sizes are a suffix: rows run out, and a rank deficiency
     # stays once the largest diagonal entry has outgrown a small one
     n_ok = fits.count(None)
-    qty = q.T @ y_s
-    for start in range(0, n_ok, _BLOCK_SIZES):
-        block = sizes[start:min(start + _BLOCK_SIZES, n_ok)]
-        for j, fit in _fit_block(a, y_s, q, r, qty, block, k, config).items():
-            fits[start + j] = fit
+    fits[:n_ok] = _fit_block(a, y_s, q, r, q.T @ y_s, sizes[:n_ok], k, config) if n_ok else []
     return fits
 
 

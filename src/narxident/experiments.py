@@ -103,8 +103,8 @@ class ExperimentConfig:
         for v in self.variables:
             if v not in _VALID_VARIABLES:
                 raise ParameterError(f"unknown variable kind {v!r}")
-        if not (0.0 <= self.noise_ratio):
-            raise ParameterError("noise ratio must be nonnegative")
+        if not 0.0 <= self.noise_ratio < np.inf:
+            raise ParameterError("noise ratio must be finite and nonnegative")
 
     @cached_property
     def candidates(self) -> CandidateSet:

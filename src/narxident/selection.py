@@ -11,7 +11,7 @@ import numpy as np
 from .data import TimeSeriesData
 from .errors import ParameterError
 from .estimation import (ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep,
-                         is_int, ls_estimate)
+                         is_int, is_real, ls_estimate)
 from .model import CandidateSet, NarxModel, RegressorTerm
 from .regression import build_regression
 
@@ -49,9 +49,11 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
     largest fraction of the output energy is selected.  Selection stops
     at ``max_terms`` or when the best remaining ratio falls below
     ``err_floor``.  Ties break on canonical term order, which also makes
-    the result independent of candidate input order.  ``max_terms``
-    (default ``min(30, len(candidates))``) must be an integer in
-    1..len(candidates) and ``err_floor`` finite and nonnegative.
+    the result independent of candidate input order.  The columns used are
+    those of R in the QR of [Psi y] (at most n + 1 rows for n candidates),
+    which keeps every inner product that ERR needs (Chen, Billings & Luo
+    1989).  ``max_terms`` (default ``min(30, len(candidates))``) must be an
+    integer in 1..len(candidates) and ``err_floor`` a finite real >= 0.
     """
     if len(candidates) == 0:
         raise ParameterError("empty candidate set")
@@ -59,17 +61,18 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
         max_terms = min(30, len(candidates))
     if not is_int(max_terms) or not 1 <= max_terms <= len(candidates):
         raise ParameterError(f"max_terms must be an integer in 1..{len(candidates)}")
-    if not np.isfinite(err_floor) or err_floor < 0:
+    if not is_real(err_floor) or not 0 <= err_floor < np.inf:
         raise ParameterError("err_floor must be finite and nonnegative")
 
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]
     psi, y_s = build_regression(candidates, data)
-    # Psi column-major, one row per column: the live columns are the
-    # contiguous rows work[:n_live], and at[p] is the term index of row p
-    work = psi.T[order]
+    # R's columns keep the inner products of [Psi y]'s; work holds one per row,
+    # the live ones in work[:n_live], and at[p] is the term index of row p
+    r = np.linalg.qr(np.column_stack([psi, y_s]), mode="r")
+    work, y_r = r[:, :-1].T[order], r[:, -1].copy()
     at = np.arange(len(terms))
-    yty = float(y_s @ y_s)
+    yty = float(y_r @ y_r)
     if yty == 0.0:
         raise ParameterError("target vector has zero energy")
     floor = _ZERO_COLUMN_RTOL * np.maximum(np.einsum("ij,ij->i", work, work), 1.0)
@@ -82,7 +85,7 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
         ww = np.einsum("ij,ij->i", live, live)
         ok = np.flatnonzero(ww > floor[at[:n_live]])
         ok = ok[np.argsort(at[ok])]  # scan in canonical term order
-        errs = (live @ y_s)[ok] ** 2 / (ww[ok] * yty)
+        errs = (live @ y_r)[ok] ** 2 / (ww[ok] * yty)
         best_p, best_err = None, -1.0
         for p, err in zip(ok.tolist(), errs.tolist()):
             if err > best_err + 1e-15:
@@ -104,7 +107,7 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
         q = w / np.linalg.norm(w)
         basis.append(q)
         selected.append(int(at[n_live]))
-        err_values.append((float(w @ y_s) ** 2) / (float(w @ w) * yty))
+        err_values.append((float(w @ y_r) ** 2) / (float(w @ w) * yty))
         # deflate the live columns only
         live = work[:n_live]
         live -= np.outer(live @ q, q)

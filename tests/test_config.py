@@ -52,8 +52,9 @@ def test_config_builds_same_experiment_as_builtin(tmp_path):
 def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(system="heating", variables=("y", "w"))
-    with pytest.raises(ParameterError):
-        ExperimentConfig(system="heating", noise_ratio=-0.1)
+    for ratio in (-0.1, float("inf")):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(system="heating", noise_ratio=ratio)
     with pytest.raises(ParameterError):
         default_config("unknown")
 
@@ -246,6 +247,17 @@ def test_wrong_type_value_is_a_parameter_error(path, value, where, message):
     with pytest.raises(ParameterError) as exc:
         config_from_dict(d)
     assert str(exc.value) == f"config field '{where}' {message}"
+
+
+@pytest.mark.parametrize("path", ["estimator.zeta", "noise_ratio"])
+def test_number_overflowing_to_inf_is_a_parameter_error(path, tmp_path):
+    # JSON 1e400 parses to inf, which passes the number type check
+    d = copy.deepcopy(_BOUC_WEN)
+    node, key = _parent(d, path)
+    node[key] = "OVERFLOW"
+    (tmp_path / "config.json").write_text(json.dumps(d).replace('"OVERFLOW"', "1e400"))
+    with pytest.raises(ParameterError, match="finite"):
+        load_config(tmp_path / "config.json")
 
 
 def test_integers_are_accepted_as_numbers():

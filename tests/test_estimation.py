@@ -131,8 +131,9 @@ def test_els_validates_arguments():
     psi, y_s = build_regression(generate_candidates(1, 1, 1), data)
     with pytest.raises(ParameterError):
         els_core(psi, y_s, n_noise_terms=-1)
-    with pytest.raises(ParameterError):
-        ElsConfig(zeta=0.0)
+    for bad in (0.0, float("inf"), float("nan"), True, "1"):
+        with pytest.raises(ParameterError, match="zeta"):
+            ElsConfig(zeta=bad)
     with pytest.raises(ParameterError):
         ElsConfig(max_iterations=0)
     for bad in (2.5, True):
@@ -318,9 +319,9 @@ def _fit_or_error(psi, y_s, n_noise_terms, config):
 # a noise parameter near -93, which an absolute tolerance would fail on
 @example(n=23, k=1, extra_rows=0, duplicate=False, exact=False, seed=3753471)
 def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, seed):
-    # every prefix size of one sweep against its own els_core call, across
-    # several blocks, sizes converging at different iterations, sizes
-    # failing on rows, on a duplicated column or on a vanishing noise column
+    # every prefix size of one sweep against its own els_core call, with
+    # sizes converging at different iterations, sizes failing on rows, on a
+    # duplicated column or on a vanishing noise column
     rng = np.random.default_rng(seed)
     m = max(n + extra_rows, 2)
     psi = rng.standard_normal((m, n + 3))
@@ -333,10 +334,17 @@ def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, s
     else:
         e = rng.standard_normal(m + 1)
         y_s = 0.3 * psi @ rng.standard_normal(n + 3) + e[1:] + 0.6 * e[:-1]
+    _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k)
+
+
+def _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k):
+    """Sweep every prefix size of ``cols`` and compare each with its own fit;
+    returns the sweep's fits."""
     config = ElsConfig(zeta=1e-6, max_iterations=10)
-    sizes = np.arange(1, n + 1)
+    sizes = np.arange(1, len(cols) + 1)
     scale = np.max(np.abs(y_s))
-    for n_theta, fit in zip(sizes, els_sweep(psi, y_s, cols, sizes, k, config)):
+    fits = els_sweep(psi, y_s, cols, sizes, k, config)
+    for n_theta, fit in zip(sizes, fits):
         want = _fit_or_error(psi[:, cols[:n_theta]], y_s, k, config)
         if isinstance(want, Exception):
             assert type(fit) is type(want)
@@ -350,11 +358,30 @@ def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, s
                                (np.array(fit.change_norms), np.array(want.change_norms),
                                 max(want.change_norms, default=0.0))):
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-9 * size
+    return fits
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_els_sweep_sizes_leave_one_block_at_different_iterations(k):
+    # 16 sizes iterate together: some converge, each at its own iteration,
+    # some reach the cap, and the largest, whose least-squares fit is exact,
+    # fails the rank check on its noise columns
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal((200, 18))
+    cols = rng.permutation(18)[:16]
+    e = rng.standard_normal(201)
+    psi[:, cols[-1]] = e[1:] + 0.9 * e[:-1]  # the last ranked column is MA noise
+    y_s = psi[:, cols] @ rng.uniform(0.2, 1.0, 16)
+    fits = _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k)
+    *fitted, last = fits
+    assert isinstance(last, SingularMatrixError) and last.column == 16
+    assert len({f.iterations for f in fitted if f.converged}) >= 2
+    assert any(not f.converged and f.iterations == 10 for f in fitted)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_els_sweep_leaves_its_inputs_and_returns_unshared_arrays(k):
-    # two blocks of sizes, several finishing in the same iteration: each
+    # twelve sizes, several finishing in the same iteration: each
     # report is built before the sweep's working buffers are overwritten,
     # and no returned array is a view of them, of another report or of an input
     rng = np.random.default_rng(11)

@@ -118,6 +118,18 @@ def test_monte_carlo_rejects_negative_ratios():
         monte_carlo_noise_sweep(heating_experiment(), [-0.5], 1)
 
 
+@pytest.mark.parametrize("ratios", [[0.0, float("inf")], [0.0, float("nan")]])
+def test_monte_carlo_rejects_non_finite_ratios_before_any_trial(ratios, monkeypatch):
+    from narxident import evaluation, heating_experiment, monte_carlo_noise_sweep
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the noise ratios were checked")
+
+    monkeypatch.setattr(evaluation, "run_identification", no_trial)
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        monte_carlo_noise_sweep(heating_experiment(), ratios, 2)
+
+
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5, True, "2"])
 def test_monte_carlo_rejects_bad_trial_counts_before_any_work(bad, monkeypatch):

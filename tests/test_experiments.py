@@ -87,3 +87,9 @@ def test_validation_data_is_noise_free_and_independent():
 def test_negative_noise_ratio_override_is_rejected():
     with pytest.raises(ParameterError, match="nonnegative"):
         run_identification(heating_experiment(), 1, noise_ratio=-0.3)
+
+
+@pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
+def test_non_finite_noise_ratio_override_is_rejected(ratio):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        run_identification(heating_experiment(), 1, noise_ratio=ratio)

@@ -120,7 +120,7 @@ def test_frols_rejects_bad_max_terms(bad):
         frols_rank(generate_candidates(2, 2, 2), data, max_terms=bad)  # 14 candidates
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3, None, "1e-3", True])
 def test_frols_rejects_bad_err_floor(bad):
     data = synthetic_record(*TRUE_SYSTEMS[1])
     with pytest.raises(ParameterError):
@@ -172,8 +172,19 @@ def _assert_frols_matches_reference(candidates, data, psi, y_s, max_terms=None,
     if max_terms is None:
         max_terms = min(30, len(candidates))
     terms, err_values, skipped = _reference_frols(candidates, psi, y_s, max_terms, err_floor)
-    assert ranking.ordered_terms == terms
-    assert ranking.skipped == skipped
+    got = ranking.ordered_terms
+    tie = np.linalg.matrix_rank(psi) - 1
+    if len(psi) <= len(candidates) and got[tie:tie + 1] != terms[tie:tie + 1]:
+        # fewer rows than candidates + 1: after rank - 1 picks the columns
+        # left lie on one direction and their ERRs tie exactly, so rounding
+        # picks one of them, and any others left are skipped
+        assert got[:tie] == terms[:tie] and len(got) == len(terms)
+        assert bool(ranking.skipped) == bool(skipped)
+        if skipped:
+            assert set(got[tie:] + ranking.skipped) == set(terms[tie:] + skipped)
+    else:
+        assert got == terms
+        assert ranking.skipped == skipped
     assert np.all(np.abs(ranking.err_values - err_values) <= 1e-9 * np.abs(err_values))
 
 
@@ -185,16 +196,20 @@ def test_frols_matches_scalar_loop_reference(name, seed):
     _assert_frols_matches_reference(config.candidates, data, psi, y_s)
 
 
-@given(st.integers(0, 30), st.integers(0, 3), st.integers(0, 3), st.booleans(),
+@given(st.integers(-13, 30), st.integers(0, 3), st.integers(0, 3), st.booleans(),
        st.integers(1, 14), st.sampled_from([0.0, 1e-10, 1e-3]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_frols_matches_reference_on_random_dictionaries(extra_rows, n_dup, n_const, zero,
                                                         max_terms, err_floor, seed):
     # columns duplicated (some negated), constant columns of several
-    # scales (their ERRs tie up to rounding), and an all-zero column
-    candidates = generate_candidates(2, 2, 2)  # 14 terms
-    n = len(candidates)
+    # scales (their ERRs tie up to rounding), an all-zero column, down to 2
+    # rows, where R has fewer rows than candidates + 1, and the candidates
+    # out of canonical order
     rng = np.random.default_rng(seed)
+    candidates = generate_candidates(2, 2, 2)  # 14 terms
+    candidates = dataclasses.replace(
+        candidates, terms=tuple(candidates.terms[i] for i in rng.permutation(len(candidates))))
+    n = len(candidates)
     m = n + 1 + extra_rows
     psi = rng.standard_normal((m, n))
     cols = rng.permutation(n)
@@ -209,6 +224,15 @@ def test_frols_matches_reference_on_random_dictionaries(extra_rows, n_dup, n_con
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(selection, "build_regression", lambda *args: (psi, y_s))
         _assert_frols_matches_reference(candidates, data, psi, y_s, max_terms, err_floor)
+
+
+@pytest.mark.parametrize("m", [5, 40])
+def test_frols_rejects_zero_target(m, monkeypatch):
+    # R has m rows for m < 15, and its target column is zero like y
+    psi = np.random.default_rng(0).standard_normal((m, 14))
+    monkeypatch.setattr(selection, "build_regression", lambda *args: (psi, np.zeros(m)))
+    with pytest.raises(ParameterError, match="zero energy"):
+        frols_rank(generate_candidates(2, 2, 2), synthetic_record(*TRUE_SYSTEMS[0]))
 
 
 def test_aic_penalty_dominates_on_perfect_model():
