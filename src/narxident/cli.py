@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .benchmarks import preset_models
 from .config import config_to_dict, load_config, save_config

@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from .errors import ParameterError
 from .estimation import ElsConfig
-from .experiments import ExperimentConfig, default_config  # default_config: re-exported
+from .experiments import ExperimentConfig
 from .hysteresis import HysteresisCandidateConfig
 from .input_design import InputDesignSpec
 from .selection import SelectionConfig

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +59,21 @@ def save_csv(path, data: TimeSeriesData, y_clean=None):
 
 
 def load_csv(path, ts=1.0, label=""):
-    """Read a ``k,u,y`` CSV written by :func:`save_csv` (extra columns ignored)."""
+    """Read a ``k,u,y`` CSV written by :func:`save_csv` (extra columns ignored).
+
+    A missing or non-numeric ``u`` or ``y`` cell raises
+    :class:`ParameterError` naming the file and the line.
+    """
     u, y = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"u", "y"} <= set(reader.fieldnames):
             raise ParameterError(f"{path}: expected a CSV with 'u' and 'y' columns")
         for row in reader:
-            u.append(float(row["u"]))
-            y.append(float(row["y"]))
+            try:
+                u.append(float(row["u"]))
+                y.append(float(row["y"]))
+            except (TypeError, ValueError):  # None for a cell past a short row's end
+                raise ParameterError(f"{path}, line {reader.line_num}: u and y must be numbers"
+                                     f" (got u={row['u']!r}, y={row['y']!r})") from None
     return TimeSeriesData(np.array(u), np.array(y), ts=ts, label=label or str(path))

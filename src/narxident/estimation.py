@@ -4,9 +4,9 @@ equality-constrained least squares.
 All solvers go through orthogonal decompositions rather than the normal
 equations, which keeps the condition number of the data matrix instead
 of its square.  Extended least squares has one implementation,
-:func:`els_sweep`, which fits several column prefixes of one regression
-matrix in one block: the prefixes share a single Householder QR (the QR
-of a column prefix is the prefix of the QR), and each iteration borders
+:func:`els_sweep`, which fits several column prefixes of the matrix it is
+given in one block: the prefixes share a single Householder QR (the QR of
+a column prefix is the prefix of the QR), and each iteration borders
 that factorization with the noise columns of every size still iterating,
 at O(m n k) work per size for m rows, n process and k noise columns.  The
 noise columns are views of one zero-padded residual buffer, and the
@@ -98,8 +98,8 @@ def _rank_error(diag):
 def _fit_block(a, y_s, q, r, qty, sizes, n_noise_terms, config):
     """Fit the prefix sizes ``sizes`` (ascending, all of full rank) together.
 
-    ``a`` holds the ranked columns, factored as ``q r``.  Returns a report
-    or :class:`SingularMatrixError` for each size, in order.  The sizes
+    ``a`` holds the largest size's columns, factored as ``q r``.  Returns a
+    report or :class:`SingularMatrixError` for each size, in order.  The sizes
     still iterating have done the same number of iterations, so one counter
     serves them; a size leaves when it converges or its noise columns fail
     the rank check.
@@ -230,16 +230,16 @@ def _fit_block(a, y_s, q, r, qty, sizes, n_noise_terms, config):
     return fits
 
 
-def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
+def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     """Extended least squares on several column prefixes of one matrix.
 
     Entry i of the returned list is what
-    ``els_core(psi[:, cols[:sizes[i]]], y_s, n_noise_terms, config)``
-    returns, or the :class:`ParameterError` / :class:`SingularMatrixError`
-    it raises for that size; invalid arguments raise for the whole call.
-    ``sizes`` must be increasing and within 1..len(cols).
+    ``els_core(psi[:, :sizes[i]], y_s, n_noise_terms, config)`` returns, or
+    the :class:`ParameterError` / :class:`SingularMatrixError` it raises
+    for that size; invalid arguments raise for the whole call.  ``sizes``
+    must be increasing and within 1..psi.shape[1].
 
-    The ranked columns are factored once and all sizes fitted in one block:
+    The columns are factored once and all sizes fitted in one block:
     the tall buffers hold a row per size still iterating, the Q prefix is
     the largest such size's, and each size's residual r0 is formed once.
     The noise columns Xi are views of one residual buffer padded with k
@@ -254,20 +254,19 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
     is applied per size to the prefix diagonal of R and to sqrt(D), each
     lag before it is divided by; each size keeps its own convergence test.
     """
-    psi = np.asarray(psi, dtype=float)
+    # row-major, so a one-size fit's Psi theta sums each row as psi @ theta does
+    psi = np.ascontiguousarray(psi, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     check_noise_terms(n_noise_terms)
     if psi.ndim != 2:
         raise ParameterError("regression matrix must be 2-D")
-    cols = np.asarray(cols, dtype=int)
+    m, n = psi.shape
     sizes = np.asarray(sizes, dtype=int)
-    if (sizes.ndim != 1 or not sizes.size or sizes[0] < 1 or sizes[-1] > len(cols)
+    if (sizes.ndim != 1 or not sizes.size or sizes[0] < 1 or sizes[-1] > n
             or np.any(np.diff(sizes) <= 0)):
-        raise ParameterError("sizes must increase within 1..len(cols)")
-    m = psi.shape[0]
+        raise ParameterError(f"sizes must increase within 1..{n}")
     k = n_noise_terms
-    # row-major like psi, so a one-size fit's Psi theta sums each row as psi @ theta does
-    a = psi.take(cols[:min(sizes[-1], m)], axis=1)
+    a = psi[:, :min(sizes[-1], m)]
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     rank_bad = np.minimum.accumulate(diag) <= _RANK_RTOL * np.maximum.accumulate(diag)
@@ -291,8 +290,7 @@ def els_sweep(psi, y_s, cols, sizes, n_noise_terms=1, config=ElsConfig()):
 def _fit_one(psi, y_s, n_noise_terms, config):
     """The one-size case of :func:`els_sweep`: all columns, failure raised."""
     psi = np.asarray(psi, dtype=float)
-    n = psi.shape[1] if psi.ndim == 2 else 0
-    (fit,) = els_sweep(psi, y_s, np.arange(n), [n], n_noise_terms, config)
+    (fit,) = els_sweep(psi, y_s, [psi.shape[1] if psi.ndim == 2 else 0], n_noise_terms, config)
     if isinstance(fit, Exception):
         raise fit
     return fit

@@ -9,7 +9,7 @@ linear output regressors that gives the constant-input hold property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -60,9 +60,10 @@ def model_from_text(text: str) -> NarxModel:
         else:
             try:
                 term_str, theta_str = ln.split("\t")
+                theta = float(theta_str)
             except ValueError as exc:
                 raise ParameterError(f"malformed term line {ln!r}") from exc
-            process.append((parse_term(term_str), float(theta_str)))
+            process.append((parse_term(term_str), theta))
     if not process:
         raise ParameterError("model file has no process terms")
     try:
@@ -77,6 +78,8 @@ def model_from_text(text: str) -> NarxModel:
         label = fields.get("label", "")
     except KeyError as exc:
         raise ParameterError(f"model file missing field {exc}") from exc
+    except ValueError as exc:
+        raise ParameterError(f"model file has a non-numeric field: {exc}") from exc
     return NarxModel(
         process_terms=tuple(t for t, _ in process),
         theta=tuple(th for _, th in process),

@@ -114,7 +114,8 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     The difference signals are computed from ``u``; the moving-average
     noise terms are not simulated.  ``bound`` caps |y(k)| and defaults to
     :func:`divergence_bound` of ``y_init``; when exceeded the run stops
-    and the partial trajectory is returned with ``diverged=True``.
+    and the partial trajectory is returned with ``diverged=True``.  It
+    must be positive; ``inf`` means no bound.
 
     Each term's exogenous part (its parameter times its input and
     difference-signal factors) is computed once as a vector; the
@@ -133,6 +134,8 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
         raise InsufficientDataError("input shorter than the initialization horizon")
     if bound is None:
         bound = divergence_bound(y_init)
+    elif not bound > 0:  # NaN too, which no |y(k)| would exceed
+        raise ParameterError(f"divergence bound must be positive or inf, got {bound!r}")
 
     table = _signal_table(u)
     terms = []  # (exogenous part over k = 0 .. n-1, output lags with repeats)

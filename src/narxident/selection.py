@@ -12,7 +12,7 @@ from .data import TimeSeriesData
 from .errors import ParameterError
 from .estimation import (ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep,
                          is_int, is_real, ls_estimate)
-from .model import CandidateSet, NarxModel, RegressorTerm
+from .model import CandidateSet, NarxModel
 from .regression import build_regression
 
 _ZERO_COLUMN_RTOL = 1e-12
@@ -24,12 +24,13 @@ class ErrRanking:
 
     ``err_values[i]`` is the fraction of output energy explained by the
     i-th selected term after orthogonalization against its predecessors;
+    ``columns[i]`` is that term's column in the regression matrix ranked;
     ``skipped`` lists terms whose columns became numerically zero.
     """
 
     ordered_terms: tuple
     err_values: np.ndarray
-    candidates: CandidateSet
+    columns: tuple
     skipped: tuple = ()
 
     @property
@@ -40,13 +41,13 @@ class ErrRanking:
         return len(self.ordered_terms)
 
 
-def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
-               err_floor=1e-10):
+def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-10):
     """Rank candidate terms by error reduction ratio.
 
-    At each step every remaining candidate column is orthogonalized
-    against the already-selected columns; the candidate explaining the
-    largest fraction of the output energy is selected.  Selection stops
+    ``(psi, y_s)`` is :func:`build_regression` of the candidates.  At each
+    step every remaining candidate column is orthogonalized against the
+    already-selected columns; the candidate explaining the largest
+    fraction of the output energy is selected.  Selection stops
     at ``max_terms`` or when the best remaining ratio falls below
     ``err_floor``.  Ties break on canonical term order, which also makes
     the result independent of candidate input order.  The columns used are
@@ -63,10 +64,11 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
         raise ParameterError(f"max_terms must be an integer in 1..{len(candidates)}")
     if not is_real(err_floor) or not 0 <= err_floor < np.inf:
         raise ParameterError("err_floor must be finite and nonnegative")
+    if np.shape(psi) != (len(y_s), len(candidates)):
+        raise ParameterError("psi must have a row per target sample and a column per candidate")
 
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]
-    psi, y_s = build_regression(candidates, data)
     # R's columns keep the inner products of [Psi y]'s; work holds one per row,
     # the live ones in work[:n_live], and at[p] is the term index of row p
     r = np.linalg.qr(np.column_stack([psi, y_s]), mode="r")
@@ -115,7 +117,7 @@ def frols_rank(candidates: CandidateSet, data: TimeSeriesData, max_terms=None,
     return ErrRanking(
         ordered_terms=tuple(terms[j] for j in selected),
         err_values=np.array(err_values),
-        candidates=candidates,
+        columns=tuple(order[j] for j in selected),
         skipped=tuple(terms[j] for j in skipped),
     )
 
@@ -162,27 +164,24 @@ class SelectionConfig:
         check_noise_terms(self.n_noise_terms)
 
 
-def aic_curve(ranking: ErrRanking, data: TimeSeriesData, config=SelectionConfig()):
+def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
     """Cost curve N*ln(residual variance) + 2*n over the ranked term list.
 
     The residual variance at each size is that of the one-step-ahead
-    residuals y - Psi theta of the truncated model, re-estimated on the
-    data.  All sizes share the row frame of the full candidate set so the
-    variances are comparable.  Every size is estimated in one
-    :func:`els_sweep` call over the ranked columns, with no noise columns
-    for least squares; a size the sweep could not fit is a NaN point.
-    The sweep uses ``config.sweep_estimator``, ``config.els`` and
+    residuals y - Psi theta of the truncated model, re-estimated on
+    ``(psi, y_s)``, the regression the ranking was computed on, so all
+    sizes share one row frame.  Every size is estimated in one
+    :func:`els_sweep` call over prefixes of the ranked columns, with no
+    noise columns for least squares; a size the sweep could not fit is a
+    NaN point.  The sweep uses ``config.sweep_estimator``, ``config.els`` and
     ``config.n_noise_terms``.
     """
     if len(ranking) == 0:
         raise ParameterError("empty ranking")
-    psi, y_s = build_regression(ranking.candidates, data)
-    col_of = {t: i for i, t in enumerate(ranking.candidates.terms)}
-    cols = [col_of[t] for t in ranking.ordered_terms]
+    ranked = psi.take(ranking.columns, axis=1)
     sizes = np.arange(1, len(ranking) + 1)
     n_noise_terms = config.n_noise_terms if config.sweep_estimator == "els" else 0
-    fits = els_sweep(psi, y_s, cols, sizes, n_noise_terms, config.els)
-    ranked = psi.take(cols, axis=1)
+    fits = els_sweep(ranked, y_s, sizes, n_noise_terms, config.els)
     costs = np.full(len(sizes), np.nan)
     converged, iterations = [False] * len(sizes), [0] * len(sizes)
     for i, (n_theta, fit) in enumerate(zip(sizes, fits)):
@@ -201,13 +200,15 @@ def select_structure(candidates: CandidateSet, data: TimeSeriesData,
                      config=SelectionConfig()):
     """Full structure-selection pipeline.
 
-    Ranks the candidates, truncates at the information-criterion argmin,
-    and re-estimates the parameters of the selected terms on the full
-    data with the configured estimator.  Returns the model together with
-    the ranking, the cost curve, and the final estimation report.
+    Ranks the candidates and truncates at the information-criterion
+    argmin on one regression of the candidates, then re-estimates the
+    selected terms on their own (whose rows start at their largest lag)
+    with the configured estimator.  Returns the model together with the
+    ranking, the cost curve, and the final estimation report.
     """
-    ranking = frols_rank(candidates, data)
-    curve = aic_curve(ranking, data, config)
+    psi, y_s = build_regression(candidates, data)
+    ranking = frols_rank(candidates, psi, y_s)
+    curve = aic_curve(ranking, psi, y_s, config)
     n_sel = curve.argmin
     chosen = ranking.ordered_terms[:n_sel]
     psi, y_s = build_regression(chosen, data)

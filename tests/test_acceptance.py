@@ -206,12 +206,12 @@ def test_criterion_6_frols_oracle_equivalence():
                 acc += val
             yv[k] = acc
         data = TimeSeriesData(u, yv, ts=1.0)
-        ranking = frols_rank(cs, data)
+        psi, y_s = build_regression(cs, data)
+        ranking = frols_rank(cs, psi, y_s)
         k_true = len(true_terms)
         first_ok = set(ranking.ordered_terms[:k_true]) == set(true_terms)
         cum_ok = ranking.cumulative_err[k_true - 1] > 1.0 - 1e-8
         # brute-force single-term ERR maximization for the first pick
-        psi, y_s = build_regression(cs, data)
         errs = [(float(psi[:, j] @ y_s) ** 2) / (float(psi[:, j] @ psi[:, j]) * float(y_s @ y_s))
                 for j in range(psi.shape[1])]
         brute_ok = ranking.ordered_terms[0] == cs.terms[int(np.argmax(errs))]

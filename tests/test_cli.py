@@ -182,6 +182,38 @@ def test_monte_carlo_bad_ratio_is_reported(tmp_path, capsys):
     assert out.err.startswith("error: ") and "'abc'" in out.err
 
 
+def _validate_preset(tmp_path, capsys, *extra, edit=lambda text: text):
+    """``validate`` on the heating preset's model file, edited by ``edit``."""
+    path = tmp_path / "model.txt"
+    save_model(preset_models()["heating_narx"].model, path)
+    path.write_text(edit(path.read_text()))
+    return run(["validate", "--experiment", "heating", "--output-dir", str(tmp_path),
+                "--model", str(path), *extra], capsys)
+
+
+@pytest.mark.parametrize("row", ["1,abc,0.2", "1,0.5"])
+def test_validate_reports_a_bad_data_row(tmp_path, capsys, row):
+    # a non-numeric cell, and a row too short to have a y cell
+    data = tmp_path / "data.csv"
+    data.write_text(f"k,u,y\n0,0.1,0.2\n{row}\n")
+    code, out = _validate_preset(tmp_path, capsys, "--data", str(data))
+    assert code == 1
+    assert out.err.startswith("error: ") and f"{data}, line 3" in out.err
+
+
+def test_validate_reports_a_non_numeric_model_field(tmp_path, capsys):
+    code, out = _validate_preset(tmp_path, capsys,
+                                 edit=lambda text: text.replace("degree = ", "degree = x"))
+    assert code == 1 and out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bound", ["nan", "0", "-1"])
+def test_validate_rejects_nan_and_nonpositive_bound(tmp_path, capsys, bound):
+    code, out = _validate_preset(tmp_path, capsys, "--bound", bound)
+    assert code == 1
+    assert out.err.startswith("error: ") and "bound" in out.err
+
+
 def test_validate_on_generated_sine(tmp_path, capsys):
     # --sine-frequency validates against the experiment's system driven by a sinusoid
     model = preset_models()["heating_narx"].model

@@ -14,6 +14,7 @@ from narxident import (
     ParameterError,
     SelectionConfig,
     bouc_wen_experiment,
+    default_config,
     heating_experiment,
     make_identification_data,
 )
@@ -22,7 +23,6 @@ from narxident.config import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
-    default_config,
     load_config,
     save_config,
 )

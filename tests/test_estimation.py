@@ -143,7 +143,7 @@ def test_els_validates_arguments():
         with pytest.raises(ParameterError):
             els_core(psi, y_s, bad)
         with pytest.raises(ParameterError):
-            els_sweep(psi, y_s, [0, 1], [1, 2], bad)
+            els_sweep(psi, y_s, [1, 2], bad)
 
 
 def _lagged_columns(xi, n_lags):
@@ -253,7 +253,7 @@ def test_els_second_pass_keeps_a_nearly_dependent_border_accurate():
             q, _ = np.linalg.qr(psi)
             e -= q @ (q.T @ e)
         y_s = 10.0 * psi @ np.array([1.0, 0.5]) + e
-        fits = els_sweep(psi, y_s, [0, 1], [1, 2], 1, config)
+        fits = els_sweep(psi, y_s, [1, 2], 1, config)
         for s, fit in zip([1, 2], fits):
             theta, residuals, _ = _reference_els(psi[:, :s], y_s, 1, config)
             error = (np.max(np.abs(np.r_[fit.theta, fit.noise_theta] - theta))
@@ -272,12 +272,11 @@ def test_els_residual_row_without_history_is_exact():
     # residual formed by projection rather than from theta misses by ~1e-11.
     config = heating_experiment()
     data, _ = make_identification_data(config, 7)
-    ranking = frols_rank(config.candidates, data)
     psi, y_s = build_regression(config.candidates, data)
-    cols = [config.candidates.terms.index(t) for t in ranking.ordered_terms]
-    sizes = np.arange(1, len(cols) + 1)
-    for s, fit in zip(sizes, els_sweep(psi, y_s, cols, sizes, 1, config.selection.els)):
-        row0 = psi[0, cols[:s]]
+    ranked = psi.take(frols_rank(config.candidates, psi, y_s).columns, axis=1)
+    sizes = np.arange(1, ranked.shape[1] + 1)
+    for s, fit in zip(sizes, els_sweep(ranked, y_s, sizes, 1, config.selection.els)):
+        row0 = ranked[0, :s]
         scale = abs(y_s[0]) + np.abs(row0) @ np.abs(fit.theta) + abs(fit.residuals[0])
         assert abs(fit.residuals[0] - (y_s[0] - row0 @ fit.theta)) <= 1e-12 * scale
 
@@ -338,14 +337,25 @@ def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, s
 
 
 def _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k):
-    """Sweep every prefix size of ``cols`` and compare each with its own fit;
+    """Sweep every prefix size of ``psi``'s columns ``cols`` and compare each
+    with its own fit, and the sweep of a Fortran-ordered copy bit for bit;
     returns the sweep's fits."""
     config = ElsConfig(zeta=1e-6, max_iterations=10)
+    ranked = psi.take(cols, axis=1)
     sizes = np.arange(1, len(cols) + 1)
     scale = np.max(np.abs(y_s))
-    fits = els_sweep(psi, y_s, cols, sizes, k, config)
+    fits = els_sweep(ranked, y_s, sizes, k, config)
+    for fit, fortran in zip(fits, els_sweep(np.asfortranarray(ranked), y_s, sizes, k, config)):
+        if isinstance(fit, Exception):
+            assert type(fortran) is type(fit) and str(fortran) == str(fit)
+            continue
+        for a, b in ((fit.theta, fortran.theta), (fit.residuals, fortran.residuals),
+                     (fit.noise_theta, fortran.noise_theta)):
+            assert a.tobytes() == b.tobytes()
+        assert (fit.iterations, fit.converged, fit.change_norms) == (
+            fortran.iterations, fortran.converged, fortran.change_norms)
     for n_theta, fit in zip(sizes, fits):
-        want = _fit_or_error(psi[:, cols[:n_theta]], y_s, k, config)
+        want = _fit_or_error(ranked[:, :n_theta], y_s, k, config)
         if isinstance(want, Exception):
             assert type(fit) is type(want)
             assert getattr(fit, "column", None) == getattr(want, "column", None)
@@ -389,8 +399,7 @@ def test_els_sweep_leaves_its_inputs_and_returns_unshared_arrays(k):
     e = rng.standard_normal(151)
     y_s = psi @ rng.standard_normal(14) + e[1:] + 0.6 * e[:-1]
     psi_before, y_before = psi.copy(), y_s.copy()
-    cols = rng.permutation(14)[:12]
-    fits = els_sweep(psi, y_s, cols, np.arange(1, 13), k, ElsConfig(zeta=1e-6, max_iterations=4))
+    fits = els_sweep(psi, y_s, np.arange(1, 13), k, ElsConfig(zeta=1e-6, max_iterations=4))
     assert np.array_equal(psi, psi_before) and np.array_equal(y_s, y_before)
     returned = [a for f in fits for a in (f.theta, f.residuals, f.noise_theta)]
     assert all(a.flags.owndata for a in returned)

@@ -51,12 +51,25 @@ def test_model_from_text_rejects_malformed():
         model_from_text("# narxident model v1\nts = 1.0\n[process]\n")
 
 
+@pytest.mark.parametrize("field", ["theta", "degree"])
+def test_model_from_text_rejects_non_numeric_values(field):
+    lines = model_to_text(preset_models()["heating_narx"].model).splitlines()
+    if field == "theta":
+        i = lines.index("[process]") + 1
+        lines[i] = lines[i].split("\t")[0] + "\tabc"
+    else:
+        lines = ["degree = three" if ln.startswith("degree =") else ln for ln in lines]
+    with pytest.raises(ParameterError):
+        model_from_text("\n".join(lines))
+
+
 def test_ranking_and_aic_csv(tmp_path):
-    from narxident import TimeSeriesData, frols_rank, generate_candidates
+    from narxident import TimeSeriesData, build_regression, frols_rank, generate_candidates
     rng = np.random.default_rng(0)
     u = rng.uniform(-1, 1, 300)
     y = np.r_[0.0, 2 * u[:-1]] + 0.01 * rng.standard_normal(300)
-    ranking = frols_rank(generate_candidates(1, 1, 1), TimeSeriesData(u, y, ts=1.0))
+    cs = generate_candidates(1, 1, 1)
+    ranking = frols_rank(cs, *build_regression(cs, TimeSeriesData(u, y, ts=1.0)))
     p1 = tmp_path / "err.csv"
     ranking_to_csv(ranking, p1)
     lines = p1.read_text().strip().splitlines()

@@ -100,6 +100,22 @@ def test_free_run_divergence_guard():
     assert np.all(np.isnan(sim.y[sim.diverged_at:]))
 
 
+@pytest.mark.parametrize("bound", [float("nan"), 0.0, -1.0])
+def test_free_run_rejects_nan_and_nonpositive_bound(bound):
+    # NaN would switch the guard off; 0 or less would flag every step
+    m = small_model([term((Y, 1, 1))], [0.5])
+    with pytest.raises(ParameterError, match="bound"):
+        free_run_simulate(m, np.zeros(6), y_init=[1.0], bound=bound)
+
+
+def test_free_run_infinite_bound_means_no_bound():
+    # doubling from 1 passes 1e6 * max(1, |y_init|) but stays finite in 60 steps
+    m = small_model([term((Y, 1, 1))], [2.0])
+    sim = free_run_simulate(m, np.zeros(60), y_init=[1.0], bound=float("inf"))
+    assert not sim.diverged
+    assert sim.y[-1] == 2.0 ** 59
+
+
 def test_free_run_default_bound_scales_with_initial_state():
     m = small_model([term((Y, 1, 1))], [2.0])
     sim = free_run_simulate(m, np.zeros(25), y_init=[1.0])

@@ -80,7 +80,7 @@ def test_frols_oracle_equivalence(true_terms, theta):
     data = synthetic_record(true_terms, theta, seed=7)
     cs = generate_candidates(2, 2, 2)
     assert len(cs.terms) <= 20
-    ranking = frols_rank(cs, data)
+    ranking = frols_rank(cs, *build_regression(cs, data))
     k = len(true_terms)
     assert set(ranking.ordered_terms[:k]) == set(true_terms)
     assert ranking.cumulative_err[k - 1] > 1.0 - 1e-8
@@ -90,11 +90,11 @@ def test_frols_oracle_equivalence(true_terms, theta):
 def test_frols_err_values_properties():
     data = synthetic_record(*TRUE_SYSTEMS[2], seed=1, noise=0.05)
     cs = generate_candidates(2, 2, 2)
-    ranking = frols_rank(cs, data)
+    ranking = frols_rank(cs, *build_regression(cs, data))
     assert np.all(ranking.err_values >= -1e-12)
     assert ranking.cumulative_err[-1] <= 1.0 + 1e-9
     # deterministic on identical input
-    again = frols_rank(cs, data)
+    again = frols_rank(cs, *build_regression(cs, data))
     assert ranking.ordered_terms == again.ordered_terms
 
 
@@ -106,7 +106,7 @@ def test_frols_skips_degenerate_columns():
     y = rng.standard_normal(200)
     data = TimeSeriesData(u, y, ts=1.0)
     cs = generate_candidates(2, 1, 2)
-    ranking = frols_rank(cs, data)
+    ranking = frols_rank(cs, *build_regression(cs, data))
     # u(k-1), u(k-2), u(k-1)^2 ... all reduce to the same constant column
     assert len(ranking.ordered_terms) + len(ranking.skipped) == len(cs.terms)
     assert len(ranking.skipped) > 0
@@ -116,15 +116,25 @@ def test_frols_skips_degenerate_columns():
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, 15, "3"])
 def test_frols_rejects_bad_max_terms(bad):
     data = synthetic_record(*TRUE_SYSTEMS[1])
+    cs = generate_candidates(2, 2, 2)  # 14 candidates
     with pytest.raises(ParameterError):
-        frols_rank(generate_candidates(2, 2, 2), data, max_terms=bad)  # 14 candidates
+        frols_rank(cs, *build_regression(cs, data), max_terms=bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3, None, "1e-3", True])
 def test_frols_rejects_bad_err_floor(bad):
     data = synthetic_record(*TRUE_SYSTEMS[1])
+    cs = generate_candidates(2, 2, 2)
     with pytest.raises(ParameterError):
-        frols_rank(generate_candidates(2, 2, 2), data, err_floor=bad)
+        frols_rank(cs, *build_regression(cs, data), err_floor=bad)
+
+
+@pytest.mark.parametrize("rows, cols", [(40, 13), (40, 15), (39, 14)])
+def test_frols_rejects_a_matrix_that_does_not_fit_the_candidates(rows, cols):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="column per candidate"):
+        frols_rank(generate_candidates(2, 2, 2), rng.standard_normal((rows, cols)),
+                   rng.standard_normal(40))
 
 
 def _reference_frols(candidates, psi, y_s, max_terms, err_floor):
@@ -166,9 +176,8 @@ def _reference_frols(candidates, psi, y_s, max_terms, err_floor):
             tuple(terms[j] for j in skipped))
 
 
-def _assert_frols_matches_reference(candidates, data, psi, y_s, max_terms=None,
-                                    err_floor=1e-10):
-    ranking = frols_rank(candidates, data, max_terms, err_floor)
+def _assert_frols_matches_reference(candidates, psi, y_s, max_terms=None, err_floor=1e-10):
+    ranking = frols_rank(candidates, psi, y_s, max_terms, err_floor)
     if max_terms is None:
         max_terms = min(30, len(candidates))
     terms, err_values, skipped = _reference_frols(candidates, psi, y_s, max_terms, err_floor)
@@ -186,6 +195,10 @@ def _assert_frols_matches_reference(candidates, data, psi, y_s, max_terms=None,
         assert got == terms
         assert ranking.skipped == skipped
     assert np.all(np.abs(ranking.err_values - err_values) <= 1e-9 * np.abs(err_values))
+    # each ranked term's column in the matrix ranked
+    assert len(ranking.columns) == len(got)
+    for c, t in zip(ranking.columns, got):
+        assert candidates.terms[c] == t
 
 
 @pytest.mark.parametrize("name, seed", [("heating", s) for s in range(5)] + [("bouc_wen", 0)])
@@ -193,7 +206,7 @@ def test_frols_matches_scalar_loop_reference(name, seed):
     config = default_config(name)
     data, _ = make_identification_data(config, seed)
     psi, y_s = build_regression(config.candidates, data)
-    _assert_frols_matches_reference(config.candidates, data, psi, y_s)
+    _assert_frols_matches_reference(config.candidates, psi, y_s)
 
 
 @given(st.integers(-13, 30), st.integers(0, 3), st.integers(0, 3), st.booleans(),
@@ -220,19 +233,15 @@ def test_frols_matches_reference_on_random_dictionaries(extra_rows, n_dup, n_con
     if zero:
         psi[:, cols[-1]] = 0.0
     y_s = psi @ (rng.standard_normal(n) * rng.integers(0, 2, n)) + rng.standard_normal(m)
-    data = synthetic_record(*TRUE_SYSTEMS[0])  # replaced by the matrix above
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(selection, "build_regression", lambda *args: (psi, y_s))
-        _assert_frols_matches_reference(candidates, data, psi, y_s, max_terms, err_floor)
+    _assert_frols_matches_reference(candidates, psi, y_s, max_terms, err_floor)
 
 
 @pytest.mark.parametrize("m", [5, 40])
-def test_frols_rejects_zero_target(m, monkeypatch):
+def test_frols_rejects_zero_target(m):
     # R has m rows for m < 15, and its target column is zero like y
     psi = np.random.default_rng(0).standard_normal((m, 14))
-    monkeypatch.setattr(selection, "build_regression", lambda *args: (psi, np.zeros(m)))
     with pytest.raises(ParameterError, match="zero energy"):
-        frols_rank(generate_candidates(2, 2, 2), synthetic_record(*TRUE_SYSTEMS[0]))
+        frols_rank(generate_candidates(2, 2, 2), psi, np.zeros(m))
 
 
 def test_aic_penalty_dominates_on_perfect_model():
@@ -240,8 +249,9 @@ def test_aic_penalty_dominates_on_perfect_model():
     true_terms, theta = TRUE_SYSTEMS[1]
     data = synthetic_record(true_terms, theta, seed=2)
     cs = generate_candidates(2, 2, 2)
-    ranking = frols_rank(cs, data)
-    curve = aic_curve(ranking, data)
+    psi, y_s = build_regression(cs, data)
+    ranking = frols_rank(cs, psi, y_s)
+    curve = aic_curve(ranking, psi, y_s)
     assert curve.argmin == len(true_terms)
     j = curve.j_values
     tail = np.diff(j[len(true_terms):])
@@ -252,8 +262,9 @@ def test_aic_formula_matches_definition():
     true_terms, theta = TRUE_SYSTEMS[1]
     data = synthetic_record(true_terms, theta, seed=3, noise=0.1)
     cs = generate_candidates(1, 1, 1)
-    ranking = frols_rank(cs, data)
-    curve = aic_curve(ranking, data, SelectionConfig(sweep_estimator="ls"))
+    psi, y_s = build_regression(cs, data)
+    ranking = frols_rank(cs, psi, y_s)
+    curve = aic_curve(ranking, psi, y_s, SelectionConfig(sweep_estimator="ls"))
     # recompute J for the 1-term model by hand
     psi, y_s = build_regression((ranking.ordered_terms[0],), data)
     # ls on the full-candidate row frame: rebuild with all candidates to
@@ -268,9 +279,12 @@ def test_aic_formula_matches_definition():
 
 
 def _noisy_ranking():
+    """A 5-term ranking and the regression (psi, y_s) it was computed on."""
     true_terms, theta = TRUE_SYSTEMS[2]
     data = synthetic_record(true_terms, theta, seed=5, noise=0.05)
-    return frols_rank(generate_candidates(2, 2, 2), data, max_terms=5), data
+    cs = generate_candidates(2, 2, 2)
+    regression = build_regression(cs, data)
+    return frols_rank(cs, *regression, max_terms=5), regression
 
 
 def test_aic_curve_propagates_programming_errors(monkeypatch):
@@ -278,9 +292,9 @@ def test_aic_curve_propagates_programming_errors(monkeypatch):
         raise TypeError("not an estimation failure")
 
     monkeypatch.setattr(selection, "els_sweep", broken)
-    ranking, data = _noisy_ranking()
+    ranking, regression = _noisy_ranking()
     with pytest.raises(TypeError):
-        aic_curve(ranking, data, SelectionConfig(sweep_estimator="els"))
+        aic_curve(ranking, *regression, SelectionConfig(sweep_estimator="els"))
 
 
 def test_aic_curve_singular_point_is_nan(monkeypatch):
@@ -292,8 +306,8 @@ def test_aic_curve_singular_point_is_nan(monkeypatch):
         return fits
 
     monkeypatch.setattr(selection, "els_sweep", singular_at_two)
-    ranking, data = _noisy_ranking()
-    curve = aic_curve(ranking, data, SelectionConfig(sweep_estimator="els"))
+    ranking, regression = _noisy_ranking()
+    curve = aic_curve(ranking, *regression, SelectionConfig(sweep_estimator="els"))
     assert np.isnan(curve.j_values[1])
     assert np.all(np.isfinite(np.delete(curve.j_values, 1)))
     assert curve.converged[1] is False
@@ -328,10 +342,9 @@ def test_aic_curve_reports_iterations_per_point():
         assert (it == 0) == bool(np.isnan(j))
 
 
-def _per_prefix_reference(ranking, data, config):
+def _per_prefix_reference(candidates, ranking, psi, y_s, config):
     """(J, converged, iterations) of each size from its own estimator call."""
-    psi, y_s = build_regression(ranking.candidates, data)
-    cols = [ranking.candidates.terms.index(t) for t in ranking.ordered_terms]
+    cols = [candidates.terms.index(t) for t in ranking.ordered_terms]
     points = []
     for n_theta in range(1, len(ranking) + 1):
         sub = psi[:, cols[:n_theta]]
@@ -349,9 +362,9 @@ def _per_prefix_reference(ranking, data, config):
     return points
 
 
-def _assert_sweep_matches_per_prefix(ranking, data, config):
-    curve = aic_curve(ranking, data, config)
-    ref = _per_prefix_reference(ranking, data, config)
+def _assert_sweep_matches_per_prefix(candidates, ranking, psi, y_s, config):
+    curve = aic_curve(ranking, psi, y_s, config)
+    ref = _per_prefix_reference(candidates, ranking, psi, y_s, config)
     j_ref = np.array([p[0] for p in ref])
     assert np.array_equal(np.isnan(curve.j_values), np.isnan(j_ref))
     ok = ~np.isnan(j_ref)
@@ -366,15 +379,16 @@ def _assert_sweep_matches_per_prefix(ranking, data, config):
 def test_aic_sweep_matches_per_prefix_estimation(make):
     defn = make()
     data, _ = make_identification_data(defn, seed=1)
-    ranking = frols_rank(defn.candidates, data)
+    psi, y_s = build_regression(defn.candidates, data)
+    ranking = frols_rank(defn.candidates, psi, y_s)
     els = dataclasses.replace(defn.selection, sweep_estimator="els")
-    _assert_sweep_matches_per_prefix(ranking, data, els)
-    _assert_sweep_matches_per_prefix(ranking, data, SelectionConfig(sweep_estimator="ls"))
+    for config in (els, SelectionConfig(sweep_estimator="ls")):
+        _assert_sweep_matches_per_prefix(defn.candidates, ranking, psi, y_s, config)
 
 
 def test_aic_curve_least_squares_points_converge():
-    ranking, data = _noisy_ranking()
-    curve = aic_curve(ranking, data, SelectionConfig(sweep_estimator="ls"))
+    ranking, regression = _noisy_ranking()
+    curve = aic_curve(ranking, *regression, SelectionConfig(sweep_estimator="ls"))
     assert curve.converged == (True,) * len(ranking)
 
 
@@ -390,6 +404,23 @@ def test_select_structure_recovers_true_model():
     matched = dict(zip(model.process_terms, model.theta))
     for t, th in zip(true_terms, theta):
         assert abs(matched[t] - th) < 1e-8
+
+
+def test_select_structure_builds_one_regression_of_the_dictionary(monkeypatch):
+    # the ranking and the sweep share the dictionary's regression; the
+    # final fit builds its own from the chosen terms
+    calls = []
+
+    def counting(candidates, data):
+        calls.append(candidates)
+        return build_regression(candidates, data)
+
+    monkeypatch.setattr(selection, "build_regression", counting)
+    cs = generate_candidates(2, 2, 2)
+    data = synthetic_record(*TRUE_SYSTEMS[2], seed=4, noise=0.05)
+    model, *_ = select_structure(cs, data)
+    assert len(calls) == 2
+    assert calls[0] is cs and tuple(calls[1]) == model.process_terms
 
 
 def test_selection_config_validation():
