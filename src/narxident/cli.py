@@ -12,7 +12,6 @@ directory.  Every command is deterministic given config and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -21,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .benchmarks import preset_models
 from .config import config_to_dict, load_config, save_config
-from .data import TimeSeriesData, load_csv, save_csv
+from .data import TimeSeriesData, load_csv, save_csv, write_csv
 from .errors import NarxError, ParameterError
 from .evaluation import monte_carlo_noise_sweep, validate
 from .experiments import (
@@ -86,11 +85,7 @@ def cmd_design_input(args):
     design = dataclasses.replace(cfg.design, seed=cfg.seed)
     u = design_input(design)
     path = out / "input.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "u"])
-        for k, value in enumerate(u):
-            writer.writerow([k, repr(float(value))])
+    write_csv(path, ["k", "u"], range(len(u)), u)
     _log_resolved(dataclasses.replace(cfg, design=design), out / "design_input.log")
     print(f"wrote {len(u)}-row input to {path}")
     return 0
@@ -141,11 +136,8 @@ def cmd_validate(args):
     out = _outdir(cfg)
     path = out / "prediction.csv"
     offset = len(data) - len(result.prediction)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "y", "y_hat"])
-        for k, y_hat in enumerate(result.prediction, start=offset):
-            writer.writerow([k, repr(float(data.y[k])), repr(float(y_hat))])
+    write_csv(path, ["k", "y", "y_hat"], range(offset, len(data)), data.y[offset:],
+              result.prediction)
     status = " (diverged)" if result.diverged else ""
     print(f"{args.mode} MAPE = {result.mape!r} %{status}")
     print(f"wrote prediction to {path}")

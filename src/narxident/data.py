@@ -45,17 +45,28 @@ class TimeSeriesData:
         return len(self.u)
 
 
-def save_csv(path, data: TimeSeriesData, y_clean=None):
-    """Write a record as ``k,u,y`` CSV (optional ``y_clean`` column)."""
+def write_csv(path, header, *columns):
+    """Write equal-length ``columns`` as CSV rows under ``header``.
+
+    Strings and integers are written as they are; every other cell is
+    written as ``repr(float(x))``, the shortest text that reads back as
+    the same float, so equal inputs give byte-identical files.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["k", "u", "y"] + (["y_clean"] if y_clean is not None else [])
         writer.writerow(header)
-        for k in range(len(data)):
-            row = [k, repr(data.u[k]), repr(data.y[k])]
-            if y_clean is not None:
-                row.append(repr(float(y_clean[k])))
-            writer.writerow(row)
+        for row in zip(*columns, strict=True):
+            writer.writerow([x if isinstance(x, (str, int, np.integer)) else repr(float(x))
+                             for x in row])
+
+
+def save_csv(path, data: TimeSeriesData, y_clean=None):
+    """Write a record as ``k,u,y`` CSV (optional ``y_clean`` column)."""
+    header, columns = ["k", "u", "y"], [range(len(data)), data.u, data.y]
+    if y_clean is not None:
+        header.append("y_clean")
+        columns.append(y_clean)
+    write_csv(path, header, *columns)
 
 
 def load_csv(path, ts=1.0, label=""):

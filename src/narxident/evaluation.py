@@ -3,17 +3,16 @@ noise-robustness sweep."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import TimeSeriesData
+from .data import TimeSeriesData, write_csv
 from .errors import DegenerateRangeError, NarxError, ParameterError
 from .estimation import is_int
 from .experiments import ExperimentConfig, make_validation_data, run_identification
 from .model import NarxModel
-from .regression import divergence_bound, free_run_simulate, one_step_predict
+from .regression import free_run_simulate, one_step_predict, resolve_bound
 
 
 def mape(y, y_hat):
@@ -47,12 +46,11 @@ def validate(model: NarxModel, data: TimeSeriesData, mode="free_run",
 
     ``free_run`` feeds model outputs back (initialized from the first
     measured samples); ``one_step`` uses measured outputs for every lag.
-    The error is computed over the samples actually predicted.  The
-    default divergence bound is :func:`divergence_bound` of the measured
-    output.
+    The error is computed over the samples actually predicted.  ``bound``
+    is checked by :func:`resolve_bound` in both modes and defaults to
+    :func:`divergence_bound` of the measured output.
     """
-    if bound is None:
-        bound = divergence_bound(data.y)
+    bound = resolve_bound(bound, data.y)
     if mode == "one_step":
         pred = one_step_predict(model, data)
         p = len(data) - len(pred)
@@ -79,11 +77,8 @@ class MonteCarloReport:
     mapes: tuple = ()  # tuple (per ratio) of tuples of successful MAPEs
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ratio", "mean_mape", "std_mape", "failures"])
-            for r, m, s, f in zip(self.ratios, self.mape_mean, self.mape_std, self.failures):
-                writer.writerow([repr(float(r)), repr(float(m)), repr(float(s)), f])
+        write_csv(path, ["ratio", "mean_mape", "std_mape", "failures"],
+                  self.ratios, self.mape_mean, self.mape_std, self.failures)
 
 
 def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,

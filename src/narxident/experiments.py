@@ -24,6 +24,7 @@ from .benchmarks import (
 )
 from .data import TimeSeriesData
 from .errors import MissingInputError, ParameterError
+from .estimation import is_int
 from .hysteresis import HysteresisCandidateConfig, apply_exclusion_rules
 from .input_design import InputDesignSpec, add_output_noise, design_input
 from .model import CandidateSet, Variable, generate_candidates
@@ -105,6 +106,8 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown variable kind {v!r}")
         if not 0.0 <= self.noise_ratio < np.inf:
             raise ParameterError("noise ratio must be finite and nonnegative")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @cached_property
     def candidates(self) -> CandidateSet:

@@ -1,5 +1,6 @@
-"""Structured-text serialization for models and CSV export of pipeline
-artifacts (term rankings, information-criterion curves, residuals).
+"""Structured-text serialization for models and the column layouts of the
+pipeline's CSV artifacts (term rankings, information-criterion curves,
+residuals), which :func:`narxident.data.write_csv` writes.
 
 Floating-point values are written with ``repr``, which preserves the
 shortest exact round-trip representation (at least 15 significant
@@ -8,10 +9,7 @@ digits), so files regenerate byte-identically from equal inputs.
 
 from __future__ import annotations
 
-import csv
-
-import numpy as np
-
+from .data import write_csv
 from .errors import ParameterError
 from .model import CandidateMeta, NarxModel, parse_term
 
@@ -97,29 +95,17 @@ def load_model(path) -> NarxModel:
 
 def ranking_to_csv(ranking, path):
     """ERR ranking as ``term,err,cumulative_err`` rows."""
-    cum = ranking.cumulative_err
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "err", "cumulative_err"])
-        for t, e, c in zip(ranking.ordered_terms, ranking.err_values, cum):
-            writer.writerow([str(t), repr(float(e)), repr(float(c))])
+    write_csv(path, ["term", "err", "cumulative_err"], map(str, ranking.ordered_terms),
+              ranking.err_values, ranking.cumulative_err)
 
 
 def aic_to_csv(curve, path):
     """Information-criterion curve as ``n_theta,j_aic`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_theta", "j_aic"])
-        for n, j in zip(curve.n_theta_values, curve.j_values):
-            writer.writerow([int(n), repr(float(j))])
+    write_csv(path, ["n_theta", "j_aic"], curve.n_theta_values, curve.j_values)
 
 
 def residuals_to_csv(residuals, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "residual"])
-        for k, r in enumerate(np.asarray(residuals, dtype=float)):
-            writer.writerow([k, repr(float(r))])
+    write_csv(path, ["k", "residual"], range(len(residuals)), residuals)
 
 
 def report_to_text(report) -> str:

@@ -98,6 +98,18 @@ def divergence_bound(reference):
     return 1e6 * max(1.0, float(np.max(np.abs(reference), initial=0.0)))
 
 
+def resolve_bound(bound, reference):
+    """``bound``, or :func:`divergence_bound` of ``reference`` when it is None.
+
+    A given bound must be positive; ``inf`` means no bound.
+    """
+    if bound is None:
+        return divergence_bound(reference)
+    if not bound > 0:  # NaN too, which no |y(k)| would exceed
+        raise ParameterError(f"divergence bound must be positive or inf, got {bound!r}")
+    return bound
+
+
 def zero_buffer(n):
     """A zero-filled ``array('d')`` of length n and a numpy view of it.
 
@@ -132,10 +144,7 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     start = max(len(y_init), p)
     if n < start:
         raise InsufficientDataError("input shorter than the initialization horizon")
-    if bound is None:
-        bound = divergence_bound(y_init)
-    elif not bound > 0:  # NaN too, which no |y(k)| would exceed
-        raise ParameterError(f"divergence bound must be positive or inf, got {bound!r}")
+    bound = resolve_bound(bound, y_init)
 
     table = _signal_table(u)
     terms = []  # (exogenous part over k = 0 .. n-1, output lags with repeats)

@@ -145,6 +145,14 @@ def test_init_config_then_simulate(tmp_path):
     lines = (tmp_path / "data.csv").read_text().strip().splitlines()
     assert lines[0] == "k,u,y,y_clean"
     assert len(lines) == 2001
+    for line in lines[1:]:
+        _, u, y, _ = line.split(",")
+        float(u), float(y)  # raises on a cell that is not a plain number
+    # the record reads back as validation data
+    save_model(preset_models()["heating_narx"].model, tmp_path / "model.txt")
+    assert run(["validate", "--config", str(cfg), "--output-dir", str(tmp_path),
+                "--model", str(tmp_path / "model.txt"),
+                "--data", str(tmp_path / "data.csv")]) == 0
 
 
 def test_identify_validate_round_trip(tmp_path, capsys):
@@ -182,6 +190,23 @@ def test_monte_carlo_bad_ratio_is_reported(tmp_path, capsys):
     assert out.err.startswith("error: ") and "'abc'" in out.err
 
 
+@pytest.mark.parametrize("command", ["simulate", "design-input", "monte-carlo"])
+def test_negative_seed_is_reported(tmp_path, capsys, command):
+    code, out = run([command, "--experiment", "heating", "--seed", "-1",
+                     "--output-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out.err.startswith("error: ") and "seed" in out.err
+
+
+def test_negative_config_seed_is_reported(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    assert run(["init-config", "--experiment", "heating", "--output", str(cfg)]) == 0
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "seed": -1}))
+    code, out = run(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out.err.startswith("error: ") and "seed" in out.err
+
+
 def _validate_preset(tmp_path, capsys, *extra, edit=lambda text: text):
     """``validate`` on the heating preset's model file, edited by ``edit``."""
     path = tmp_path / "model.txt"
@@ -209,9 +234,10 @@ def test_validate_reports_a_non_numeric_model_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("bound", ["nan", "0", "-1"])
 def test_validate_rejects_nan_and_nonpositive_bound(tmp_path, capsys, bound):
-    code, out = _validate_preset(tmp_path, capsys, "--bound", bound)
-    assert code == 1
-    assert out.err.startswith("error: ") and "bound" in out.err
+    for mode in ("free_run", "one_step"):
+        code, out = _validate_preset(tmp_path, capsys, "--bound", bound, "--mode", mode)
+        assert code == 1, mode
+        assert out.err.startswith("error: ") and "bound" in out.err
 
 
 def test_validate_on_generated_sine(tmp_path, capsys):

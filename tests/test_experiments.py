@@ -1,5 +1,7 @@
 """Benchmark experiment configs and data generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,9 @@ def test_negative_noise_ratio_override_is_rejected():
 def test_non_finite_noise_ratio_override_is_rejected(ratio):
     with pytest.raises(ParameterError, match="finite and nonnegative"):
         run_identification(heating_experiment(), 1, noise_ratio=ratio)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, True])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        replace(heating_experiment(), seed=seed)

@@ -1,9 +1,13 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and one module
+writes CSV.
 
 An import that nothing in its module reads is dead code that still runs
 at import time and misleads a reader about the module's dependencies.
 ``__init__.py`` re-exports by design and is skipped, as is an import on a
 line marked ``# noqa: F401`` (a binding kept on purpose).
+
+Every CSV artifact goes through ``data.write_csv``, which owns the float
+format; a second ``csv.writer`` would be a second copy of it to drift.
 """
 
 import ast
@@ -42,3 +46,18 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert _unused_imports(path) == []
+
+
+def _uses_csv_writer(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                and any(alias.name == "writer" for alias in node.names)):
+            return True
+    return False
+
+
+def test_csv_writer_is_used_in_one_module():
+    assert [p.name for p in MODULES if _uses_csv_writer(p)] == ["data.py"]
