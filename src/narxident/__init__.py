@@ -55,7 +55,6 @@ from .experiments import (
     run_identification,
 )
 from .hysteresis import (
-    HysteresisCandidateConfig,
     apply_exclusion_rules,
     exclusion_report_text,
     hysteresis_signals,

@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .benchmarks import preset_models
 from .config import config_to_dict, load_config, save_config
@@ -82,11 +84,10 @@ def cmd_design_input(args):
     if cfg.design is None:
         raise ParameterError("config has no input-design section")
     out = _outdir(cfg)
-    design = dataclasses.replace(cfg.design, seed=cfg.seed)
-    u = design_input(design)
+    u = design_input(cfg.design, np.random.default_rng(cfg.seed))
     path = out / "input.csv"
     write_csv(path, ["k", "u"], range(len(u)), u)
-    _log_resolved(dataclasses.replace(cfg, design=design), out / "design_input.log")
+    _log_resolved(cfg, out / "design_input.log")
     print(f"wrote {len(u)}-row input to {path}")
     return 0
 
@@ -166,6 +167,8 @@ def cmd_presets(args):
         for name in sorted(presets):
             print(f"{name}\t{presets[name].description}")
         return 0
+    if args.name is None:
+        raise ParameterError("'presets show' needs a preset name; see 'narxident presets list'")
     if args.name not in presets:
         raise ParameterError(
             f"unknown preset {args.name!r}; see 'narxident presets list'"
@@ -226,7 +229,7 @@ def build_parser():
 
     p = sub.add_parser("validate", help="score a model file against validation data")
     _add_common(p)
-    p.add_argument("--model", required=True, help="model file from 'identify' or a preset")
+    p.add_argument("--model", required=True, help="model file written by 'identify' (model.txt)")
     p.add_argument("--data", help="k,u,y CSV to validate against (default: generated)")
     p.add_argument("--mode", choices=["free_run", "one_step"], default="free_run")
     p.add_argument("--bound", type=float, default=None,
@@ -263,7 +266,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NarxError as exc:
+    except (NarxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,8 @@
 """Experiment configuration files.
 
 One JSON config drives a whole experiment: which benchmark system to
-simulate, the input-design spec, the candidate dictionary bounds,
-hysteresis handling, estimator choice, noise ratio, seeds, and the output
+simulate, the input-design spec, the candidate dictionary bounds and
+signal kinds, estimator settings, noise ratio, seed, and the output
 directory.  Configs round-trip losslessly through
 :func:`save_config` / :func:`load_config`.
 
@@ -20,21 +20,18 @@ from operator import attrgetter
 from .errors import ParameterError
 from .estimation import ElsConfig
 from .experiments import ExperimentConfig
-from .hysteresis import HysteresisCandidateConfig
 from .input_design import InputDesignSpec
 from .selection import SelectionConfig
 
-#: JSON types of the ``design`` and ``hysteresis`` objects' fields
+#: JSON types of the ``design`` object's fields
 _DESIGN = {"frequencies": [float], "segment_lengths": [int], "operating_points": [float],
-           "amplitudes": [float], "sample_rate": float, "filter_order": int, "seed": int}
-_HYSTERESIS = {"apply_rule_i": bool, "apply_rule_ii": bool, "apply_rule_iii": bool}
+           "amplitudes": [float], "sample_rate": float, "filter_order": int}
 
 #: (JSON key path, attribute, required in a file, JSON type), in file
 #: order.  A dotted attribute is a field of a nested dataclass.  A type is
-#: ``str``, ``int``, ``float`` (integers admitted), ``bool``, a one-item
-#: list for a list of that type, or a dict of field types for an object:
-#: ``design`` and ``hysteresis`` are JSON objects keyed by their
-#: dataclass field names, or null.
+#: ``str``, ``int``, ``float`` (integers admitted), a one-item list for a
+#: list of that type, or a dict of field types for an object: ``design``
+#: is a JSON object keyed by its dataclass field names, or null.
 CODEC = (
     ("system", "system", True, str),
     ("design", "design", False, _DESIGN),
@@ -43,9 +40,7 @@ CODEC = (
     ("candidates.n_u", "n_u", True, int),
     ("candidates.tau_d", "tau_d", True, int),
     ("candidates.variables", "variables", True, [str]),
-    ("hysteresis", "hysteresis", False, _HYSTERESIS),
     ("estimator.method", "selection.estimator", True, str),
-    ("estimator.sweep_method", "selection.sweep_estimator", False, str),
     ("estimator.zeta", "selection.els.zeta", False, float),
     ("estimator.max_iterations", "selection.els.max_iterations", False, int),
     ("estimator.n_noise_terms", "selection.n_noise_terms", False, int),
@@ -53,8 +48,7 @@ CODEC = (
     ("seed", "seed", False, int),
     ("output_dir", "output_dir", False, str),
 )
-_OBJECTS = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig,
-            "selection": SelectionConfig, "els": ElsConfig}
+_OBJECTS = {"design": InputDesignSpec, "selection": SelectionConfig, "els": ElsConfig}
 _PATHS = {path for path, _, _, _ in CODEC}
 _SECTIONS = {path.rpartition(".")[0] for path in _PATHS} - {""}
 _JSON_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean",
@@ -71,7 +65,7 @@ def _check_type(value, kind, path):
         expected = f"list of {_JSON_NAMES[kind[0]]}s"
     else:
         ok = (isinstance(value, (int, float) if kind is float else kind)
-              and isinstance(value, bool) == (kind is bool))
+              and not isinstance(value, bool))
         expected = _JSON_NAMES[kind]
     if not ok:
         raise ParameterError(f"config field {path!r} must be {expected}, "

@@ -5,7 +5,9 @@ to simulate, a candidate-regressor dictionary, and a structure-selection
 configuration, so that a single seeded call runs the full pipeline:
 design input -> simulate system -> add output noise -> rank terms ->
 truncate by information criterion -> estimate parameters -> validate on
-an independently designed input.
+an independently designed input.  The functions here take a config and a
+seed and nothing else; a variant of a config is made with
+:func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .benchmarks import (
 from .data import TimeSeriesData
 from .errors import MissingInputError, ParameterError
 from .estimation import is_int
-from .hysteresis import HysteresisCandidateConfig, apply_exclusion_rules
+from .hysteresis import apply_exclusion_rules
 from .input_design import InputDesignSpec, add_output_noise, design_input
 from .model import CandidateSet, Variable, generate_candidates
 from .selection import SelectionConfig, select_structure
@@ -67,11 +69,12 @@ class ExperimentConfig:
         ranges for output and input factors.
     variables : tuple of str
         Signal kinds admitted as factors, from ``("y", "u", "phi1", "phi2")``.
-    hysteresis : HysteresisCandidateConfig or None
-        Exclusion-rule configuration; ``None`` disables rule filtering.
+        With a difference signal (``phi1`` or ``phi2``) among them, the
+        dictionary is pruned by the hysteresis exclusion rules.
     selection : SelectionConfig
-        Estimator settings: final and sweep estimator, extended-least-squares
-        convergence settings, and the number of lagged-residual columns.
+        Estimator settings: the estimator of the sweep and the final fit,
+        extended-least-squares convergence settings, and the number of
+        lagged-residual columns.
     noise_ratio : float
         Output-noise standard deviation as a fraction of the clean
         output's standard deviation.
@@ -88,7 +91,6 @@ class ExperimentConfig:
     n_u: int = 3
     tau_d: int = 1
     variables: tuple = ("y", "u")
-    hysteresis: HysteresisCandidateConfig | None = None
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     noise_ratio: float = 0.05
     seed: int = 0
@@ -112,13 +114,14 @@ class ExperimentConfig:
     @cached_property
     def candidates(self) -> CandidateSet:
         """The candidate dictionary: every monomial within the degree and
-        lag bounds, pruned by the exclusion rules when ``hysteresis`` is set."""
+        lag bounds, pruned by the exclusion rules when a difference signal
+        is among the variables."""
         variables = tuple(Variable(v) for v in self.variables)
         candidates = generate_candidates(
             self.degree, self.n_y, self.n_u, tau_d=self.tau_d, variables=variables
         )
-        if self.hysteresis is not None:
-            candidates, _ = apply_exclusion_rules(candidates, self.hysteresis)
+        if Variable.PHI1 in variables or Variable.PHI2 in variables:
+            candidates, _ = apply_exclusion_rules(candidates)
         return candidates
 
     def simulate(self, u):
@@ -141,8 +144,8 @@ class ExperimentConfig:
 #: across the candidate lags, long enough that the candidate dictionary
 #: with pure delay 2 captures the dominant input dependence.  The
 #: information-criterion sweep re-estimates every truncation with the
-#: extended estimator so colored-noise bias does not masquerade as
-#: structural variance.
+#: extended estimator (the :class:`SelectionConfig` default) so
+#: colored-noise bias does not masquerade as structural variance.
 #:
 #: bouc_wen: a long 0.2 Hz band (16000 samples) and a short 5 Hz band
 #: (3200 samples) at amplitudes 25 V and 50 V around zero, sampled at the
@@ -160,7 +163,6 @@ PRESETS = {
             sample_rate=0.5,
         ),
         tau_d=2,
-        selection=SelectionConfig(sweep_estimator="els"),
     ),
     "bouc_wen": ExperimentConfig(
         system="bouc_wen",
@@ -174,13 +176,11 @@ PRESETS = {
         n_y=1,
         n_u=1,
         variables=("y", "u", "phi1", "phi2"),
-        hysteresis=HysteresisCandidateConfig(),
-        selection=SelectionConfig(sweep_estimator="els"),
     ),
 }
 
 
-def default_config(name, seed=0, output_dir=".") -> ExperimentConfig:
+def default_config(name) -> ExperimentConfig:
     """Config of a built-in experiment (``heating`` or ``bouc_wen``)."""
     check_available(name)
     try:
@@ -189,7 +189,7 @@ def default_config(name, seed=0, output_dir=".") -> ExperimentConfig:
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {sorted(PRESETS)}"
         ) from None
-    return replace(preset, seed=seed, output_dir=output_dir)
+    return replace(preset)  # a copy, with its own candidates cache
 
 
 def heating_experiment():
@@ -241,13 +241,8 @@ def make_validation_data(config: ExperimentConfig, seed):
     return TimeSeriesData(u, y_clean, ts=ts, label=f"{config.system}-validation")
 
 
-def run_identification(config: ExperimentConfig, seed, noise_ratio=None):
-    """Run the full pipeline once and return all intermediate products.
-
-    ``noise_ratio``, when given, replaces ``config.noise_ratio``.
-    """
-    if noise_ratio is not None:
-        config = replace(config, noise_ratio=noise_ratio)
+def run_identification(config: ExperimentConfig, seed):
+    """Run the full pipeline once and return all intermediate products."""
     data, y_clean = make_identification_data(config, seed)
     model, ranking, curve, report = select_structure(config.candidates, data, config.selection)
     return IdentificationResult(

@@ -3,13 +3,15 @@
 Polynomial NARX models can reproduce rate-independent loops when the
 first difference of the input and its sign are available as regressor
 variables.  This module builds those signals, prunes candidate sets with
-the published exclusion rules, and assembles the unit-sum constraint on
+the three published exclusion rules, which always apply together
+(:class:`ExperimentConfig` applies them exactly when its variables
+include a difference signal), and assembles the unit-sum constraint on
 linear output regressors that gives the constant-input hold property.
+The rules are direction-agnostic; an inverse-direction model is tagged
+by :attr:`NarxModel.direction`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,19 +34,6 @@ def hysteresis_signals(x):
     return phi1, np.sign(phi1)
 
 
-@dataclass(frozen=True)
-class HysteresisCandidateConfig:
-    """Which exclusion rules to apply.
-
-    The rules are direction-agnostic; an inverse-direction model is
-    tagged by :attr:`NarxModel.direction`.
-    """
-
-    apply_rule_i: bool = True
-    apply_rule_ii: bool = True
-    apply_rule_iii: bool = True
-
-
 def _rule_i(t: RegressorTerm):
     # output raised to a power > 1, alone or with difference-signal factors
     return any(var is Variable.OUTPUT and exp > 1 for var, _, exp in t.factors)
@@ -65,8 +54,8 @@ def _rule_iii(t: RegressorTerm):
     return t.uses(Variable.INPUT) and not (t.uses(Variable.PHI1) or t.uses(Variable.PHI2))
 
 
-def apply_exclusion_rules(candidates: CandidateSet, config=HysteresisCandidateConfig()):
-    """Remove candidate terms matching the enabled exclusion rules.
+def apply_exclusion_rules(candidates: CandidateSet):
+    """Remove candidate terms matching any of the three exclusion rules.
 
     Returns ``(pruned_set, exclusion_report)`` where the report maps each
     removed term to the name of the rule that removed it.
@@ -74,11 +63,11 @@ def apply_exclusion_rules(candidates: CandidateSet, config=HysteresisCandidateCo
     removed = {}
     kept = []
     for t in candidates.terms:
-        if config.apply_rule_i and _rule_i(t):
+        if _rule_i(t):
             removed[t] = "rule_i"
-        elif config.apply_rule_ii and _rule_ii(t):
+        elif _rule_ii(t):
             removed[t] = "rule_ii"
-        elif config.apply_rule_iii and _rule_iii(t):
+        elif _rule_iii(t):
             removed[t] = "rule_iii"
         else:
             kept.append(t)

@@ -74,7 +74,6 @@ class InputDesignSpec:
     amplitudes: tuple
     sample_rate: float
     filter_order: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
@@ -147,11 +146,9 @@ def design_segment(i, spec: InputDesignSpec, rng):
     return out
 
 
-def design_input(spec: InputDesignSpec, rng=None):
-    """Full excitation: concatenated segments smoothed by the filter of
-    the highest design frequency."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+def design_input(spec: InputDesignSpec, rng):
+    """Full excitation drawn from ``rng``: concatenated segments smoothed
+    by the filter of the highest design frequency."""
     segments = [design_segment(i, spec, rng) for i in range(len(spec.frequencies))]
     u = np.concatenate(segments)
     i_max = int(np.argmax(spec.frequencies))

@@ -9,9 +9,9 @@ from math import isfinite
 import numpy as np
 
 from .data import TimeSeriesData
-from .errors import InsufficientDataError, MissingInputError, ParameterError
+from .errors import InsufficientDataError, ParameterError
 from .hysteresis import hysteresis_signals
-from .model import CandidateSet, NarxModel, RegressorTerm, Variable
+from .model import CandidateSet, NarxModel, Variable
 
 
 def _signal_table(u):
@@ -38,14 +38,6 @@ def _multiply_factors(col, factors, table, p):
     return col
 
 
-def term_column(t: RegressorTerm, table, p, n):
-    """Evaluate one term over rows k = p .. n-1 as a column vector."""
-    for var, _, _ in t.factors:
-        if var not in table:
-            raise MissingInputError(f"term {t} needs the {var.value} signal, which was not supplied")
-    return _multiply_factors(np.ones(n - p), t.factors, table, p)
-
-
 def build_regression(candidates, data: TimeSeriesData):
     """Regression matrix and aligned target vector for a candidate set.
 
@@ -60,7 +52,8 @@ def build_regression(candidates, data: TimeSeriesData):
         raise InsufficientDataError(f"need more than {p} samples, got {n}")
     table = _signal_table(data.u)
     table[Variable.OUTPUT] = np.asarray(data.y, dtype=float)
-    psi = np.column_stack([term_column(t, table, p, n) for t in terms]) if terms else np.empty((n - p, 0))
+    columns = [_multiply_factors(np.ones(n - p), t.factors, table, p) for t in terms]
+    psi = np.column_stack(columns) if columns else np.empty((n - p, 0))
     return psi, table[Variable.OUTPUT][p:]
 
 

@@ -151,16 +151,13 @@ class AicCurve:
 class SelectionConfig:
     """Estimator settings of the ranking/truncation pipeline."""
 
-    estimator: str = "els"  # final re-estimation: "ls" or "els"
-    sweep_estimator: str = "ls"  # estimator inside the information-criterion sweep
+    estimator: str = "els"  # "ls" or "els", in the sweep and the final re-estimation
     n_noise_terms: int = 1
     els: ElsConfig = field(default_factory=ElsConfig)
 
     def __post_init__(self):
         if self.estimator not in ("ls", "els"):
             raise ParameterError(f"unknown estimator {self.estimator!r}")
-        if self.sweep_estimator not in ("ls", "els"):
-            raise ParameterError(f"unknown sweep estimator {self.sweep_estimator!r}")
         check_noise_terms(self.n_noise_terms)
 
 
@@ -171,16 +168,16 @@ def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
     residuals y - Psi theta of the truncated model, re-estimated on
     ``(psi, y_s)``, the regression the ranking was computed on, so all
     sizes share one row frame.  Every size is estimated in one
-    :func:`els_sweep` call over prefixes of the ranked columns, with no
-    noise columns for least squares; a size the sweep could not fit is a
-    NaN point.  The sweep uses ``config.sweep_estimator``, ``config.els`` and
-    ``config.n_noise_terms``.
+    :func:`els_sweep` call over prefixes of the ranked columns, with the
+    final fit's estimator: ``config.n_noise_terms`` noise columns and
+    ``config.els`` for ``"els"``, no noise columns for ``"ls"``.  A size the
+    sweep could not fit is a NaN point.
     """
     if len(ranking) == 0:
         raise ParameterError("empty ranking")
     ranked = psi.take(ranking.columns, axis=1)
     sizes = np.arange(1, len(ranking) + 1)
-    n_noise_terms = config.n_noise_terms if config.sweep_estimator == "els" else 0
+    n_noise_terms = config.n_noise_terms if config.estimator == "els" else 0
     fits = els_sweep(ranked, y_s, sizes, n_noise_terms, config.els)
     costs = np.full(len(sizes), np.nan)
     converged, iterations = [False] * len(sizes), [0] * len(sizes)

@@ -80,7 +80,7 @@ def test_criterion_2_heating_parameter_accuracy(heating_runs):
             ref = HEATING_THETA[str(t)]
             if abs(th - ref) > 0.10 * abs(ref):
                 params_ok = False
-    clean = run_identification(defn, seed=0, noise_ratio=0.0)
+    clean = run_identification(dataclasses.replace(defn, noise_ratio=0.0), seed=0)
     clean_ok = set(clean.model.process_terms) == HEATING_TARGET
     mapes = [
         validate(res.model, make_validation_data(defn, res.seed), mode="free_run").mape

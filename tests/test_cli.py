@@ -30,6 +30,9 @@ def test_presets_show_unknown_fails(capsys):
     code, out = run(["presets", "show", "nope"], capsys)
     assert code == 1
     assert "unknown preset" in out.err
+    code, out = run(["presets", "show"], capsys)
+    assert code == 1
+    assert out.err.startswith("error: ") and "needs a preset name" in out.err
 
 
 def test_missing_config_and_experiment_fails(capsys):
@@ -90,8 +93,7 @@ HEATING_CONFIG = """\
       0.2
     ],
     "sample_rate": 0.5,
-    "filter_order": 5,
-    "seed": 0
+    "filter_order": 5
   },
   "candidates": {
     "degree": 3,
@@ -103,10 +105,8 @@ HEATING_CONFIG = """\
       "u"
     ]
   },
-  "hysteresis": null,
   "estimator": {
     "method": "els",
-    "sweep_method": "els",
     "zeta": 1e-08,
     "max_iterations": 30,
     "n_noise_terms": 1
@@ -214,6 +214,20 @@ def _validate_preset(tmp_path, capsys, *extra, edit=lambda text: text):
     path.write_text(edit(path.read_text()))
     return run(["validate", "--experiment", "heating", "--output-dir", str(tmp_path),
                 "--model", str(path), *extra], capsys)
+
+
+@pytest.mark.parametrize("flag", ["--config", "--model", "--data"])
+def test_missing_file_is_reported(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing")
+    if flag == "--config":
+        code, out = run(["identify", "--config", missing], capsys)
+    elif flag == "--model":
+        code, out = run(["validate", "--experiment", "heating", "--output-dir", str(tmp_path),
+                         "--model", missing], capsys)
+    else:
+        code, out = _validate_preset(tmp_path, capsys, "--data", missing)
+    assert code == 1
+    assert out.err.startswith("error: ") and "No such file" in out.err and missing in out.err
 
 
 @pytest.mark.parametrize("row", ["1,abc,0.2", "1,0.5"])

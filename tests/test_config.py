@@ -8,7 +8,6 @@ import pytest
 
 from narxident import (
     ElsConfig,
-    HysteresisCandidateConfig,
     InputDesignSpec,
     MissingInputError,
     ParameterError,
@@ -30,7 +29,7 @@ from narxident.config import (
 
 @pytest.mark.parametrize("name", ["heating", "bouc_wen"])
 def test_config_round_trip(name, tmp_path):
-    cfg = default_config(name, seed=11, output_dir=str(tmp_path))
+    cfg = dataclasses.replace(default_config(name), seed=11, output_dir=str(tmp_path))
     path = tmp_path / "config.json"
     save_config(cfg, path)
     back = load_config(path)
@@ -108,11 +107,9 @@ def _parent(d, path):
 
 _BOUC_WEN = config_to_dict(default_config("bouc_wen"))
 
-#: every codec key path of a config with a design and hysteresis rules,
-#: the value it is changed to, and whether the change reaches the built
-#: experiment.  ``seed`` and ``output_dir`` are read by the commands;
-#: ``design.seed`` is overridden by every command with ``seed`` and is
-#: kept only so that existing config files and artifacts stay unchanged.
+#: every codec key path of a config with a design, the value it is
+#: changed to, and whether the change reaches the built experiment.
+#: ``seed`` and ``output_dir`` are read by the commands.
 KEY_CHANGES = [
     ("system", "bouc_wen", True),
     ("design.frequencies", [0.002, 0.005], True),
@@ -121,17 +118,12 @@ KEY_CHANGES = [
     ("design.amplitudes", [0.1, 0.2, 0.2], True),
     ("design.sample_rate", 0.4, True),
     ("design.filter_order", 4, True),
-    ("design.seed", 7, False),
     ("candidates.degree", 2, True),
     ("candidates.n_y", 2, True),
     ("candidates.n_u", 4, True),
     ("candidates.tau_d", 1, True),
     ("candidates.variables", ["y", "u", "phi1"], True),
-    ("hysteresis.apply_rule_i", False, True),
-    ("hysteresis.apply_rule_ii", False, True),
-    ("hysteresis.apply_rule_iii", False, True),
     ("estimator.method", "ls", True),
-    ("estimator.sweep_method", "ls", True),
     ("estimator.zeta", 1e-6, True),
     ("estimator.max_iterations", 10, True),
     ("estimator.n_noise_terms", 2, True),
@@ -143,6 +135,8 @@ KEY_CHANGES = [
 
 def test_key_change_table_covers_every_codec_key():
     assert sorted(_leaf_paths(_BOUC_WEN)) == sorted(path for path, _, _ in KEY_CHANGES)
+    # only the keys the commands read may leave the experiment unchanged
+    assert {path for path, _, reaches in KEY_CHANGES if not reaches} == {"seed", "output_dir"}
 
 
 def _behaviour(cfg):
@@ -155,9 +149,7 @@ def _behaviour(cfg):
 
 @pytest.mark.parametrize("path, value, reaches_experiment", KEY_CHANGES)
 def test_every_codec_key_changes_the_config(path, value, reaches_experiment):
-    # hysteresis rules only matter with the difference signals in play
-    base = config_to_dict(default_config("bouc_wen" if path.startswith("hysteresis")
-                                         else "heating"))
+    base = config_to_dict(default_config("heating"))
     changed = copy.deepcopy(base)
     node, key = _parent(changed, path)
     node[key] = value
@@ -176,7 +168,7 @@ REQUIRED = {
 }
 
 
-@pytest.mark.parametrize("path", sorted(_leaf_paths(_BOUC_WEN)) + ["design", "hysteresis"])
+@pytest.mark.parametrize("path", sorted(_leaf_paths(_BOUC_WEN)) + ["design"])
 def test_left_out_keys_take_the_dataclass_defaults(path):
     d = copy.deepcopy(_BOUC_WEN)
     node, key = _parent(d, path)
@@ -191,7 +183,6 @@ def test_left_out_keys_take_the_dataclass_defaults(path):
     defaults = config_to_dict(ExperimentConfig(
         system="bouc_wen",
         design=None if path == "design" else InputDesignSpec(**design),
-        hysteresis=None if path == "hysteresis" else HysteresisCandidateConfig(),
     ))
     assert _get(config_to_dict(config_from_dict(d)), path) == _get(defaults, path)
 
@@ -199,10 +190,9 @@ def test_left_out_keys_take_the_dataclass_defaults(path):
 @pytest.mark.parametrize("path, typo", [
     ("estimator.max_iterations", "estimator.max_iteration"),
     ("noise_ratio", "noise_ratoi"),
-    ("design.seed", "design.sead"),
-    ("hysteresis.apply_rule_i", "hysteresis.apply_rule_1"),
-    (None, "hysteresis.enforce_sigma_y"),
-    (None, "hysteresis.direction"),
+    (None, "design.seed"),
+    (None, "estimator.sweep_method"),
+    (None, "hysteresis"),
     (None, "candidates.max_degree"),
     (None, "comment"),
 ])
@@ -235,7 +225,6 @@ def test_sections_must_be_objects(section, value):
     ("candidates.variables", ["y", 1], "candidates.variables[1]", "must be string, got integer"),
     ("design.segment_lengths", [1000, 1000.5], "design.segment_lengths[1]",
      "must be integer, got number"),
-    ("hysteresis.apply_rule_i", 1, "hysteresis.apply_rule_i", "must be boolean, got integer"),
     ("estimator.zeta", "1e-8", "estimator.zeta", "must be number, got string"),
     ("noise_ratio", None, "noise_ratio", "must be number, got null"),
     ("output_dir", ["out"], "output_dir", "must be string, got list"),
@@ -270,7 +259,7 @@ def test_integers_are_accepted_as_numbers():
 def test_object_types_cover_every_dataclass_field():
     for path, attr, _, kind in CODEC:
         if isinstance(kind, dict):
-            cls = {"design": InputDesignSpec, "hysteresis": HysteresisCandidateConfig}[attr]
+            cls = {"design": InputDesignSpec}[attr]
             assert sorted(kind) == sorted(f.name for f in dataclasses.fields(cls)), path
 
 
@@ -280,7 +269,7 @@ def test_codec_reaches_every_selection_setting(tmp_path):
     paths = sorted(_leaf_paths(dataclasses.asdict(SelectionConfig()), "selection."))
     assert sorted(a for a in attrs if a.startswith("selection.")) == paths
     assert all(attrs.count(path) == 1 for path in paths)
-    selection = SelectionConfig(estimator="ls", sweep_estimator="els", n_noise_terms=2,
+    selection = SelectionConfig(estimator="ls", n_noise_terms=2,
                                 els=ElsConfig(zeta=1e-6, max_iterations=50))
     assert all(getattr(selection, f.name) != getattr(SelectionConfig(), f.name)
                for f in dataclasses.fields(SelectionConfig))

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from narxident import (
+    ExperimentConfig,
     MissingInputError,
     ParameterError,
+    Variable,
+    apply_exclusion_rules,
     bouc_wen_experiment,
     default_config,
+    generate_candidates,
     heating_experiment,
     make_identification_data,
     make_validation_data,
@@ -46,6 +50,18 @@ def test_bouc_wen_experiment_shape():
     assert len(config.candidates.terms) == 19  # after exclusion rules
 
 
+@pytest.mark.parametrize("variables", [("y", "u"), ("y", "u", "phi1"), ("y", "u", "phi2"),
+                                       ("y", "u", "phi1", "phi2"), ("y", "phi1")],
+                         ids=",".join)
+def test_exclusion_rules_prune_exactly_when_a_difference_signal_is_present(variables):
+    config = ExperimentConfig(system="bouc_wen", degree=2, n_y=1, n_u=1, variables=variables)
+    full = generate_candidates(2, 1, 1, variables=tuple(Variable(v) for v in variables))
+    pruned, _ = apply_exclusion_rules(full)
+    assert pruned != full  # every case has a term that some rule removes
+    has_phi = "phi1" in variables or "phi2" in variables
+    assert config.candidates == (pruned if has_phi else full)
+
+
 def test_candidates_are_built_once_per_config(monkeypatch):
     from narxident import experiments
 
@@ -62,7 +78,7 @@ def test_candidates_are_built_once_per_config(monkeypatch):
     run_identification(config, seed=2)
     assert config.candidates is config.candidates
     assert len(calls) == 1
-    run_identification(config, seed=1, noise_ratio=0.1)
+    run_identification(replace(config, noise_ratio=0.1), seed=1)
     assert len(calls) == 2
 
 
@@ -88,13 +104,13 @@ def test_validation_data_is_noise_free_and_independent():
 
 def test_negative_noise_ratio_override_is_rejected():
     with pytest.raises(ParameterError, match="nonnegative"):
-        run_identification(heating_experiment(), 1, noise_ratio=-0.3)
+        run_identification(replace(heating_experiment(), noise_ratio=-0.3), 1)
 
 
 @pytest.mark.parametrize("ratio", [float("inf"), float("nan")])
 def test_non_finite_noise_ratio_override_is_rejected(ratio):
     with pytest.raises(ParameterError, match="finite and nonnegative"):
-        run_identification(heating_experiment(), 1, noise_ratio=ratio)
+        run_identification(replace(heating_experiment(), noise_ratio=ratio), 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.0, True])

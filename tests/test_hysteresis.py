@@ -5,7 +5,6 @@ import pytest
 
 from narxident import (
     ConstraintError,
-    HysteresisCandidateConfig,
     Variable,
     apply_exclusion_rules,
     exclusion_report_text,
@@ -82,15 +81,6 @@ def test_valve_published_terms_survive_their_dictionary():
     model = preset_models()["valve_constrained_narx"].model
     for t in model.process_terms:
         assert t in pruned.terms, str(t)
-
-
-def test_rules_can_be_disabled_individually():
-    cs = generate_candidates(2, 1, 1, variables=HYST_VARS)
-    config = HysteresisCandidateConfig(apply_rule_i=False, apply_rule_ii=True,
-                                       apply_rule_iii=True)
-    pruned, removed = apply_exclusion_rules(cs, config)
-    assert term((Y, 1, 2)) in pruned.terms
-    assert term((U, 1, 1)) in removed
 
 
 def test_exclusion_report_names_rules():

@@ -251,7 +251,7 @@ def test_aic_penalty_dominates_on_perfect_model():
     cs = generate_candidates(2, 2, 2)
     psi, y_s = build_regression(cs, data)
     ranking = frols_rank(cs, psi, y_s)
-    curve = aic_curve(ranking, psi, y_s)
+    curve = aic_curve(ranking, psi, y_s, SelectionConfig(estimator="ls"))
     assert curve.argmin == len(true_terms)
     j = curve.j_values
     tail = np.diff(j[len(true_terms):])
@@ -264,7 +264,7 @@ def test_aic_formula_matches_definition():
     cs = generate_candidates(1, 1, 1)
     psi, y_s = build_regression(cs, data)
     ranking = frols_rank(cs, psi, y_s)
-    curve = aic_curve(ranking, psi, y_s, SelectionConfig(sweep_estimator="ls"))
+    curve = aic_curve(ranking, psi, y_s, SelectionConfig(estimator="ls"))
     # recompute J for the 1-term model by hand
     psi, y_s = build_regression((ranking.ordered_terms[0],), data)
     # ls on the full-candidate row frame: rebuild with all candidates to
@@ -294,7 +294,7 @@ def test_aic_curve_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(selection, "els_sweep", broken)
     ranking, regression = _noisy_ranking()
     with pytest.raises(TypeError):
-        aic_curve(ranking, *regression, SelectionConfig(sweep_estimator="els"))
+        aic_curve(ranking, *regression, SelectionConfig(estimator="els"))
 
 
 def test_aic_curve_singular_point_is_nan(monkeypatch):
@@ -307,7 +307,7 @@ def test_aic_curve_singular_point_is_nan(monkeypatch):
 
     monkeypatch.setattr(selection, "els_sweep", singular_at_two)
     ranking, regression = _noisy_ranking()
-    curve = aic_curve(ranking, *regression, SelectionConfig(sweep_estimator="els"))
+    curve = aic_curve(ranking, *regression, SelectionConfig(estimator="els"))
     assert np.isnan(curve.j_values[1])
     assert np.all(np.isfinite(np.delete(curve.j_values, 1)))
     assert curve.converged[1] is False
@@ -349,7 +349,7 @@ def _per_prefix_reference(candidates, ranking, psi, y_s, config):
     for n_theta in range(1, len(ranking) + 1):
         sub = psi[:, cols[:n_theta]]
         try:
-            if config.sweep_estimator == "els":
+            if config.estimator == "els":
                 report = els_core(sub, y_s, config.n_noise_terms, config.els)
             else:
                 report = ls_estimate(sub, y_s)
@@ -381,14 +381,13 @@ def test_aic_sweep_matches_per_prefix_estimation(make):
     data, _ = make_identification_data(defn, seed=1)
     psi, y_s = build_regression(defn.candidates, data)
     ranking = frols_rank(defn.candidates, psi, y_s)
-    els = dataclasses.replace(defn.selection, sweep_estimator="els")
-    for config in (els, SelectionConfig(sweep_estimator="ls")):
+    for config in (defn.selection, SelectionConfig(estimator="ls")):
         _assert_sweep_matches_per_prefix(defn.candidates, ranking, psi, y_s, config)
 
 
 def test_aic_curve_least_squares_points_converge():
     ranking, regression = _noisy_ranking()
-    curve = aic_curve(ranking, *regression, SelectionConfig(sweep_estimator="ls"))
+    curve = aic_curve(ranking, *regression, SelectionConfig(estimator="ls"))
     assert curve.converged == (True,) * len(ranking)
 
 
@@ -426,8 +425,6 @@ def test_select_structure_builds_one_regression_of_the_dictionary(monkeypatch):
 def test_selection_config_validation():
     with pytest.raises(ParameterError):
         SelectionConfig(estimator="ridge")
-    with pytest.raises(ParameterError):
-        SelectionConfig(sweep_estimator="ridge")
     for bad in (-1, 1.5, True):
         with pytest.raises(ParameterError):
             SelectionConfig(n_noise_terms=bad)
