@@ -228,7 +228,7 @@ def build_parser():
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("validate", help="score a model file against validation data")
-    _add_common(p)
+    _add_common(p, noise=False)
     p.add_argument("--model", required=True, help="model file written by 'identify' (model.txt)")
     p.add_argument("--data", help="k,u,y CSV to validate against (default: generated)")
     p.add_argument("--mode", choices=["free_run", "one_step"], default="free_run")

@@ -10,6 +10,7 @@ concatenation seams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.signal
@@ -105,8 +106,16 @@ class InputDesignSpec:
     def n_operating_points(self):
         return len(self.operating_points)
 
+    @cached_property
+    def _filters(self):
+        # designed on first use and kept with the spec: every design_input
+        # on it filters with the same sections
+        return tuple(design_butterworth(self.filter_order, f, self.sample_rate)
+                     for f in self.frequencies)
+
     def segment_filter(self, i):
-        return design_butterworth(self.filter_order, self.frequencies[i], self.sample_rate)
+        """The Butterworth low-pass at design frequency i."""
+        return self._filters[i]
 
 
 def normalize_unit_range(e):

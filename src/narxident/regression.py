@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import isfinite
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,18 +113,46 @@ def zero_buffer(n):
     return buf, np.frombuffer(buf)
 
 
+@lru_cache(maxsize=16)
+def _step_loop(structure):
+    """The free-run loop for one output-lag structure, compiled once.
+
+    ``structure`` gives each term's output lags (powers repeated) and
+    whether its exogenous part is a vector or the bare parameter.  Terms
+    and factors are evaluated in order, left to right, as in
+    ``y[k] = 0.0 + p0 * y[k - 1] + p1[k] + p2 * y[k - 2]``; the source
+    holds only integer lags and positional names.
+    """
+    names = [f"p{i}" for i in range(len(structure))]
+    step = "0.0" + "".join(
+        f" + {name}{'[k]' if vector else ''}" + "".join(f" * y[k - {lag}]" for lag in lags)
+        for name, (lags, vector) in zip(names, structure))
+    source = (f"def loop({', '.join(['y', 'start', 'n', *names])}):\n"
+              f"    for k in range(start, n):\n"
+              f"        y[k] = {step}\n")
+    namespace = {}
+    exec(source, namespace)
+    # popped, so that the function and its globals form no reference cycle
+    # and a loop evicted from the cache is freed at once
+    return namespace.pop("loop")
+
+
 def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     """Simulate the model recursively, feeding outputs back as lagged outputs.
 
     The difference signals are computed from ``u``; the moving-average
     noise terms are not simulated.  ``bound`` caps |y(k)| and defaults to
-    :func:`divergence_bound` of ``y_init``; when exceeded the run stops
-    and the partial trajectory is returned with ``diverged=True``.  It
-    must be positive; ``inf`` means no bound.
+    :func:`divergence_bound` of ``y_init``; it must be positive, and
+    ``inf`` means no bound.  The first sample that is not finite or
+    exceeds it is returned as ``diverged_at``, with NaN from there on.
 
     Each term's exogenous part (its parameter times its input and
-    difference-signal factors) is computed once as a vector; the
-    recursion multiplies it by the term's lagged outputs on Python floats.
+    difference-signal factors) is computed once as a vector.  A loop
+    generated for the model's output-lag structure multiplies it by the
+    term's lagged outputs on Python floats.  Python floats overflow to
+    inf or NaN without raising, so the bound is checked after the loop:
+    the samples before the first bad one are the ones a check at every
+    step would have kept.
     """
     u = np.asarray(u, dtype=float)
     y_init = np.atleast_1d(np.asarray(y_init, dtype=float))
@@ -140,30 +168,30 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     bound = resolve_bound(bound, y_init)
 
     table = _signal_table(u)
-    terms = []  # (exogenous part over k = 0 .. n-1, output lags with repeats)
+    parts, structure = [], []
     for th, t in zip(model.theta, model.process_terms):
         exogenous = [f for f in t.factors if f[0] is not Variable.OUTPUT]
-        buf, view = zero_buffer(n)
-        view[start:] = th
-        _multiply_factors(view[start:], exogenous, table, start)
         lags = tuple(lag for var, lag, exp in t.factors if var is Variable.OUTPUT
                      for _ in range(exp))
-        terms.append((buf, lags))
+        if exogenous:
+            part, view = zero_buffer(n)
+            view[start:] = th
+            _multiply_factors(view[start:], exogenous, table, start)
+        else:
+            part = th
+        parts.append(part)
+        structure.append((lags, bool(exogenous)))
 
-    y, y_view = zero_buffer(n)
-    y_view[: len(y_init)] = y_init
-    for k in range(start, n):
-        acc = 0.0
-        for part, lags in terms:
-            val = part[k]
-            for lag in lags:
-                val *= y[k - lag]
-            acc += val
-        if not isfinite(acc) or abs(acc) > bound:
-            y_view[k:] = np.nan
-            return SimulationResult(y_view, diverged=True, diverged_at=k)
-        y[k] = acc
-    return SimulationResult(y_view)
+    buf, y = zero_buffer(n)
+    y[: len(y_init)] = y_init
+    _step_loop(tuple(structure))(buf, start, n, *parts)
+    tail = y[start:]
+    bad = np.flatnonzero(~np.isfinite(tail) | (np.abs(tail) > bound))
+    if bad.size:
+        k = start + int(bad[0])
+        y[k:] = np.nan
+        return SimulationResult(y, diverged=True, diverged_at=k)
+    return SimulationResult(y)
 
 
 def run_inverse_model(model: NarxModel, y, u_init):

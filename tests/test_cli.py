@@ -254,6 +254,14 @@ def test_validate_rejects_nan_and_nonpositive_bound(tmp_path, capsys, bound):
         assert out.err.startswith("error: ") and "bound" in out.err
 
 
+def test_validate_has_no_noise_ratio(tmp_path, capsys):
+    # validation records are noise-free, so the flag would change nothing
+    with pytest.raises(SystemExit) as exc:
+        _validate_preset(tmp_path, capsys, "--noise-ratio", "0.1")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --noise-ratio" in capsys.readouterr().err
+
+
 def test_validate_on_generated_sine(tmp_path, capsys):
     # --sine-frequency validates against the experiment's system driven by a sinusoid
     model = preset_models()["heating_narx"].model

@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used, and one module
-writes CSV.
+"""Every module-level import in the package is used, one module writes
+CSV, and one module generates code.
 
 An import that nothing in its module reads is dead code that still runs
 at import time and misleads a reader about the module's dependencies.
@@ -8,6 +8,8 @@ line marked ``# noqa: F401`` (a binding kept on purpose).
 
 Every CSV artifact goes through ``data.write_csv``, which owns the float
 format; a second ``csv.writer`` would be a second copy of it to drift.
+Likewise ``regression.py`` is the one module that generates and runs
+code (the free-run loop), so ``exec`` and ``compile`` appear nowhere else.
 """
 
 import ast
@@ -61,3 +63,13 @@ def _uses_csv_writer(path):
 
 def test_csv_writer_is_used_in_one_module():
     assert [p.name for p in MODULES if _uses_csv_writer(p)] == ["data.py"]
+
+
+def _calls_code_generation(path):
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id in ("exec", "compile")
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_code_is_generated_in_one_module():
+    assert [p.name for p in MODULES if _calls_code_generation(p)] == ["regression.py"]

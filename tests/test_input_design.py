@@ -1,7 +1,10 @@
 """Excitation design, filtering, and noise injection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.signal
 
 from narxident import (
     DegenerateRangeError,
@@ -81,6 +84,54 @@ def test_design_input_bounded_by_amplitudes():
     # overshoot slightly at block seams, so allow a small margin
     settled = u[200:]
     assert np.all(settled > 0.3 - 0.25) and np.all(settled < 0.7 + 0.25)
+
+
+def test_segment_filters_are_built_once_per_spec():
+    spec = dataclasses.replace(HEATING_SPEC)
+    for i in range(len(spec.frequencies)):
+        assert spec.segment_filter(i) is spec.segment_filter(i)
+        assert spec.segment_filter(i).cutoff == spec.frequencies[i]
+    other = dataclasses.replace(spec, frequencies=(0.002, 0.01))
+    assert other.segment_filter(0) is not spec.segment_filter(0)
+    assert [other.segment_filter(i).cutoff for i in range(2)] == [0.002, 0.01]
+
+
+def rebuilt_design_input(spec, rng):
+    """``design_input`` written out with a direct ``butter`` + ``sosfilt``
+    per filtering, as an oracle for the cached filters."""
+    def lowpass(f, x):
+        sos = scipy.signal.butter(spec.filter_order, f, fs=spec.sample_rate, output="sos")
+        return scipy.signal.sosfilt(sos, x)
+
+    v = spec.n_operating_points
+    segments = []
+    for f, n_i in zip(spec.frequencies, spec.segment_lengths):
+        filtered = lowpass(f, normalize_unit_range(rng.standard_normal(n_i)))
+        bounds = np.linspace(0, n_i, v + 1).round().astype(int)
+        out = np.empty(n_i)
+        for j in range(v):
+            seg = filtered[bounds[j]:bounds[j + 1]]
+            out[bounds[j]:bounds[j + 1]] = (spec.amplitudes[j] / float(np.max(np.abs(seg))) * seg
+                                            + spec.operating_points[j])
+        segments.append(out)
+    return lowpass(max(spec.frequencies), np.concatenate(segments))
+
+
+def test_design_input_equals_a_direct_filter_rebuild():
+    spec = dataclasses.replace(HEATING_SPEC)
+    for seed in (5, 6):  # the second design runs on the cached filters
+        u = design_input(spec, rng=np.random.default_rng(seed))
+        assert np.array_equal(u, rebuilt_design_input(spec, np.random.default_rng(seed)))
+
+
+def test_design_input_leaves_the_cached_sections_unchanged():
+    # sosfilt rejects a read-only sos, so the sections stay writable; the
+    # design must not write to them
+    spec = dataclasses.replace(HEATING_SPEC)
+    before = [spec.segment_filter(i).sos.copy() for i in range(2)]
+    design_input(spec, rng=np.random.default_rng(0))
+    for i in range(2):
+        assert np.array_equal(spec.segment_filter(i).sos, before[i])
 
 
 def test_spec_validation():

@@ -1,5 +1,8 @@
 """Regression-matrix construction and model simulation."""
 
+from array import array
+from math import isfinite
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,11 @@ from narxident import (
     build_regression,
     free_run_simulate,
     generate_candidates,
+    heating_experiment,
+    make_validation_data,
     one_step_predict,
     preset_models,
+    run_identification,
     run_inverse_model,
     simulate_bouc_wen,
     term,
@@ -23,6 +29,8 @@ from narxident import (
 from narxident.errors import ParameterError
 from narxident.hysteresis import hysteresis_signals
 from narxident.regression import divergence_bound
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 Y, U, P1, P2 = Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2
 
@@ -248,21 +256,138 @@ def test_free_run_reference_cases_diverge_and_settle():
     assert_matches_reference(sim, reference_free_run(m, u, [0.1]))
 
 
-@pytest.mark.parametrize("name", ["heating_narx", "pzt_narx", "valve_constrained_narx",
-                                  "valve_compensation_narx"])
-def test_catalog_free_runs_match_per_step_reference(name):
+CATALOG = ["heating_narx", "pzt_narx", "valve_constrained_narx", "valve_compensation_narx"]
+
+
+def catalog_run(name):
     m = preset_models()[name].model
     rng = np.random.default_rng(3)
     u = 0.5 + 0.2 * np.cumsum(rng.standard_normal(1500)) / 30
-    y_init = np.full(max(m.max_lag, 1), 0.5)
+    return m, u, np.full(max(m.max_lag, 1), 0.5)
+
+
+def inverse_valve_run():
+    inverse = preset_models()["valve_inverse_narx"].model
+    t = np.arange(3000) * inverse.ts
+    u = 0.5 + 0.25 * np.sin(2 * np.pi * 0.1 * t)
+    position = simulate_bouc_wen(VALVE_BOUC_WEN, u).y
+    return inverse, position, u[:2]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_free_runs_match_per_step_reference(name):
+    m, u, y_init = catalog_run(name)
     assert_matches_reference(free_run_simulate(m, u, y_init),
                              reference_free_run(m, u, y_init))
 
 
 def test_inverse_valve_model_matches_per_step_reference():
-    inverse = preset_models()["valve_inverse_narx"].model
-    t = np.arange(3000) * inverse.ts
-    u = 0.5 + 0.25 * np.sin(2 * np.pi * 0.1 * t)
-    position = simulate_bouc_wen(VALVE_BOUC_WEN, u).y
-    sim = run_inverse_model(inverse, position, u_init=u[:2])
-    assert_matches_reference(sim, reference_free_run(inverse, position, u[:2]))
+    inverse, position, u_init = inverse_valve_run()
+    sim = run_inverse_model(inverse, position, u_init=u_init)
+    assert_matches_reference(sim, reference_free_run(inverse, position, u_init))
+
+
+def term_vector_free_run(model, u, y_init, bound=None):
+    """The free run before its step loop was generated, kept as an exact
+    oracle: each term's exogenous part is a vector, and a loop over the
+    terms multiplies it by the term's lagged outputs on Python floats,
+    testing the bound at every step."""
+    u = np.asarray(u, dtype=float)
+    y_init = np.atleast_1d(np.asarray(y_init, dtype=float))
+    n = len(u)
+    start = max(len(y_init), model.max_lag)
+    if bound is None:
+        bound = divergence_bound(y_init)
+    phi1, phi2 = hysteresis_signals(u)
+    table = {U: u, P1: phi1, P2: phi2}
+    terms = []
+    for th, t in zip(model.theta, model.process_terms):
+        part = np.zeros(n)
+        part[start:] = th
+        for var, lag, exp in t.factors:
+            if var is not Y:
+                samples = table[var][start - lag:n - lag]
+                part[start:] *= samples ** exp if exp > 1 else samples
+        lags = tuple(lag for var, lag, exp in t.factors if var is Y for _ in range(exp))
+        terms.append((array("d", part.tobytes()), lags))
+    y = array("d", bytes(8 * n))
+    y[:len(y_init)] = array("d", y_init.tobytes())
+    for k in range(start, n):
+        acc = 0.0
+        for part, lags in terms:
+            val = part[k]
+            for lag in lags:
+                val *= y[k - lag]
+            acc += val
+        if not isfinite(acc) or abs(acc) > bound:
+            out = np.array(y)
+            out[k:] = np.nan
+            return out, True, k
+        y[k] = acc
+    return np.array(y), False, None
+
+
+def assert_equals_term_vector_loop(sim, oracle):
+    y, diverged, diverged_at = oracle
+    assert np.array_equal(sim.y, y, equal_nan=True)
+    assert sim.diverged == diverged
+    assert sim.diverged_at == diverged_at
+
+
+def identified_heating_run():
+    cfg = heating_experiment()
+    model = run_identification(cfg, 0).model
+    val = make_validation_data(cfg, 0)
+    return model, val.u, val.y[:max(model.max_lag, 1)]
+
+
+@pytest.mark.parametrize("case", [*CATALOG, "inverse valve", "identified heating"])
+def test_free_run_equals_term_vector_loop(case):
+    if case == "inverse valve":
+        model, u, y_init = inverse_valve_run()
+    elif case == "identified heating":
+        model, u, y_init = identified_heating_run()
+        assert len(model.process_terms) >= 20
+    else:
+        model, u, y_init = catalog_run(case)
+    assert_equals_term_vector_loop(free_run_simulate(model, u, y_init),
+                                   term_vector_free_run(model, u, y_init))
+
+
+@given(free_run_cases())
+@settings(max_examples=300, deadline=None)
+def test_free_run_equals_term_vector_loop_on_random_models(case):
+    model, u, y_init = case
+    assert_equals_term_vector_loop(free_run_simulate(model, u, y_init),
+                                   term_vector_free_run(model, u, y_init))
+
+
+# The bound is tested after the loop, on the whole trajectory; these pin
+# the samples that test must and must not flag.
+def test_free_run_overflow_diverges_at_first_non_finite_sample_with_no_bound():
+    # y(k) = y(k-1)^2 - y(k-1) from 3 overflows to inf at k=10, and
+    # inf - inf is NaN at k=11; a test of |y| <= inf alone would pass the inf
+    m = small_model([term((Y, 1, 2)), term((Y, 1, 1))], [1.0, -1.0])
+    u = np.zeros(15)
+    sim = free_run_simulate(m, u, y_init=[3.0], bound=float("inf"))
+    assert sim.diverged and sim.diverged_at == 10
+    assert np.all(np.isfinite(sim.y[:10])) and np.all(np.isnan(sim.y[10:]))
+    assert_equals_term_vector_loop(sim, term_vector_free_run(m, u, [3.0], float("inf")))
+
+
+def test_free_run_sample_at_the_bound_is_not_diverged():
+    m = small_model([term((Y, 1, 1))], [2.0])
+    sim = free_run_simulate(m, np.zeros(5), y_init=[1.0], bound=16.0)
+    assert not sim.diverged and sim.y[-1] == 16.0
+    sim = free_run_simulate(m, np.zeros(5), y_init=[1.0], bound=8.0)
+    assert sim.diverged_at == 4 and sim.y[3] == 8.0
+
+
+def test_free_run_nan_input_diverges_at_the_first_step_that_reads_it():
+    m = small_model([term((Y, 1, 1)), term((U, 2, 1))], [0.5, 1.0])
+    u = np.ones(12)
+    u[5] = np.nan
+    sim = free_run_simulate(m, u, y_init=[0.0])
+    assert sim.diverged and sim.diverged_at == 7
+    assert np.all(np.isfinite(sim.y[:7]))
+    assert_equals_term_vector_loop(sim, term_vector_free_run(m, u, [0.0]))
