@@ -113,6 +113,8 @@ def zero_buffer(n):
     return buf, np.frombuffer(buf)
 
 
+# Validating a fixed model set reuses a few structures and skips the
+# compile; an identification mostly brings a new structure per run.
 @lru_cache(maxsize=16)
 def _step_loop(structure):
     """The free-run loop for one output-lag structure, compiled once.
@@ -177,7 +179,7 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
             part, view = zero_buffer(n)
             view[start:] = th
             _multiply_factors(view[start:], exogenous, table, start)
-        else:
+        else:  # a float, not a buffer of it: no allocation, no per-step index
             part = th
         parts.append(part)
         structure.append((lags, bool(exogenous)))
