@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError, ParameterError, SingularMatrixError
@@ -318,6 +317,13 @@ def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
     return _fit_one(psi, y_s, n_noise_terms, config)
 
 
+def _null_space(c_mat):
+    """Orthonormal null-space basis of a full-row-rank p x n matrix: its
+    last n - p right singular vectors, as a column slice of a C-ordered V.
+    That is scipy.linalg.null_space's layout, so products with it round alike."""
+    return np.ascontiguousarray(np.linalg.svd(c_mat)[2].T)[:, c_mat.shape[0]:]
+
+
 def constrained_ls_estimate(psi, y_s, constraints):
     """Least squares subject to linear equality constraints c^T theta = b.
 
@@ -341,7 +347,7 @@ def constrained_ls_estimate(psi, y_s, constraints):
     theta_p, *_ = np.linalg.lstsq(c_mat, b_vec, rcond=None)
     if np.linalg.norm(c_mat @ theta_p - b_vec) > 1e-8 * max(1.0, np.linalg.norm(b_vec)):
         raise ConstraintError("constraints are inconsistent")
-    z = scipy.linalg.null_space(c_mat)
+    z = _null_space(c_mat)
     reduced = ls_estimate(psi @ z, y_s - psi @ theta_p)
     theta = theta_p + z @ reduced.theta
     residuals = y_s - psi @ theta

@@ -5,6 +5,9 @@ unit-range normalized Gaussian noise, low-pass filtered at each design
 frequency, scaled block-wise around a set of operating points, then
 concatenated and smoothed with the highest-frequency filter to remove
 concatenation seams.
+
+``scipy.signal`` takes most of a second to import, so the functions that
+design or apply a filter import it, not the package.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.signal
 
 from .errors import DegenerateRangeError, ParameterError
+from .estimation import is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -40,21 +43,30 @@ class FilterSpec:
 
     def magnitude(self, freqs):
         """|H| evaluated at the given frequencies in Hz."""
+        import scipy.signal
         _, h = scipy.signal.sosfreqz(self.sos, worN=np.atleast_1d(freqs), fs=self.sample_rate)
         return np.abs(h)
 
     def apply(self, x):
         """Causal filtering (startup transient retained)."""
+        import scipy.signal
         return scipy.signal.sosfilt(self.sos, np.asarray(x, dtype=float))
+
+
+def _check_filter(order, sample_rate):
+    if not is_int(order) or order < 1:
+        raise ParameterError(f"filter order must be an integer >= 1, got {order!r}")
+    if not is_real(sample_rate) or not 0 < sample_rate < np.inf:
+        raise ParameterError(f"sample rate must be finite and positive, got {sample_rate!r}")
 
 
 def design_butterworth(order, cutoff, sample_rate):
     """Discrete Butterworth low-pass via the bilinear transform with
     frequency prewarping (unit DC gain, -3 dB at the cutoff)."""
+    _check_filter(order, sample_rate)
     if not (0 < cutoff < sample_rate / 2):
         raise ParameterError(f"cutoff {cutoff} Hz outside (0, {sample_rate / 2}) Hz")
-    if order < 1:
-        raise ParameterError("filter order must be >= 1")
+    import scipy.signal
     sos = scipy.signal.butter(order, cutoff, fs=sample_rate, output="sos")
     return FilterSpec(order=order, cutoff=cutoff, sample_rate=sample_rate, sos=sos)
 
@@ -85,6 +97,9 @@ class InputDesignSpec:
             raise ParameterError("need matching, nonempty frequency and segment-length lists")
         if len(self.operating_points) != len(self.amplitudes) or not self.operating_points:
             raise ParameterError("need matching, nonempty operating-point and amplitude lists")
+        # the filters are designed lazily, so a bad order or rate must fail
+        # here rather than at the first design_input
+        _check_filter(self.filter_order, self.sample_rate)
         v = len(self.operating_points)
         for n_i in self.segment_lengths:
             # segment lengths should be multiples of the operating-point

@@ -50,11 +50,13 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
     fraction of the output energy is selected.  Selection stops
     at ``max_terms`` or when the best remaining ratio falls below
     ``err_floor``.  Ties break on canonical term order, which also makes
-    the result independent of candidate input order.  The columns used are
-    those of R in the QR of [Psi y] (at most n + 1 rows for n candidates),
-    which keeps every inner product that ERR needs (Chen, Billings & Luo
-    1989).  ``max_terms`` (default ``min(30, len(candidates))``) must be an
-    integer in 1..len(candidates) and ``err_floor`` a finite real >= 0.
+    the result independent of candidate input order; ERRs within a
+    relative 1e-10 tie, so exact ties that round differently still tie.
+    The columns used are those of R in the QR of [Psi y] (at most n + 1
+    rows for n candidates), which keeps every inner product that ERR
+    needs (Chen, Billings & Luo 1989).  ``max_terms`` (default
+    ``min(30, len(candidates))``) must be an integer in 1..len(candidates)
+    and ``err_floor`` a finite real >= 0.
     """
     if len(candidates) == 0:
         raise ParameterError("empty candidate set")
@@ -90,7 +92,7 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
         errs = (live @ y_r)[ok] ** 2 / (ww[ok] * yty)
         best_p, best_err = None, -1.0
         for p, err in zip(ok.tolist(), errs.tolist()):
-            if err > best_err + 1e-15:
+            if err > best_err * (1.0 + 1e-10):
                 best_err = err
                 best_p = p
         if best_p is None:

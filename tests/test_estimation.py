@@ -24,7 +24,7 @@ from narxident import (
 )
 from narxident.benchmarks import HEATING_SYSTEM
 from narxident.experiments import heating_experiment, make_identification_data
-from narxident.estimation import els_core, els_sweep
+from narxident.estimation import _null_space, els_core, els_sweep
 
 U = Variable.INPUT
 
@@ -439,6 +439,38 @@ def test_constrained_ls_is_optimal_among_feasible():
         d -= (d @ c) / (c @ c) * c  # stay on the constraint surface
         perturbed = np.linalg.norm(y - psi @ (report.theta + 1e-3 * d))
         assert perturbed >= base - 1e-12
+
+
+def _scipy_constrained_ls(psi, y, c_mat, b):
+    """The null-space method with ``scipy.linalg.null_space``'s basis."""
+    theta_p = np.linalg.lstsq(c_mat, b, rcond=None)[0]
+    z = scipy.linalg.null_space(c_mat)
+    return theta_p + z @ ls_estimate(psi @ z, y - psi @ theta_p).theta
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_null_space_basis_matches_scipy(seed):
+    # random full-row-rank C with p < n <= 12
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    p = int(rng.integers(1, n))
+    c_mat = rng.standard_normal((p, n))
+    z = _null_space(c_mat)
+    assert z.shape == (n, n - p)
+    assert np.allclose(z.T @ z, np.eye(n - p), rtol=0.0, atol=1e-12)
+    assert np.all(np.abs(c_mat @ z) <= 1e-12 * np.abs(c_mat).max())
+    # the same subspace: equal orthogonal projectors
+    z_ref = scipy.linalg.null_space(c_mat)
+    assert np.allclose(z @ z.T, z_ref @ z_ref.T, rtol=0.0, atol=1e-12)
+
+    psi = rng.standard_normal((n + int(rng.integers(20, 60)), n))
+    y = rng.standard_normal(len(psi))
+    b = rng.standard_normal(p)
+    theta = constrained_ls_estimate(psi, y, list(zip(c_mat, b))).theta
+    expected = _scipy_constrained_ls(psi, y, c_mat, b)
+    assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.all(np.abs(c_mat @ theta - b) <= 1e-10)
 
 
 def test_constrained_ls_rejects_bad_constraints():

@@ -10,14 +10,22 @@ Every CSV artifact goes through ``data.write_csv``, which owns the float
 format; a second ``csv.writer`` would be a second copy of it to drift.
 Likewise ``regression.py`` is the one module that generates and runs
 code (the free-run loop), so ``exec`` and ``compile`` appear nowhere else.
+
+Importing the package does not load SciPy: ``scipy.signal`` alone takes
+most of a second to import, and only filter design and filtering use it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "narxident"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "narxident"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -73,3 +81,24 @@ def _calls_code_generation(path):
 
 def test_code_is_generated_in_one_module():
     assert [p.name for p in MODULES if _calls_code_generation(p)] == ["regression.py"]
+
+
+_FRESH_IMPORT = """
+import json, sys
+import narxident, narxident.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import numpy as np
+spec = narxident.InputDesignSpec((0.01,), (300,), (0.5,), (0.1,), sample_rate=1.0)
+u = narxident.design_input(spec, np.random.default_rng(0))
+print(json.dumps([loaded, len(u), bool(np.all(np.isfinite(u))), "scipy.signal" in sys.modules]))
+"""
+
+
+def test_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    loaded, n, finite, signal_loaded = json.loads(out.stdout)
+    assert loaded == []
+    # the first design loads scipy.signal on demand
+    assert (n, finite, signal_loaded) == (300, True, True)

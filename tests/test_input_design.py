@@ -39,8 +39,9 @@ def test_butterworth_stable_and_monotone_rolloff():
 def test_butterworth_rejects_bad_cutoff():
     with pytest.raises(ParameterError):
         design_butterworth(5, 0.6, 1.0)  # above Nyquist
-    with pytest.raises(ParameterError):
-        design_butterworth(0, 0.1, 1.0)
+    for order, sample_rate in [(0, 1.0), (2.5, 1.0), (True, 1.0), (5, float("inf"))]:
+        with pytest.raises(ParameterError):
+            design_butterworth(order, 0.1, sample_rate)
 
 
 def test_normalize_unit_range_touches_endpoints():
@@ -141,6 +142,17 @@ def test_spec_validation():
         InputDesignSpec((0.01,), (2,), (0.1, 0.2, 0.3), (0.1, 0.1, 0.1), sample_rate=1.0)
     with pytest.raises(ParameterError):
         InputDesignSpec((0.01,), (100, 100), (0.5,), (0.1,), sample_rate=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("filter_order", 2.5), ("filter_order", True), ("filter_order", 0), ("filter_order", -1),
+    ("sample_rate", float("inf")), ("sample_rate", float("nan")), ("sample_rate", 0.0),
+    ("sample_rate", -0.5), ("sample_rate", True),
+])
+def test_spec_rejects_bad_filter_settings_at_construction(field, value):
+    # the filters are designed lazily, so the spec itself must refuse these
+    with pytest.raises(ParameterError, match=field.replace("_", " ")):
+        dataclasses.replace(HEATING_SPEC, **{field: value})
 
 
 def test_add_output_noise_ratio():

@@ -155,7 +155,7 @@ def _reference_frols(candidates, psi, y_s, max_terms, err_floor):
             if ww <= 1e-12 * max(norms0[j], 1.0):
                 continue
             err = (float(w @ y_s) ** 2) / (ww * yty)
-            if err > best_err + 1e-15:
+            if err > best_err * (1.0 + 1e-10):
                 best_err, best_j = err, j
         if best_j is None:
             skipped.extend(remaining)
@@ -182,18 +182,8 @@ def _assert_frols_matches_reference(candidates, psi, y_s, max_terms=None, err_fl
         max_terms = min(30, len(candidates))
     terms, err_values, skipped = _reference_frols(candidates, psi, y_s, max_terms, err_floor)
     got = ranking.ordered_terms
-    tie = np.linalg.matrix_rank(psi) - 1
-    if len(psi) <= len(candidates) and got[tie:tie + 1] != terms[tie:tie + 1]:
-        # fewer rows than candidates + 1: after rank - 1 picks the columns
-        # left lie on one direction and their ERRs tie exactly, so rounding
-        # picks one of them, and any others left are skipped
-        assert got[:tie] == terms[:tie] and len(got) == len(terms)
-        assert bool(ranking.skipped) == bool(skipped)
-        if skipped:
-            assert set(got[tie:] + ranking.skipped) == set(terms[tie:] + skipped)
-    else:
-        assert got == terms
-        assert ranking.skipped == skipped
+    assert got == terms
+    assert ranking.skipped == skipped
     assert np.all(np.abs(ranking.err_values - err_values) <= 1e-9 * np.abs(err_values))
     # each ranked term's column in the matrix ranked
     assert len(ranking.columns) == len(got)
