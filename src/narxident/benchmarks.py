@@ -11,13 +11,12 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
 from .errors import ParameterError
 from .model import CandidateMeta, NarxModel, Variable, term
-from .regression import zero_buffer
+from .regression import first_unbounded, zero_buffer
 
 Y, U, P1, P2 = Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2
 
@@ -43,21 +42,29 @@ def simulate_hammerstein(params: HammersteinParams, u):
     """Exact recursion of the heating benchmark from zero initial conditions.
 
     Warns (without failing) when the input leaves the validity range
-    [0, 1] of the published parameters.
+    [0, 1] of the published parameters, and raises ParameterError naming
+    the first step whose output is not finite or exceeds 1e9 in
+    magnitude.  The recursion carries y(k-1), y(k-2), v(k-1) and v(k-2)
+    in local floats and is checked once, after the loop.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u < 0) or np.any(u > 1):
         warnings.warn("input outside the model validity range [0, 1]", stacklevel=2)
     v = array("d", (params.p1 * u ** 2 + params.p2 * u).tobytes())
     b1, b2, b3, b4 = params.beta1, params.beta2, params.beta3, params.beta4
-    y, y_view = zero_buffer(len(u))
-    for k in range(1, len(u)):
-        yk = b1 * y[k - 1] + b2 * v[k - 1]
-        if k >= 2:
-            yk += b3 * y[k - 2] + b4 * v[k - 2]
-        if not isfinite(yk) or abs(yk) > 1e9:
-            raise ParameterError(f"heating simulation diverged at step {k}")
-        y[k] = yk
+    n = len(u)
+    y, y_view = zero_buffer(n)
+    if n >= 2:
+        # step 1 has no y(k-2), v(k-2) part; y(0) = 0
+        y1, y2, v2 = b1 * 0.0 + b2 * v[0], 0.0, v[0]
+        y[1] = y1
+        for k, v1 in zip(range(2, n), v[1:-1]):
+            y0 = b1 * y1 + b2 * v1 + (b3 * y2 + b4 * v2)
+            y[k] = y0
+            y1, y2, v2 = y0, y1, v1
+    bad = first_unbounded(y_view, 1e9)
+    if bad is not None:
+        raise ParameterError(f"heating simulation diverged at step {bad}")
     return y_view
 
 
@@ -97,6 +104,13 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
     available.  An array ``u_dot`` is interpolated at the half-step stage
     times; a callable ``u_dot(t)`` is evaluated there exactly, which
     preserves the full fourth-order accuracy in convergence studies.
+
+    The rate's factors alpha*du, beta*|du| and gamma*du are formed as
+    vectors, at the grid points and at the half steps, so each stage of
+    the loop adds only the state's part on Python floats.  The state has
+    diverged at its first sample that is not finite or exceeds 1e12 in
+    magnitude; that is found once, after the loop, and the trajectory is
+    NaN from there on.
     """
     u = np.asarray(u, dtype=float)
     if len(u) < 2:
@@ -115,32 +129,31 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
 
     if du_half is None:
         du_half = 0.5 * (u_dot[:-1] + u_dot[1:])
-    rates = array("d", u_dot.tobytes())
-    mid_rates = array("d", du_half.tobytes())
 
-    # the state equation dh/dt = alpha*du - beta*|du|*h - gamma*du*|h|,
-    # written out at each RK4 stage
+    # dh/dt = alpha*du - beta*|du|*h - gamma*du*|h| is a - b*h - g*|h|
+    # with a, b, g the rate's factors: the same operations in the same order
     alpha, beta, gamma, dt = params.alpha, params.beta, params.gamma, params.dt
+    grid, mid = ([array("d", f.tobytes()) for f in (alpha * du, beta * np.abs(du), gamma * du)]
+                 for du in (u_dot, du_half))
     n = len(u)
     h, h_view = zero_buffer(n)
     hk = 0.0
-    for k in range(n - 1):
-        du0 = rates[k]
-        du1 = rates[k + 1]
-        du_mid = mid_rates[k]
-        k1 = alpha * du0 - beta * abs(du0) * hk - gamma * du0 * abs(hk)
+    a0, b0, g0 = (f[0] for f in grid)  # k1's factors; k4's become the next k1's
+    for k, am, bm, gm, a1, b1, g1 in zip(range(1, n), *mid, *(f[1:] for f in grid)):
+        k1 = a0 - b0 * hk - g0 * abs(hk)
         h_stage = hk + 0.5 * dt * k1
-        k2 = alpha * du_mid - beta * abs(du_mid) * h_stage - gamma * du_mid * abs(h_stage)
+        k2 = am - bm * h_stage - gm * abs(h_stage)
         h_stage = hk + 0.5 * dt * k2
-        k3 = alpha * du_mid - beta * abs(du_mid) * h_stage - gamma * du_mid * abs(h_stage)
+        k3 = am - bm * h_stage - gm * abs(h_stage)
         h_stage = hk + dt * k3
-        k4 = alpha * du1 - beta * abs(du1) * h_stage - gamma * du1 * abs(h_stage)
+        k4 = a1 - b1 * h_stage - g1 * abs(h_stage)
         hk = hk + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if not isfinite(hk) or abs(hk) > 1e12:
-            h_view[k + 1:] = np.nan
-            return BoucWenTrajectory(y=params.nu_y * u - h_view, h=h_view, diverged=True)
-        h[k + 1] = hk
-    return BoucWenTrajectory(y=params.nu_y * u - h_view, h=h_view)
+        h[k] = hk
+        a0, b0, g0 = a1, b1, g1
+    bad = first_unbounded(h_view, 1e12)
+    if bad is not None:
+        h_view[bad:] = np.nan
+    return BoucWenTrajectory(y=params.nu_y * u - h_view, h=h_view, diverged=bad is not None)
 
 
 # Published-model catalog.  Numeric values are the published coefficients

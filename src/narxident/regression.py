@@ -113,6 +113,17 @@ def zero_buffer(n):
     return buf, np.frombuffer(buf)
 
 
+def first_unbounded(x, bound):
+    """Index of the first sample of ``x`` that is not finite or exceeds
+    ``bound`` in magnitude, or None.
+
+    The recursions run to the end on Python floats, which overflow to inf
+    or NaN without raising, and check their trajectory once with this.
+    """
+    bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > bound))
+    return int(bad[0]) if bad.size else None
+
+
 # Validating a fixed model set reuses a few structures and skips the
 # compile; an identification mostly brings a new structure per run.
 @lru_cache(maxsize=16)
@@ -120,18 +131,31 @@ def _step_loop(structure):
     """The free-run loop for one output-lag structure, compiled once.
 
     ``structure`` gives each term's output lags (powers repeated) and
-    whether its exogenous part is a vector or the bare parameter.  Terms
-    and factors are evaluated in order, left to right, as in
-    ``y[k] = 0.0 + p0 * y[k - 1] + p1[k] + p2 * y[k - 2]``; the source
-    holds only integer lags and positional names.
+    whether its exogenous part is a vector, holding samples start .. n-1,
+    or the bare parameter.  The loop carries the last outputs in locals
+    ``y1`` (y(k-1)) .. ``yL``, zips the vectors in beside the sample
+    index, and evaluates terms and factors in order, left to right, as in
+    ``y0 = 0.0 + p0 * y1 + x1 + p2 * y2``; then it stores y0 and shifts
+    the locals by one.  The source holds only integer lags and positional
+    names.
     """
     names = [f"p{i}" for i in range(len(structure))]
+    vectors = [i for i, (_, vector) in enumerate(structure) if vector]
+    max_lag = max((lag for lags, _ in structure for lag in lags), default=0)
     step = "0.0" + "".join(
-        f" + {name}{'[k]' if vector else ''}" + "".join(f" * y[k - {lag}]" for lag in lags)
-        for name, (lags, vector) in zip(names, structure))
-    source = (f"def loop({', '.join(['y', 'start', 'n', *names])}):\n"
-              f"    for k in range(start, n):\n"
-              f"        y[k] = {step}\n")
+        f" + {'x' if vector else 'p'}{i}" + "".join(f" * y{lag}" for lag in lags)
+        for i, (lags, vector) in enumerate(structure))
+    steps = "range(start, n)"
+    if vectors:
+        steps = f"zip({steps}{''.join(f', p{i}' for i in vectors)})"
+    source = "\n".join([
+        f"def loop({', '.join(['y', 'start', 'n', *names])}):",
+        *(f"    y{lag} = y[start - {lag}]" for lag in range(1, max_lag + 1)),
+        f"    for k{''.join(f', x{i}' for i in vectors)} in {steps}:",
+        f"        y0 = {step}",
+        "        y[k] = y0",
+        *(f"        y{lag} = y{lag - 1}" for lag in range(max_lag, 0, -1)),
+    ]) + "\n"
     namespace = {}
     exec(source, namespace)
     # popped, so that the function and its globals form no reference cycle
@@ -149,12 +173,13 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     exceeds it is returned as ``diverged_at``, with NaN from there on.
 
     Each term's exogenous part (its parameter times its input and
-    difference-signal factors) is computed once as a vector.  A loop
-    generated for the model's output-lag structure multiplies it by the
-    term's lagged outputs on Python floats.  Python floats overflow to
-    inf or NaN without raising, so the bound is checked after the loop:
-    the samples before the first bad one are the ones a check at every
-    step would have kept.
+    difference-signal factors) is computed once as a vector over the
+    simulated samples.  A loop generated for the model's output-lag
+    structure steps through those vectors and multiplies each sample by
+    the term's lagged outputs, which it carries as local Python floats
+    from step to step.  The bound is checked once after the loop, with
+    :func:`first_unbounded`: the samples before the first bad one are the
+    ones a check at every step would have kept.
     """
     u = np.asarray(u, dtype=float)
     y_init = np.atleast_1d(np.asarray(y_init, dtype=float))
@@ -176,9 +201,9 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
         lags = tuple(lag for var, lag, exp in t.factors if var is Variable.OUTPUT
                      for _ in range(exp))
         if exogenous:
-            part, view = zero_buffer(n)
-            view[start:] = th
-            _multiply_factors(view[start:], exogenous, table, start)
+            part, view = zero_buffer(n - start)
+            view[:] = th
+            _multiply_factors(view, exogenous, table, start)
         else:  # a float, not a buffer of it: no allocation, no per-step index
             part = th
         parts.append(part)
@@ -187,10 +212,9 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     buf, y = zero_buffer(n)
     y[: len(y_init)] = y_init
     _step_loop(tuple(structure))(buf, start, n, *parts)
-    tail = y[start:]
-    bad = np.flatnonzero(~np.isfinite(tail) | (np.abs(tail) > bound))
-    if bad.size:
-        k = start + int(bad[0])
+    bad = first_unbounded(y[start:], bound)
+    if bad is not None:
+        k = start + bad
         y[k:] = np.nan
         return SimulationResult(y, diverged=True, diverged_at=k)
     return SimulationResult(y)

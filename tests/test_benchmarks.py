@@ -184,30 +184,37 @@ def hysteresis_drive(n, dt, scale=1.0):
     return u, u_dot
 
 
-@pytest.mark.parametrize("rate", ["default", "array", "callable"])
+def rate_argument(rate, u_dot, n, dt):
+    """The ``u_dot`` argument of one rate mode: none, the analytic rate
+    sampled on the grid, or the analytic rate itself."""
+    if rate == "default":
+        return None
+    if rate == "array":
+        return u_dot(np.arange(n) * dt)
+    return u_dot
+
+
+RATES = ["default", "array", "callable"]
+
+
+@pytest.mark.parametrize("rate", RATES)
 @pytest.mark.parametrize("params, scale", [(PZT_BOUC_WEN, 1.0), (VALVE_BOUC_WEN, 0.01)],
                          ids=["pzt", "valve"])
 def test_bouc_wen_bit_identical_to_per_step_reference(params, scale, rate):
     u, u_dot = hysteresis_drive(3000, params.dt, scale)
-    if rate == "default":
-        u_dot = None
-    elif rate == "array":
-        u_dot = u_dot(np.arange(len(u)) * params.dt)
+    u_dot = rate_argument(rate, u_dot, len(u), params.dt)
     traj = simulate_bouc_wen(params, u, u_dot=u_dot)
     y, h, diverged = reference_bouc_wen(params, u, u_dot=u_dot)
     assert not diverged and not traj.diverged
     assert same_bits(traj.h, h) and same_bits(traj.y, y)
 
 
-@pytest.mark.parametrize("rate", ["default", "array", "callable"])
+@pytest.mark.parametrize("rate", RATES)
 def test_bouc_wen_divergence_bit_identical_to_per_step_reference(rate):
     # negative beta and gamma make the state grow without bound on loading
     params = BoucWenParams(alpha=1.0, beta=-0.5, gamma=-0.5)
     u, u_dot = hysteresis_drive(3000, params.dt)
-    if rate == "default":
-        u_dot = None
-    elif rate == "array":
-        u_dot = u_dot(np.arange(len(u)) * params.dt)
+    u_dot = rate_argument(rate, u_dot, len(u), params.dt)
     traj = simulate_bouc_wen(params, u, u_dot=u_dot)
     y, h, diverged = reference_bouc_wen(params, u, u_dot=u_dot)
     assert diverged and traj.diverged
@@ -230,3 +237,60 @@ def test_hammerstein_raises_at_the_reference_divergence_step():
         simulate_hammerstein(unstable, u)
     assert str(got.value) == str(want.value)
     assert "step" in str(got.value)
+
+
+# The simulators check divergence once, after the loop.  These pin that
+# check against the oracles, which test every step, where one sample of
+# the input is NaN or overflows the recursion to inf: at the first sample,
+# inside the record and at the last sample, which only the last Bouc-Wen
+# step reads and no Hammerstein step does.
+
+
+def spiked_drive(rate, params, j, value):
+    """The two-tone drive with input sample j set to ``value``; a given
+    rate is set to ``value`` at t_j and at the half steps beside it."""
+    u, u_dot = hysteresis_drive(3000, params.dt)
+    u[j] = value
+    t_j = j * params.dt
+    spiked = lambda tt: np.where(np.abs(tt - t_j) < 0.75 * params.dt, value, u_dot(tt))
+    return u, rate_argument(rate, spiked, len(u), params.dt)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("j", [0, 700, 2999], ids=["first", "inside", "last"])
+@pytest.mark.parametrize("value", [np.nan, 1e300], ids=["nan", "huge"])
+@pytest.mark.parametrize("rate", RATES)
+def test_bouc_wen_bad_input_sample_matches_per_step_reference(rate, value, j):
+    u, u_dot = spiked_drive(rate, PZT_BOUC_WEN, j, value)
+    traj = simulate_bouc_wen(PZT_BOUC_WEN, u, u_dot=u_dot)
+    y, h, diverged = reference_bouc_wen(PZT_BOUC_WEN, u, u_dot=u_dot)
+    assert traj.diverged and diverged
+    assert same_bits(traj.h, h) and same_bits(traj.y, y)
+    first = int(np.flatnonzero(np.isnan(h))[0])
+    assert first <= j + 1 and np.all(np.isnan(h[first:]))
+    assert np.all(np.isfinite(h[:first]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:input outside")
+@pytest.mark.parametrize("j", [0, 1, 700, 3999], ids=["first", "second", "inside", "last"])
+@pytest.mark.parametrize("value", [np.nan, 1e200], ids=["nan", "overflow"])
+def test_hammerstein_bad_input_sample_matches_per_step_reference(value, j):
+    u = np.random.default_rng(4).uniform(0.0, 1.0, 4000)
+    u[j] = value  # 1e200 ** 2 overflows v(j) to inf
+    if j == len(u) - 1:  # no step reads the last sample
+        assert same_bits(simulate_hammerstein(HEATING_SYSTEM, u),
+                         reference_hammerstein(HEATING_SYSTEM, u))
+        return
+    with pytest.raises(ParameterError) as want:
+        reference_hammerstein(HEATING_SYSTEM, u)
+    with pytest.raises(ParameterError) as got:
+        simulate_hammerstein(HEATING_SYSTEM, u)
+    assert str(got.value) == str(want.value) == f"heating simulation diverged at step {j + 1}"
+
+
+def test_hammerstein_first_step_keeps_the_sign_of_zero():
+    # y(1) = b1*y(0) + b2*v(0) with y(0) = 0; b2 < 0 and v(0) = 0 make
+    # b2*v(0) = -0.0, and only the b1*y(0) term turns the sum into +0.0
+    params = HammersteinParams(beta2=-0.1)
+    u = np.zeros(5)
+    assert same_bits(simulate_hammerstein(params, u), reference_hammerstein(params, u))

@@ -354,6 +354,35 @@ def test_free_run_equals_term_vector_loop(case):
                                    term_vector_free_run(model, u, y_init))
 
 
+# Pinned beside the property test: the shapes of generated loop it draws
+# only by chance.  No term mixes output with exogenous factors and none
+# has a power, so the per-step oracle evaluates the same operations in the
+# same order as the term-vector one, and both hold bit for bit.
+PINNED_LOOPS = {
+    # no output term: the loop carries no lagged outputs
+    "no output term": ([term((U, 1, 1)), term((P1, 2, 1), (U, 3, 1)), term()],
+                       [0.7, -0.4, 0.05], [0.2]),
+    # bare parameters only: no vector is zipped, the loop runs over range
+    "bare parameters": ([term((Y, 1, 1)), term((Y, 2, 1), (Y, 1, 1)), term()],
+                        [0.5, -0.3, 0.1], [0.4, -0.2]),
+    # y_init longer than the largest lag: the carried locals start at y(4)
+    "start past the lag": ([term((Y, 1, 1)), term((U, 2, 1)), term((Y, 3, 1), (Y, 1, 1)),
+                            term((Y, 3, 1))],
+                           [0.5, 0.2, 0.1, -0.3], [0.1, -0.3, 0.2, 0.5, -0.4]),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_LOOPS)
+def test_free_run_pinned_loop_shapes_equal_both_oracles(case):
+    terms, theta, y_init = PINNED_LOOPS[case]
+    m = small_model(terms, theta)
+    u = np.sin(np.linspace(0, 9, 80)) + 0.3 * np.cos(np.linspace(0, 31, 80))
+    sim = free_run_simulate(m, u, y_init)
+    assert not sim.diverged and np.all(sim.y[:len(y_init)] == y_init)
+    assert_equals_term_vector_loop(sim, term_vector_free_run(m, u, y_init))
+    assert_equals_term_vector_loop(sim, reference_free_run(m, u, y_init))
+
+
 @given(free_run_cases())
 @settings(max_examples=300, deadline=None)
 def test_free_run_equals_term_vector_loop_on_random_models(case):
