@@ -12,10 +12,13 @@ at O(m n k) work per size for m rows, n process and k noise columns.  The
 noise columns are views of one zero-padded residual buffer, and the
 border W (the part of the noise columns orthogonal to Q) is left
 unnormalised: it is orthogonalized against Q a second time only when one
-pass lost more than half a column's squared norm ("twice is enough":
-Daniel, Gragg, Kaufman & Stewart 1976), its squared column norms serve
-the rank check and the solve, and the new residual is the prefix's
-least-squares residual minus W phi, so no iteration forms Psi theta.
+pass kept less than 1/kappa of a column's norm, kappa = 10, i.e. when
+|C|^2 > 99 |W|^2 for C = Q^T Xi, so a border taken after one pass is
+orthogonal to Q to about kappa * eps (the Parlett-Kahan "twice is
+enough": Parlett, The Symmetric Eigenvalue Problem, sec. 6.9; Daniel,
+Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).  Its squared column
+norms serve the rank check and the solve, and the new residual is the
+prefix's least-squares residual minus W phi, so no iteration forms Psi theta.
 :func:`els_core` is its one-size case and :func:`ls_estimate` the
 one-size case without noise columns.
 """
@@ -31,6 +34,7 @@ from .errors import ConstraintError, ParameterError, SingularMatrixError
 from .regression import build_regression  # noqa: F401  perfbench/tracing.py wraps this binding
 
 _RANK_RTOL = 1e-10
+_REORTH_KAPPA = 10.0  # second pass when a border kept less than 1/kappa of its norm
 
 
 def is_int(value):
@@ -162,10 +166,12 @@ def _fit_block(a, y_s, q, r, qty, sizes, n_noise_terms, config):
             np.subtract(lag, w[l], out=w[l])
         d = np.einsum("...i,...i->...", w, w)
         # Xi = Q C + W with W orthogonal to Q, so a column kept less than
-        # 1/sqrt(2) of its norm exactly when |W|^2 < |C|^2.  Only then does a
-        # second pass against Q run; otherwise one pass is orthogonal to
-        # working precision (Daniel, Gragg, Kaufman & Stewart 1976).
-        if np.any(d < np.einsum("...i,...i->...", c, c)):
+        # 1/kappa of its norm exactly when |C|^2 > (kappa^2 - 1) |W|^2, which
+        # is 99 |W|^2 at kappa = 10.  Only then does a second pass against Q
+        # run; a border accepted after one pass is orthogonal to Q to about
+        # kappa * eps (Parlett, The Symmetric Eigenvalue Problem, sec. 6.9;
+        # Daniel, Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).
+        if np.any((_REORTH_KAPPA ** 2 - 1) * d < np.einsum("...i,...i->...", c, c)):
             for l in range(k):
                 c2 = (w[l] @ qb) * below
                 w[l] -= c2 @ qb.T
@@ -244,14 +250,17 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     The noise columns Xi are views of one residual buffer padded with k
     zeros.  Each iteration forms C = Q^T Xi (masked to each size's prefix)
     and the unnormalised border W = Xi - Q C, repeated on W only if
-    |W|^2 < |C|^2 for some column, i.e. it kept less than 1/sqrt(2) of its
-    norm; for k > 1 a scaled Gram-Schmidt W = V U (U unit upper triangular)
-    makes the lags orthogonal.  Then U phi = D^-1 V^T y with D the squared
-    norms of V (phi = W^T y / W^T W for k = 1), one triangular solve on R
-    for all sizes, and the next residual r0 - W phi in place, after the
-    finishing sizes have reported y - Psi theta - Xi phi.  The rank check
-    is applied per size to the prefix diagonal of R and to sqrt(D), each
-    lag before it is divided by; each size keeps its own convergence test.
+    |C|^2 > 99 |W|^2 for some column, i.e. it kept less than 1/kappa of its
+    norm with kappa = 10 (Parlett's "twice is enough": a border taken after
+    one pass is orthogonal to Q to about kappa * eps; DGKS 1976 take
+    kappa = sqrt(2)); for k > 1 a scaled Gram-Schmidt W = V U (U unit upper
+    triangular) makes the lags orthogonal.  Then U phi = D^-1 V^T y with D
+    the squared norms of V (phi = W^T y / W^T W for k = 1), one triangular
+    solve on R for all sizes, and the next residual r0 - W phi in place,
+    after the finishing sizes have reported y - Psi theta - Xi phi.  The
+    rank check is applied per size to the prefix diagonal of R and to
+    sqrt(D), each lag before it is divided by; each size keeps its own
+    convergence test.
     """
     # row-major, so a one-size fit's Psi theta sums each row as psi @ theta does
     psi = np.ascontiguousarray(psi, dtype=float)

@@ -100,8 +100,10 @@ def ranking_to_csv(ranking, path):
 
 
 def aic_to_csv(curve, path):
-    """Information-criterion curve as ``n_theta,j_aic`` rows."""
-    write_csv(path, ["n_theta", "j_aic"], curve.n_theta_values, curve.j_values)
+    """Information-criterion curve as ``n_theta,j_aic,converged,iterations``
+    rows: the cost of each size and how its estimation ended."""
+    write_csv(path, ["n_theta", "j_aic", "converged", "iterations"], curve.n_theta_values,
+              curve.j_values, curve.converged, curve.iterations)
 
 
 def residuals_to_csv(residuals, path):

@@ -138,8 +138,8 @@ class AicCurve:
 
     n_theta_values: np.ndarray
     j_values: np.ndarray
-    converged: tuple = ()
-    iterations: tuple = ()
+    converged: tuple
+    iterations: tuple
 
     @property
     def argmin(self):

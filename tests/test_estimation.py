@@ -212,47 +212,68 @@ def test_els_matches_reference_on_random_shapes(n, k, extra_rows, seed):
 
 
 
-@pytest.mark.parametrize("noise, second_pass", [(3.0, True), (0.1, False)])
-def test_els_matches_reference_with_and_without_second_pass(noise, second_pass):
+def _noisy_arx_record(noise):
     # ARX output plus white measurement noise: the louder the noise, the more
-    # of the lagged residual lies in the span of the lagged outputs in Psi.
-    # The border keeps less than 1/sqrt(2) of its norm exactly when the
-    # re-orthogonalization pass against Q has to run.
+    # of the lagged residual lies in the span of the lagged outputs in Psi
     rng = np.random.default_rng(0)
     u = rng.standard_normal(500)
     y = np.zeros(500)
     for t in range(1, 500):
         y[t] = 0.8 * y[t - 1] + u[t - 1]
     data = TimeSeriesData(u, y + noise * rng.standard_normal(500), ts=1.0)
-    psi, y_s = build_regression(generate_candidates(1, 2, 1), data)
+    return build_regression(generate_candidates(1, 2, 1), data)
+
+
+def _nearly_dependent_record(perturbation, seed):
+    """Psi = [x, lag of e + perturbation * std(e) * noise] and y = 10 Psi [1, 0.5] + e.
+
+    e is iterated to be orthogonal to Psi, so it is the least-squares
+    residual of either prefix, and in the first ELS iteration the noise
+    column of size 2 keeps about perturbation^2 of its squared norm outside
+    span(Psi), while that of size 1 keeps most of it.
+    """
+    rng = np.random.default_rng(seed)
+    x, noise, e = rng.standard_normal((3, 1000))
+    for _ in range(20):
+        psi = np.column_stack([x, np.r_[0.0, e[:-1]] + perturbation * np.std(e) * noise])
+        q, _ = np.linalg.qr(psi)
+        e -= q @ (q.T @ e)
+    return psi, 10.0 * psi @ np.array([1.0, 0.5]) + e
+
+
+def _border_kept(psi, y_s, n_noise_terms):
+    """Share of its squared norm each first-iteration noise column keeps outside span(Psi)."""
     q, _ = np.linalg.qr(psi)
-    xi = _lagged_columns(y_s - q @ (q.T @ y_s), 2)
+    xi = _lagged_columns(y_s - q @ (q.T @ y_s), n_noise_terms)
     border = xi - q @ (q.T @ xi)
-    kept = np.sum(border ** 2, axis=0) / np.sum(xi ** 2, axis=0)
-    assert np.all(kept < 0.5) if second_pass else np.all(kept > 0.5)
-    _assert_matches_reference(psi, y_s, 2, ElsConfig(zeta=1e-6, max_iterations=10))
+    return np.sum(border ** 2, axis=0) / np.sum(xi ** 2, axis=0)
 
 
-def test_els_second_pass_keeps_a_nearly_dependent_border_accurate():
-    # Psi's second column is the lag of the least-squares residual e plus a
-    # 1e-6 perturbation (e is iterated to be orthogonal to Psi), so in the
-    # first iteration the noise column of size 2 keeps ~1e-6 of its norm
-    # outside span(Psi) while that of size 1 keeps most of it: one block,
-    # two prefix masks, only one size needing the second pass.  One pass
-    # leaves the border a cosine of ~eps/1e-6 with Q.  That is the order of
-    # the rounding Xi already carries, so single seeds overlap; over twenty
-    # seeds the median error against the reference is ~8e-10 with the
-    # second pass and ~4e-8 without it.
-    m, config = 1000, ElsConfig(max_iterations=1)
-    errors = []
+# The second pass against Q runs when a noise column keeps less than
+# 1/kappa^2 = 1e-2 of its squared norm (kappa = 10); DGKS's kappa = sqrt(2)
+# ran it below 1/2.  Each record: builder, noise terms, range of the kept shares.
+_SECOND_PASS_RECORDS = {
+    "noise-0.1": (lambda: _noisy_arx_record(0.1), 2, 0.5, 1.0),  # one pass
+    "noise-3.0": (lambda: _noisy_arx_record(3.0), 2, 1e-2, 0.5),  # one pass now, two before
+    "nearly-dependent": (lambda: _nearly_dependent_record(3e-2, 0), 1, 0.0, 1e-2),  # two passes
+}
+
+
+@pytest.mark.parametrize("record", list(_SECOND_PASS_RECORDS))
+def test_els_matches_reference_with_and_without_second_pass(record):
+    build, n_noise_terms, lo, hi = _SECOND_PASS_RECORDS[record]
+    psi, y_s = build()
+    kept = _border_kept(psi, y_s, n_noise_terms)
+    assert np.all((lo < kept) & (kept < hi))
+    _assert_matches_reference(psi, y_s, n_noise_terms, ElsConfig(zeta=1e-6, max_iterations=10))
+
+
+def _nearly_dependent_errors(perturbation):
+    """Relative error of size 2's one-iteration sweep fit against the
+    reference on twenty seeds, after checking size 1's to 1e-12."""
+    config, errors = ElsConfig(max_iterations=1), []
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        x, noise, e = rng.standard_normal((3, m))
-        for _ in range(20):
-            psi = np.column_stack([x, np.r_[0.0, e[:-1]] + 1e-6 * np.std(e) * noise])
-            q, _ = np.linalg.qr(psi)
-            e -= q @ (q.T @ e)
-        y_s = 10.0 * psi @ np.array([1.0, 0.5]) + e
+        psi, y_s = _nearly_dependent_record(perturbation, seed)
         fits = els_sweep(psi, y_s, [1, 2], 1, config)
         for s, fit in zip([1, 2], fits):
             theta, residuals, _ = _reference_els(psi[:, :s], y_s, 1, config)
@@ -262,7 +283,29 @@ def test_els_second_pass_keeps_a_nearly_dependent_border_accurate():
                 assert error <= 1e-12
             else:
                 errors.append(error)
-    assert np.median(errors) <= 5e-9
+    return errors
+
+
+def test_els_second_pass_keeps_a_nearly_dependent_border_accurate():
+    # A 1e-6 perturbation: the noise column of size 2 keeps ~1e-12 of its
+    # squared norm outside span(Psi), that of size 1 most of it: one block,
+    # two prefix masks, only one size needing the second pass.  One pass
+    # leaves the border a cosine of ~eps/1e-6 with Q.  That is the order of
+    # the rounding Xi already carries, so single seeds overlap; over twenty
+    # seeds the median error against the reference is ~8e-10 with the
+    # second pass and ~4e-8 without it.
+    assert np.median(_nearly_dependent_errors(1e-6)) <= 5e-9
+
+
+@pytest.mark.parametrize("perturbation", [3e-1, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_els_sweep_is_accurate_along_a_cancellation_ladder(perturbation):
+    # Borders that keep ~1e-1 down to ~1e-10 of their squared norm (the test
+    # above takes ~1e-12), on both sides of the 1/kappa^2 = 1e-2 below which
+    # the second pass runs: a border taken after one pass is orthogonal to Q
+    # to about kappa * eps, so each rung meets the same bounds.
+    kept = _border_kept(*_nearly_dependent_record(perturbation, 0), 1)
+    assert 0.5 * perturbation ** 2 < kept[0] < 2.0 * perturbation ** 2
+    assert np.median(_nearly_dependent_errors(perturbation)) <= 5e-9
 
 
 def test_els_residual_row_without_history_is_exact():
