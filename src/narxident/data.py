@@ -36,8 +36,8 @@ class TimeSeriesData:
         object.__setattr__(self, "y", y)
         if u.ndim != 1 or y.ndim != 1 or len(u) != len(y) or len(u) < 1:
             raise ParameterError("u and y must be 1-D arrays of equal nonzero length")
-        if not (self.ts > 0):
-            raise ParameterError("sampling interval must be positive")
+        if not 0 < self.ts < np.inf:
+            raise ParameterError("sampling interval ts must be finite and positive")
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise ParameterError("samples must be finite")
 

@@ -7,18 +7,13 @@ of its square.  Extended least squares has one implementation,
 :func:`els_sweep`, which fits several column prefixes of the matrix it is
 given in one block: the prefixes share a single Householder QR (the QR of
 a column prefix is the prefix of the QR), and each iteration borders
-that factorization with the noise columns of every size still iterating,
-at O(m n k) work per size for m rows, n process and k noise columns.  The
+that factorization with the noise columns of every size, at O(m n k)
+work per size for m rows, n process and k noise columns.  The
 noise columns are views of one zero-padded residual buffer, and the
 border W (the part of the noise columns orthogonal to Q) is left
-unnormalised: it is orthogonalized against Q a second time only when one
-pass kept less than 1/kappa of a column's norm, kappa = 10, i.e. when
-|C|^2 > 99 |W|^2 for C = Q^T Xi, so a border taken after one pass is
-orthogonal to Q to about kappa * eps (the Parlett-Kahan "twice is
-enough": Parlett, The Symmetric Eigenvalue Problem, sec. 6.9; Daniel,
-Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).  Its squared column
-norms serve the rank check and the solve, and the new residual is the
-prefix's least-squares residual minus W phi, so no iteration forms Psi theta.
+unnormalised.  Its squared column norms serve the rank check and the
+solve, and the new residual is the prefix's least-squares residual minus
+W phi, so no iteration forms Psi theta.
 :func:`els_core` is its one-size case and :func:`ls_estimate` the
 one-size case without noise columns.
 """
@@ -34,7 +29,7 @@ from .errors import ConstraintError, ParameterError, SingularMatrixError
 from .regression import build_regression  # noqa: F401  perfbench/tracing.py wraps this binding
 
 _RANK_RTOL = 1e-10
-_REORTH_KAPPA = 10.0  # second pass when a border kept less than 1/kappa of its norm
+_REORTH_KAPPA = 10.0  # the second-pass gate in els_sweep
 
 
 def is_int(value):
@@ -98,143 +93,6 @@ def _rank_error(diag):
     )
 
 
-def _fit_block(a, y_s, q, r, qty, sizes, n_noise_terms, config):
-    """Fit the prefix sizes ``sizes`` (ascending, all of full rank) together.
-
-    ``a`` holds the largest size's columns, factored as ``q r``.  Returns a
-    report or :class:`SingularMatrixError` for each size, in order.  The sizes
-    still iterating have done the same number of iterations, so one counter
-    serves them; a size leaves when it converges or its noise columns fail
-    the rank check.
-    """
-    m, k = len(y_s), n_noise_terms
-    diag = np.abs(np.diag(r))
-    lo, hi = np.minimum.accumulate(diag), np.maximum.accumulate(diag)
-    n_top = sizes[-1]
-    below = np.arange(n_top) < sizes[:, None]  # columns inside each size's prefix
-    theta = np.linalg.solve(r[:n_top, :n_top], (qty[:n_top] * below).T).T
-    # least-squares residual of each prefix, one row per size
-    r0 = np.ascontiguousarray((y_s[:, None] - a[:, :n_top] @ theta.T).T)
-    if k == 0:
-        return [EstimationReport(theta=theta[j, :s].copy(), residuals=r0[j].copy())
-                for j, s in enumerate(sizes)]
-    # the residual Xi is lagged from, after k zeros: lag l is buf[:, k - l:m + k - l]
-    buf = np.zeros((len(sizes), m + k))
-    buf[:, k:] = r0
-    pos = np.arange(len(sizes))
-    phi = np.zeros((k, len(sizes)))
-    history, fits, iterations = [], [None] * len(sizes), 0
-
-    def report(j, converged):
-        # the residual y - Psi theta - Xi phi itself, not its projected form,
-        # so that it holds exactly for the reported theta and phi; buf still
-        # holds the residual this iteration's Xi was lagged from
-        s = sizes[j]
-        lags = sliding_window_view(buf[j], k)[:m]  # row i holds lags k, ..., 1
-        return EstimationReport(
-            theta=theta[j, :s].copy(),
-            residuals=y_s - a[:, :s] @ theta[j, :s] - lags @ phi[::-1, j],
-            iterations=iterations,
-            converged=converged,
-            noise_theta=phi[:, j].copy(),
-            change_norms=tuple(float(h[j]) for h in history),
-        )
-
-    stay = None  # set when sizes leave the block
-    w = None
-    while True:
-        if stay is not None:
-            w = None  # reallocated for the sizes that stay
-            sizes, pos, theta, below, r0, buf = (
-                x[stay] for x in (sizes, pos, theta, below, r0, buf))
-            phi = phi[:, stay]
-            history = [h[stay] for h in history]
-            stay = None
-        if not sizes.size:
-            break
-        if w is None:
-            n_top = sizes[-1]
-            theta, below = theta[:, :n_top], below[:, :n_top]
-            qb, r_top, qty_below = q[:, :n_top], r[:n_top, :n_top], qty[:n_top] * below
-            w, c = np.empty((k, len(sizes), m)), np.empty((k, len(sizes), n_top))
-        # border W = Xi - Q C with C = Q^T Xi, masked to each size's prefix
-        for l in range(k):
-            lag = buf[:, k - 1 - l:m + k - 1 - l]  # lag l + 1
-            np.matmul(lag, qb, out=c[l])
-            c[l] *= below
-            np.matmul(c[l], qb.T, out=w[l])
-            np.subtract(lag, w[l], out=w[l])
-        d = np.einsum("...i,...i->...", w, w)
-        # Xi = Q C + W with W orthogonal to Q, so a column kept less than
-        # 1/kappa of its norm exactly when |C|^2 > (kappa^2 - 1) |W|^2, which
-        # is 99 |W|^2 at kappa = 10.  Only then does a second pass against Q
-        # run; a border accepted after one pass is orthogonal to Q to about
-        # kappa * eps (Parlett, The Symmetric Eigenvalue Problem, sec. 6.9;
-        # Daniel, Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).
-        if np.any((_REORTH_KAPPA ** 2 - 1) * d < np.einsum("...i,...i->...", c, c)):
-            for l in range(k):
-                c2 = (w[l] @ qb) * below
-                w[l] -= c2 @ qb.T
-                c[l] += c2
-            d = np.einsum("...i,...i->...", w, w)
-        # scaled Gram-Schmidt among the lags, twice against each predecessor:
-        # W = V U with V's columns orthogonal (kept in w), U unit upper
-        # triangular, and d the squared column norms of V, which are R_W's
-        # squared diagonal.  A lag is divided by only after its norm passed
-        # the rank check.
-        u = np.zeros((k, k, len(sizes)))
-        for l in range(k):
-            for _ in range(2):
-                for p in range(l):
-                    proj = np.einsum("ij,ij->i", w[p], w[l]) / d[p]
-                    w[l] -= proj[:, None] * w[p]
-                    u[p, l] += proj
-            if l:
-                d[l] = np.einsum("ij,ij->i", w[l], w[l])
-            root = np.sqrt(d[:l + 1])
-            failed = (np.minimum(lo[sizes - 1], root.min(axis=0))
-                      <= _RANK_RTOL * np.maximum(hi[sizes - 1], root.max(axis=0)))
-            if failed.any():
-                break
-        if failed.any():
-            for j in np.flatnonzero(failed):
-                fits[pos[j]] = _rank_error(np.concatenate([diag[:sizes[j]], root[:, j]]))
-            stay = ~failed
-            continue
-        iterations += 1
-        # back substitution: U phi = D^-1 V^T y, then R theta = Q^T y - C phi
-        # for every size at once; a right-hand side that is zero beyond
-        # column s solves the leading s x s block.  The LU inside
-        # np.linalg.solve has L = I on triangular R, so this is the
-        # triangular solve, and it keeps the loop in numpy's BLAS (scipy's
-        # has its own thread pool, and the two pools contend when their
-        # calls alternate).
-        g = (w @ y_s) / d
-        phi_new = np.empty_like(g)
-        for l in reversed(range(k)):
-            phi_new[l] = g[l] - np.einsum("pj,pj->j", u[l, l + 1:], phi_new[l + 1:])
-        theta_new = np.linalg.solve(
-            r_top, (qty_below - np.einsum("lji,lj->ji", c, phi_new)).T).T
-        change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=1)
-                         + np.sum((phi_new - phi) ** 2, axis=0))
-        history.append(change)
-        theta, phi = theta_new, phi_new
-        done = change < config.zeta
-        finished = done | (iterations == config.max_iterations)
-        if finished.any():
-            for j in np.flatnonzero(finished):
-                fits[pos[j]] = report(j, bool(done[j]))
-            stay = ~finished
-        # next residual y - Psi theta - Xi phi = r0 - W phi = r0 - V g, as W
-        # is orthogonal to Q; it overwrites the one Xi was lagged from
-        xi = buf[:, k:]
-        w *= g[:, :, None]
-        np.subtract(r0, w[0], out=xi)
-        for l in range(1, k):
-            xi -= w[l]
-    return fits
-
-
 def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     """Extended least squares on several column prefixes of one matrix.
 
@@ -244,23 +102,22 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     for that size; invalid arguments raise for the whole call.  ``sizes``
     must be increasing and within 1..psi.shape[1].
 
-    The columns are factored once and all sizes fitted in one block:
-    the tall buffers hold a row per size still iterating, the Q prefix is
-    the largest such size's, and each size's residual r0 is formed once.
-    The noise columns Xi are views of one residual buffer padded with k
-    zeros.  Each iteration forms C = Q^T Xi (masked to each size's prefix)
-    and the unnormalised border W = Xi - Q C, repeated on W only if
-    |C|^2 > 99 |W|^2 for some column, i.e. it kept less than 1/kappa of its
-    norm with kappa = 10 (Parlett's "twice is enough": a border taken after
-    one pass is orthogonal to Q to about kappa * eps; DGKS 1976 take
-    kappa = sqrt(2)); for k > 1 a scaled Gram-Schmidt W = V U (U unit upper
-    triangular) makes the lags orthogonal.  Then U phi = D^-1 V^T y with D
-    the squared norms of V (phi = W^T y / W^T W for k = 1), one triangular
-    solve on R for all sizes, and the next residual r0 - W phi in place,
-    after the finishing sizes have reported y - Psi theta - Xi phi.  The
-    rank check is applied per size to the prefix diagonal of R and to
-    sqrt(D), each lag before it is divided by; each size keeps its own
-    convergence test.
+    The columns are factored once and all sizes fitted in one block: the
+    tall buffers hold a row for every size that passed the checks before
+    the loop, the Q prefix is the largest such size's, and each size's
+    residual r0 is formed once.  A size is done when it converges, reaches
+    the cap or fails the rank check; its row is still computed but no
+    longer read.  The noise columns Xi are views of one residual buffer
+    padded with k zeros.  Each iteration forms C = Q^T Xi (masked to each
+    size's prefix) and the unnormalised border W = Xi - Q C, with a second
+    pass on W when the gate in the loop asks for one; for k > 1 a scaled
+    Gram-Schmidt W = V U (U unit upper triangular) makes the lags
+    orthogonal.  Then U phi = D^-1 V^T y with D the squared norms of V
+    (phi = W^T y / W^T W for k = 1), one triangular solve on R for all
+    sizes, and the next residual r0 - W phi in place, after the finishing
+    sizes have reported y - Psi theta - Xi phi.  The rank check is applied
+    per size to the prefix diagonal of R and to sqrt(D), lag by lag; each
+    size keeps its own convergence test.
     """
     # row-major, so a one-size fit's Psi theta sums each row as psi @ theta does
     psi = np.ascontiguousarray(psi, dtype=float)
@@ -277,12 +134,12 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     a = psi[:, :min(sizes[-1], m)]
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
-    rank_bad = np.minimum.accumulate(diag) <= _RANK_RTOL * np.maximum.accumulate(diag)
+    lo, hi = np.minimum.accumulate(diag), np.maximum.accumulate(diag)
     fits = []
     for s in sizes:
         if s > m:
             fits.append(ParameterError(f"underdetermined system: {m} rows < {s} columns"))
-        elif rank_bad[s - 1]:
+        elif lo[s - 1] <= _RANK_RTOL * hi[s - 1]:
             fits.append(_rank_error(diag[:s]))
         elif k and m < s + k:
             fits.append(ParameterError(f"underdetermined system: {m} rows < {s + k} columns"))
@@ -290,8 +147,116 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
             fits.append(None)
     # the failing sizes are a suffix: rows run out, and a rank deficiency
     # stays once the largest diagonal entry has outgrown a small one
-    n_ok = fits.count(None)
-    fits[:n_ok] = _fit_block(a, y_s, q, r, q.T @ y_s, sizes[:n_ok], k, config) if n_ok else []
+    sizes = sizes[:fits.count(None)]
+    if not sizes.size:
+        return fits
+    n_top = sizes[-1]
+    qb, r_top = q[:, :n_top], r[:n_top, :n_top]
+    below = np.arange(n_top) < sizes[:, None]  # columns inside each size's prefix
+    qty_below = (q.T @ y_s)[:n_top] * below
+    theta = np.linalg.solve(r_top, qty_below.T).T
+    # least-squares residual of each prefix, one row per size
+    r0 = np.ascontiguousarray((y_s[:, None] - a[:, :n_top] @ theta.T).T)
+    if k == 0:
+        fits[:len(sizes)] = [EstimationReport(theta=theta[j, :s].copy(), residuals=r0[j].copy())
+                             for j, s in enumerate(sizes)]
+        return fits
+    # the residual Xi is lagged from, after k zeros: lag l is buf[:, k - l:m + k - l]
+    buf = np.zeros((len(sizes), m + k))
+    buf[:, k:] = r0
+    phi = np.zeros((k, len(sizes)))
+    w, c = np.empty((k, len(sizes), m)), np.empty((k, len(sizes), n_top))
+    lo, hi = lo[sizes - 1], hi[sizes - 1]
+    active = np.ones(len(sizes), dtype=bool)
+    history = []
+    # done sizes' rows are still computed, and one that failed the rank
+    # check may divide by a zero norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iterations in range(1, config.max_iterations + 1):
+            # border W = Xi - Q C with C = Q^T Xi, masked to each size's prefix
+            for l in range(k):
+                lag = buf[:, k - 1 - l:m + k - 1 - l]  # lag l + 1
+                np.matmul(lag, qb, out=c[l])
+                c[l] *= below
+                np.matmul(c[l], qb.T, out=w[l])
+                np.subtract(lag, w[l], out=w[l])
+            d = np.einsum("...i,...i->...", w, w)
+            # Xi = Q C + W with W orthogonal to Q, so a column kept less than
+            # 1/kappa of its norm exactly when |C|^2 > (kappa^2 - 1) |W|^2, which
+            # is 99 |W|^2 at kappa = 10.  Only then does a second pass against Q
+            # run; a border accepted after one pass is orthogonal to Q to about
+            # kappa * eps (Parlett, The Symmetric Eigenvalue Problem, sec. 6.9;
+            # Daniel, Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).
+            if np.any(((_REORTH_KAPPA ** 2 - 1) * d < np.einsum("...i,...i->...", c, c))
+                      & active):
+                for l in range(k):
+                    c2 = (w[l] @ qb) * below
+                    w[l] -= c2 @ qb.T
+                    c[l] += c2
+                d = np.einsum("...i,...i->...", w, w)
+            # scaled Gram-Schmidt among the lags, twice against each predecessor:
+            # W = V U with V's columns orthogonal (kept in w), U unit upper
+            # triangular, and d the squared column norms of V, which are R_W's
+            # squared diagonal.  A size is done at the first lag whose norm
+            # fails the rank check; its row is divided by that norm all the same.
+            u = np.zeros((k, k, len(sizes)))
+            for l in range(k):
+                for _ in range(2):
+                    for p in range(l):
+                        proj = np.einsum("ij,ij->i", w[p], w[l]) / d[p]
+                        w[l] -= proj[:, None] * w[p]
+                        u[p, l] += proj
+                if l:
+                    d[l] = np.einsum("ij,ij->i", w[l], w[l])
+                root = np.sqrt(d[:l + 1])
+                failed = active & (np.minimum(lo, root.min(axis=0))
+                                   <= _RANK_RTOL * np.maximum(hi, root.max(axis=0)))
+                for j in np.flatnonzero(failed):
+                    fits[j] = _rank_error(np.concatenate([diag[:sizes[j]], root[:, j]]))
+                active &= ~failed
+            # back substitution: U phi = D^-1 V^T y, then R theta = Q^T y - C phi
+            # for every size at once; a right-hand side that is zero beyond
+            # column s solves the leading s x s block.  The LU inside
+            # np.linalg.solve has L = I on triangular R, so this is the
+            # triangular solve, and it keeps the loop in numpy's BLAS (scipy's
+            # has its own thread pool, and the two pools contend when their
+            # calls alternate).
+            g = (w @ y_s) / d
+            phi_new = np.empty_like(g)
+            for l in reversed(range(k)):
+                phi_new[l] = g[l] - np.einsum("pj,pj->j", u[l, l + 1:], phi_new[l + 1:])
+            theta_new = np.linalg.solve(
+                r_top, (qty_below - np.einsum("lji,lj->ji", c, phi_new)).T).T
+            change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=1)
+                             + np.sum((phi_new - phi) ** 2, axis=0))
+            history.append(change)
+            theta, phi = theta_new, phi_new
+            done = change < config.zeta
+            finished = active & (done | (iterations == config.max_iterations))
+            for j in np.flatnonzero(finished):
+                # the residual y - Psi theta - Xi phi itself, not its projected
+                # form, so that it holds exactly for the reported theta and phi;
+                # buf still holds the residual this iteration's Xi was lagged from
+                s = sizes[j]
+                lags = sliding_window_view(buf[j], k)[:m]  # row i holds lags k, ..., 1
+                fits[j] = EstimationReport(
+                    theta=theta[j, :s].copy(),
+                    residuals=y_s - a[:, :s] @ theta[j, :s] - lags @ phi[::-1, j],
+                    iterations=iterations,
+                    converged=bool(done[j]),
+                    noise_theta=phi[:, j].copy(),
+                    change_norms=tuple(float(h[j]) for h in history),
+                )
+            active &= ~finished
+            if not active.any():
+                break
+            # next residual y - Psi theta - Xi phi = r0 - W phi = r0 - V g, as W
+            # is orthogonal to Q; it overwrites the one Xi was lagged from
+            xi = buf[:, k:]
+            w *= g[:, :, None]
+            np.subtract(r0, w[0], out=xi)
+            for l in range(1, k):
+                xi -= w[l]
     return fits
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import TimeSeriesData, write_csv
-from .errors import DegenerateRangeError, NarxError, ParameterError
+from .errors import DegenerateRangeError, InsufficientDataError, NarxError, ParameterError
 from .estimation import is_int
 from .experiments import ExperimentConfig, make_validation_data, run_identification
 from .model import NarxModel
@@ -24,6 +24,8 @@ def mape(y, y_hat):
     y_hat = np.asarray(y_hat, dtype=float)
     if y.shape != y_hat.shape:
         raise ParameterError("reference and prediction lengths differ")
+    if not y.size:
+        raise InsufficientDataError("no predicted samples to score")
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         raise DegenerateRangeError("reference signal has zero range")

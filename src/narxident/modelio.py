@@ -9,6 +9,8 @@ digits), so files regenerate byte-identically from equal inputs.
 
 from __future__ import annotations
 
+import math
+
 from .data import write_csv
 from .errors import ParameterError
 from .model import CandidateMeta, NarxModel, parse_term
@@ -61,6 +63,8 @@ def model_from_text(text: str) -> NarxModel:
                 theta = float(theta_str)
             except ValueError as exc:
                 raise ParameterError(f"malformed term line {ln!r}") from exc
+            if not math.isfinite(theta):
+                raise ParameterError(f"model file has a non-finite theta for {term_str}: {theta!r}")
             process.append((parse_term(term_str), theta))
     if not process:
         raise ParameterError("model file has no process terms")
@@ -78,6 +82,8 @@ def model_from_text(text: str) -> NarxModel:
         raise ParameterError(f"model file missing field {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"model file has a non-numeric field: {exc}") from exc
+    if not 0 < ts < math.inf:
+        raise ParameterError(f"model file field ts must be finite and > 0, got {ts!r}")
     return NarxModel(
         process_terms=tuple(t for t, _ in process),
         theta=tuple(th for _, th in process),

@@ -254,6 +254,21 @@ def test_validate_rejects_nan_and_nonpositive_bound(tmp_path, capsys, bound):
         assert out.err.startswith("error: ") and "bound" in out.err
 
 
+@pytest.mark.parametrize("source", ["data", "sine"])
+def test_free_run_validate_reports_a_record_with_nothing_to_score(tmp_path, capsys, source):
+    # the preset's largest lag is 2, so a free run from a 2-sample record
+    # predicts no sample
+    if source == "data":
+        data = tmp_path / "data.csv"
+        data.write_text("k,u,y\n0,0.5,0.2\n1,0.5,0.2\n")
+        extra = ["--data", str(data)]
+    else:
+        extra = ["--sine-frequency", "0.002", "--sine-samples", "2"]
+    code, out = _validate_preset(tmp_path, capsys, *extra)
+    assert code == 1
+    assert out.err.startswith("error: ") and "no predicted samples" in out.err
+
+
 def test_validate_has_no_noise_ratio(tmp_path, capsys):
     # validation records are noise-free, so the flag would change nothing
     with pytest.raises(SystemExit) as exc:

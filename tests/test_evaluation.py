@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from narxident import (
     CandidateMeta,
     DegenerateRangeError,
+    InsufficientDataError,
     NarxModel,
     ParameterError,
     TimeSeriesData,
@@ -34,6 +35,11 @@ def test_mape_rejects_degenerate_range_and_shape():
         mape([1.0, 1.0], [1.0, 2.0])
     with pytest.raises(ParameterError):
         mape([1.0, 2.0], [1.0])
+
+
+def test_mape_rejects_empty_input():
+    with pytest.raises(InsufficientDataError):
+        mape([], [])
 
 
 @given(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from narxident import ParameterError, load_model, preset_models, save_model
+from narxident import ParameterError, TimeSeriesData, load_model, preset_models, save_model
 from narxident.modelio import (
     aic_to_csv,
     model_from_text,
@@ -63,8 +63,29 @@ def test_model_from_text_rejects_non_numeric_values(field):
         model_from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("theta", "nan"), ("theta", "inf"), ("theta", "-inf"),
+    ("ts", "nan"), ("ts", "inf"), ("ts", "-1"), ("ts", "0"),
+])
+def test_model_from_text_rejects_non_finite_theta_and_bad_ts(field, value):
+    lines = model_to_text(preset_models()["heating_narx"].model).splitlines()
+    if field == "theta":
+        i = lines.index("[process]") + 1
+        lines[i] = lines[i].split("\t")[0] + "\t" + value
+    else:
+        lines = [f"ts = {value}" if ln.startswith("ts =") else ln for ln in lines]
+    with pytest.raises(ParameterError, match=field):
+        model_from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("ts", [float("nan"), float("inf"), -1.0, 0.0])
+def test_time_series_rejects_non_finite_or_nonpositive_ts(ts):
+    with pytest.raises(ParameterError, match="ts"):
+        TimeSeriesData([0.0, 1.0], [0.0, 1.0], ts=ts)
+
+
 def test_ranking_and_aic_csv(tmp_path):
-    from narxident import TimeSeriesData, build_regression, frols_rank, generate_candidates
+    from narxident import build_regression, frols_rank, generate_candidates
     rng = np.random.default_rng(0)
     u = rng.uniform(-1, 1, 300)
     y = np.r_[0.0, 2 * u[:-1]] + 0.01 * rng.standard_normal(300)
