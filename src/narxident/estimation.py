@@ -26,18 +26,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError, ParameterError, SingularMatrixError
+from .model import is_int, is_real
 from .regression import build_regression  # noqa: F401  perfbench/tracing.py wraps this binding
 
 _RANK_RTOL = 1e-10
 _REORTH_KAPPA = 10.0  # the second-pass gate in els_sweep
-
-
-def is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_real(value):
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,8 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     ``els_core(psi[:, :sizes[i]], y_s, n_noise_terms, config)`` returns, or
     the :class:`ParameterError` / :class:`SingularMatrixError` it raises
     for that size; invalid arguments raise for the whole call.  ``sizes``
-    must be increasing and within 1..psi.shape[1].
+    must be increasing and within 1..psi.shape[1], and ``psi`` and ``y_s``
+    finite.
 
     The columns are factored once and all sizes fitted in one block: the
     tall buffers hold a row for every size that passed the checks before
@@ -125,6 +119,8 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     check_noise_terms(n_noise_terms)
     if psi.ndim != 2:
         raise ParameterError("regression matrix must be 2-D")
+    if not (np.isfinite(psi).all() and np.isfinite(y_s).all()):
+        raise ParameterError("regression matrix and target must be finite")
     m, n = psi.shape
     sizes = np.asarray(sizes, dtype=int)
     if (sizes.ndim != 1 or not sizes.size or sizes[0] < 1 or sizes[-1] > n

@@ -9,9 +9,8 @@ import numpy as np
 
 from .data import TimeSeriesData, write_csv
 from .errors import DegenerateRangeError, InsufficientDataError, NarxError, ParameterError
-from .estimation import is_int
 from .experiments import ExperimentConfig, make_validation_data, run_identification
-from .model import NarxModel
+from .model import NarxModel, is_int
 from .regression import free_run_simulate, one_step_predict, resolve_bound
 
 

@@ -26,10 +26,9 @@ from .benchmarks import (
 )
 from .data import TimeSeriesData
 from .errors import MissingInputError, ParameterError
-from .estimation import is_int
 from .hysteresis import apply_exclusion_rules
 from .input_design import InputDesignSpec, add_output_noise, design_input
-from .model import CandidateSet, Variable, generate_candidates
+from .model import CandidateMeta, CandidateSet, Variable, generate_candidates, is_int
 from .selection import SelectionConfig, select_structure
 
 #: seed offset separating validation-input realizations from
@@ -110,6 +109,7 @@ class ExperimentConfig:
             raise ParameterError("noise ratio must be finite and nonnegative")
         if not is_int(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        CandidateMeta(self.degree, self.n_y, self.n_u, self.tau_d)
 
     @cached_property
     def candidates(self) -> CandidateSet:

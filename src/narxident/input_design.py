@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateRangeError, ParameterError
-from .estimation import is_int, is_real
+from .model import is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ class InputDesignSpec:
             raise ParameterError("need matching, nonempty frequency and segment-length lists")
         if len(self.operating_points) != len(self.amplitudes) or not self.operating_points:
             raise ParameterError("need matching, nonempty operating-point and amplitude lists")
+        if not np.isfinite(self.operating_points + self.amplitudes).all():
+            raise ParameterError("operating points and amplitudes must be finite")
         # the filters are designed lazily, so a bad order or rate must fail
         # here rather than at the first design_input
         _check_filter(self.filter_order, self.sample_rate)

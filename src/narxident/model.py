@@ -13,7 +13,17 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ParameterError
+
+
+def is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value):
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 class Variable(Enum):
@@ -127,7 +137,8 @@ def term(*factors):
 
 @dataclass(frozen=True)
 class CandidateMeta:
-    """Meta-parameters bounding a candidate set: degree and lag ranges."""
+    """Meta-parameters bounding a candidate set: degree and lag ranges,
+    integers with degree, n_y, tau_d >= 1 and n_u >= tau_d."""
 
     degree: int
     n_y: int
@@ -135,7 +146,9 @@ class CandidateMeta:
     tau_d: int = 1
 
     def __post_init__(self):
-        if self.degree < 1 or self.n_y < 1 or self.tau_d < 1 or self.n_u < self.tau_d:
+        bounds = (self.degree, self.n_y, self.n_u, self.tau_d)
+        if (not all(map(is_int, bounds)) or self.degree < 1 or self.n_y < 1 or self.tau_d < 1
+                or self.n_u < self.tau_d):
             raise ParameterError(
                 f"invalid meta-parameters: degree={self.degree}, n_y={self.n_y}, "
                 f"n_u={self.n_u}, tau_d={self.tau_d}"

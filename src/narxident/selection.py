@@ -11,8 +11,8 @@ import numpy as np
 from .data import TimeSeriesData
 from .errors import ParameterError
 from .estimation import (ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep,
-                         is_int, is_real, ls_estimate)
-from .model import CandidateSet, NarxModel
+                         ls_estimate)
+from .model import CandidateSet, NarxModel, is_int, is_real
 from .regression import build_regression
 
 _ZERO_COLUMN_RTOL = 1e-12
@@ -44,19 +44,20 @@ class ErrRanking:
 def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-10):
     """Rank candidate terms by error reduction ratio.
 
-    ``(psi, y_s)`` is :func:`build_regression` of the candidates.  At each
-    step every remaining candidate column is orthogonalized against the
-    already-selected columns; the candidate explaining the largest
-    fraction of the output energy is selected.  Selection stops
-    at ``max_terms`` or when the best remaining ratio falls below
-    ``err_floor``.  Ties break on canonical term order, which also makes
-    the result independent of candidate input order; ERRs within a
-    relative 1e-10 tie, so exact ties that round differently still tie.
+    ``(psi, y_s)`` is :func:`build_regression` of the candidates, finite.
     The columns used are those of R in the QR of [Psi y] (at most n + 1
     rows for n candidates), which keeps every inner product that ERR
-    needs (Chen, Billings & Luo 1989).  ``max_terms`` (default
-    ``min(30, len(candidates))``) must be an integer in 1..len(candidates)
-    and ``err_floor`` a finite real >= 0.
+    needs (Chen, Billings & Luo 1989); they are the rows of one block in
+    canonical term order.  At each step the unselected row explaining the
+    largest fraction of the output energy is selected with the ERR it was
+    scored with, and every row is deflated twice against its unit
+    direction, which keeps the rows orthogonal to the selected ones to
+    rounding.  Selection stops at ``max_terms`` or when the best remaining
+    ratio falls below ``err_floor``.  Ties break on canonical term order,
+    which also makes the result independent of candidate input order; ERRs
+    within a relative 1e-10 tie, so exact ties that round differently
+    still tie.  ``max_terms`` (default ``min(30, len(candidates))``) must
+    be an integer in 1..len(candidates) and ``err_floor`` a finite real >= 0.
     """
     if len(candidates) == 0:
         raise ParameterError("empty candidate set")
@@ -68,53 +69,40 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
         raise ParameterError("err_floor must be finite and nonnegative")
     if np.shape(psi) != (len(y_s), len(candidates)):
         raise ParameterError("psi must have a row per target sample and a column per candidate")
+    if not (np.isfinite(psi).all() and np.isfinite(y_s).all()):
+        raise ParameterError("psi and the target must be finite")
 
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]
-    # R's columns keep the inner products of [Psi y]'s; work holds one per row,
-    # the live ones in work[:n_live], and at[p] is the term index of row p
+    # R's columns keep the inner products of [Psi y]'s; work holds one per row
     r = np.linalg.qr(np.column_stack([psi, y_s]), mode="r")
     work, y_r = r[:, :-1].T[order], r[:, -1].copy()
-    at = np.arange(len(terms))
     yty = float(y_r @ y_r)
     if yty == 0.0:
         raise ParameterError("target vector has zero energy")
     floor = _ZERO_COLUMN_RTOL * np.maximum(np.einsum("ij,ij->i", work, work), 1.0)
 
-    n_live = len(terms)  # columns not yet selected
+    live = np.ones(len(terms), dtype=bool)  # rows not yet selected
     selected, err_values, skipped = [], [], []
-    basis = []  # orthonormal selected columns
-    while n_live and len(selected) < max_terms:
-        live = work[:n_live]
-        ww = np.einsum("ij,ij->i", live, live)
-        ok = np.flatnonzero(ww > floor[at[:n_live]])
-        ok = ok[np.argsort(at[ok])]  # scan in canonical term order
-        errs = (live @ y_r)[ok] ** 2 / (ww[ok] * yty)
+    while len(selected) < max_terms:
+        ww = np.einsum("ij,ij->i", work, work)
+        ok = np.flatnonzero(live & (ww > floor))
+        errs = (work @ y_r)[ok] ** 2 / (ww[ok] * yty)
         best_p, best_err = None, -1.0
         for p, err in zip(ok.tolist(), errs.tolist()):
             if err > best_err * (1.0 + 1e-10):
-                best_err = err
-                best_p = p
+                best_err, best_p = err, p
         if best_p is None:
-            skipped = sorted(at[:n_live].tolist())
+            skipped = np.flatnonzero(live).tolist()
             break
         if best_err < err_floor:
             break
-        # swap the selected column just past the live block
-        n_live -= 1
-        work[[best_p, n_live]] = work[[n_live, best_p]]
-        at[[best_p, n_live]] = at[[n_live, best_p]]
-        w = work[n_live]
-        # re-orthogonalization pass against the accumulated basis
-        for q in basis:
-            w = w - (q @ w) * q
-        q = w / np.linalg.norm(w)
-        basis.append(q)
-        selected.append(int(at[n_live]))
-        err_values.append((float(w @ y_r) ** 2) / (float(w @ w) * yty))
-        # deflate the live columns only
-        live = work[:n_live]
-        live -= np.outer(live @ q, q)
+        live[best_p] = False
+        selected.append(best_p)
+        err_values.append(best_err)
+        q = work[best_p] / np.sqrt(ww[best_p])
+        for _ in range(2):
+            work -= np.outer(work @ q, q)
 
     return ErrRanking(
         ordered_terms=tuple(terms[j] for j in selected),

@@ -137,6 +137,20 @@ def test_design_input_reproducible(tmp_path):
     assert (a / "design_input.log").exists()
 
 
+@pytest.mark.parametrize("key, value", [("amplitudes", "[1e400, 0.2, 0.2]"),
+                                        ("operating_points", "[0.3, -1e400, 0.7]")])
+def test_design_input_rejects_a_non_finite_design(tmp_path, capsys, key, value):
+    # JSON reads 1e400 as inf, which used to fill input.csv with inf and nan
+    d = json.loads(HEATING_CONFIG)
+    d["design"][key] = "OVERFLOW"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d).replace('"OVERFLOW"', value))
+    code, out = run(["design-input", "--config", str(cfg), "--output-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out.err.startswith("error: ") and "finite" in out.err
+    assert not (tmp_path / "input.csv").exists()
+
+
 def test_init_config_then_simulate(tmp_path):
     cfg = tmp_path / "exp.json"
     assert run(["init-config", "--experiment", "heating", "--output", str(cfg)]) == 0

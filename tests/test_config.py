@@ -58,6 +58,23 @@ def test_config_validation():
         default_config("unknown")
 
 
+@pytest.mark.parametrize("field, bad", [("degree", 2.5), ("degree", True), ("degree", 0),
+                                        ("n_y", 0), ("n_u", 1.0), ("tau_d", 4)])
+def test_config_checks_dictionary_bounds_when_built(field, bad):
+    with pytest.raises(ParameterError, match="invalid meta-parameters"):
+        ExperimentConfig(system="heating", **{field: bad})
+
+
+@pytest.mark.parametrize("path", ["candidates.degree", "candidates.n_y", "candidates.tau_d"])
+def test_config_file_with_a_zero_bound_does_not_load(path, tmp_path):
+    d = copy.deepcopy(_BOUC_WEN)
+    node, key = _parent(d, path)
+    node[key] = 0
+    (tmp_path / "config.json").write_text(json.dumps(d))
+    with pytest.raises(ParameterError, match="invalid meta-parameters"):
+        load_config(tmp_path / "config.json")
+
+
 def test_config_from_dict_reports_missing_fields():
     with pytest.raises(ParameterError):
         config_from_dict({"system": "heating"})

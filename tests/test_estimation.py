@@ -146,6 +146,22 @@ def test_els_validates_arguments():
             els_sweep(psi, y_s, [1, 2], bad)
 
 
+@pytest.mark.parametrize("where", ["psi", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimators_reject_non_finite_input(where, bad):
+    # one bad sample used to come back as an all-NaN theta, reported unconverged
+    rng = np.random.default_rng(0)
+    psi, y_s = rng.standard_normal((50, 3)), rng.standard_normal(50)
+    if where == "psi":
+        psi[7, 1] = bad
+    else:
+        y_s[7] = bad
+    for fit in (lambda: els_sweep(psi, y_s, [1, 2, 3]), lambda: els_core(psi, y_s),
+                lambda: ls_estimate(psi, y_s)):
+        with pytest.raises(ParameterError, match="finite"):
+            fit()
+
+
 def _lagged_columns(xi, n_lags):
     """Lagged copies of a residual vector; column j - 1 holds lag j, 0 before its start."""
     out = np.zeros((len(xi), n_lags))

@@ -111,6 +111,15 @@ def test_meta_validation():
         CandidateMeta(degree=1, n_y=1, n_u=1, tau_d=2)  # tau_d beyond n_u
 
 
+@pytest.mark.parametrize("field", ["degree", "n_y", "n_u", "tau_d"])
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(2.0), "2", None])
+def test_meta_rejects_non_integer_bounds(field, bad):
+    bounds = {"degree": 2, "n_y": 2, "n_u": 2, "tau_d": 1, field: bad}
+    with pytest.raises(ParameterError, match="invalid meta-parameters"):
+        CandidateMeta(**bounds)
+    CandidateMeta(**{**bounds, field: np.int64(1)})  # a numpy integer is an integer
+
+
 def test_model_requires_matching_theta():
     with pytest.raises(ParameterError):
         NarxModel(

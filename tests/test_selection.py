@@ -226,6 +226,32 @@ def test_frols_matches_reference_on_random_dictionaries(extra_rows, n_dup, n_con
     _assert_frols_matches_reference(candidates, psi, y_s, max_terms, err_floor)
 
 
+@pytest.mark.parametrize("name, seed", [("heating", s) for s in range(5)] + [("bouc_wen", 0)])
+def test_frols_err_matches_householder_qr_of_the_ranked_columns(name, seed):
+    # an oracle that shares no code with FROLS: with Q from a Householder QR
+    # of the ranked columns in rank order, ERR_t = (Q^T y)_t^2 / y^T y
+    config = default_config(name)
+    data, _ = make_identification_data(config, seed)
+    psi, y_s = build_regression(config.candidates, data)
+    ranking = frols_rank(config.candidates, psi, y_s)
+    q, _ = np.linalg.qr(psi[:, list(ranking.columns)])
+    oracle = (q.T @ y_s) ** 2 / float(y_s @ y_s)
+    assert np.all(np.abs(ranking.err_values - oracle) <= 1e-8 * oracle)
+
+
+@pytest.mark.parametrize("where", ["psi", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_frols_rejects_non_finite_input(where, bad):
+    rng = np.random.default_rng(0)
+    psi, y_s = rng.standard_normal((50, 14)), rng.standard_normal(50)
+    if where == "psi":
+        psi[7, 3] = bad
+    else:
+        y_s[7] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        frols_rank(generate_candidates(2, 2, 2), psi, y_s)
+
+
 @pytest.mark.parametrize("m", [5, 40])
 def test_frols_rejects_zero_target(m):
     # R has m rows for m < 15, and its target column is zero like y
