@@ -113,19 +113,22 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
     NaN from there on.
     """
     u = np.asarray(u, dtype=float)
-    if len(u) < 2:
+    n = len(u)
+    if n < 2:
         raise ParameterError("need at least 2 input samples")
     du_half = None
     if u_dot is None:
         u_dot = np.gradient(u, params.dt)
     elif callable(u_dot):
-        t = np.arange(len(u)) * params.dt
+        t = np.arange(n) * params.dt
         du_half = np.asarray(u_dot(t[:-1] + 0.5 * params.dt), dtype=float)
         u_dot = np.asarray(u_dot(t), dtype=float)
+        if du_half.shape != (n - 1,):
+            raise ParameterError("u_dot must match u in length")
     else:
         u_dot = np.asarray(u_dot, dtype=float)
-        if len(u_dot) != len(u):
-            raise ParameterError("u_dot must match u in length")
+    if u_dot.shape != (n,):
+        raise ParameterError("u_dot must match u in length")
 
     if du_half is None:
         du_half = 0.5 * (u_dot[:-1] + u_dot[1:])
@@ -135,7 +138,6 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
     alpha, beta, gamma, dt = params.alpha, params.beta, params.gamma, params.dt
     grid, mid = ([array("d", f.tobytes()) for f in (alpha * du, beta * np.abs(du), gamma * du)]
                  for du in (u_dot, du_half))
-    n = len(u)
     h, h_view = zero_buffer(n)
     hk = 0.0
     a0, b0, g0 = (f[0] for f in grid)  # k1's factors; k4's become the next k1's

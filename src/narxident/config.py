@@ -40,7 +40,6 @@ CODEC = (
     ("candidates.n_u", "n_u", True, int),
     ("candidates.tau_d", "tau_d", True, int),
     ("candidates.variables", "variables", True, [str]),
-    ("estimator.method", "selection.estimator", True, str),
     ("estimator.zeta", "selection.els.zeta", False, float),
     ("estimator.max_iterations", "selection.els.max_iterations", False, int),
     ("estimator.n_noise_terms", "selection.n_noise_terms", False, int),

@@ -67,15 +67,29 @@ def validate(model: NarxModel, data: TimeSeriesData, mode="free_run",
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Per-noise-ratio error statistics of repeated re-identification."""
+    """Per-noise-ratio error statistics of repeated re-identification.
+
+    ``seeds[i]`` holds the seeds of the trials run at ``ratios[i]`` and
+    ``mapes[i]`` the free-run MAPEs of those that succeeded; the others
+    are its failures.  A ratio with no successful trial has a NaN mean and
+    standard deviation.
+    """
 
     ratios: tuple
-    mape_mean: tuple
-    mape_std: tuple
-    trials: int
-    seeds: tuple  # tuple (per ratio) of tuples of per-trial seeds
-    failures: tuple  # count of excluded trials per ratio
-    mapes: tuple = ()  # tuple (per ratio) of tuples of successful MAPEs
+    seeds: tuple
+    mapes: tuple
+
+    @property
+    def mape_mean(self):
+        return tuple(float(np.mean(m)) if m else float("nan") for m in self.mapes)
+
+    @property
+    def mape_std(self):
+        return tuple(float(np.std(m)) if m else float("nan") for m in self.mapes)
+
+    @property
+    def failures(self):
+        return tuple(len(s) - len(m) for s, m in zip(self.seeds, self.mapes))
 
     def to_csv(self, path):
         write_csv(path, ["ratio", "mean_mape", "std_mape", "failures"],
@@ -101,38 +115,18 @@ def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,
     # building each ratio's config rejects a negative ratio before any trial runs
     configs = [replace(config, noise_ratio=ratio) for ratio in ratios]
     val_data = make_validation_data(config, base_seed)
-    means, stds, seed_log, fail_log, mape_log = [], [], [], [], []
+    seed_log, mape_log = [], []
     for i, ratio_config in enumerate(configs):
+        seeds = tuple(base_seed + 1 + i * trials_per_ratio + t for t in range(trials_per_ratio))
         scores = []
-        seeds = []
-        failures = 0
-        for t in range(trials_per_ratio):
-            seed = base_seed + 1 + i * trials_per_ratio + t
-            seeds.append(seed)
+        for seed in seeds:
             try:
                 result = run_identification(ratio_config, seed)
                 out = validate(result.model, val_data, mode="free_run")
-                if out.diverged:
-                    failures += 1
-                    continue
-                scores.append(out.mape)
             except (NarxError, np.linalg.LinAlgError):
-                failures += 1
-        if not scores:
-            means.append(float("nan"))
-            stds.append(float("nan"))
-        else:
-            means.append(float(np.mean(scores)))
-            stds.append(float(np.std(scores)))
-        seed_log.append(tuple(seeds))
-        fail_log.append(failures)
+                continue
+            if not out.diverged:
+                scores.append(out.mape)
+        seed_log.append(seeds)
         mape_log.append(tuple(scores))
-    return MonteCarloReport(
-        ratios=ratios,
-        mape_mean=tuple(means),
-        mape_std=tuple(stds),
-        trials=trials_per_ratio,
-        seeds=tuple(seed_log),
-        failures=tuple(fail_log),
-        mapes=tuple(mape_log),
-    )
+    return MonteCarloReport(ratios=ratios, seeds=tuple(seed_log), mapes=tuple(mape_log))

@@ -28,7 +28,7 @@ from .data import TimeSeriesData
 from .errors import MissingInputError, ParameterError
 from .hysteresis import apply_exclusion_rules
 from .input_design import InputDesignSpec, add_output_noise, design_input
-from .model import CandidateMeta, CandidateSet, Variable, generate_candidates, is_int
+from .model import CandidateMeta, CandidateSet, Variable, generate_candidates, is_int, is_real
 from .selection import SelectionConfig, select_structure
 
 #: seed offset separating validation-input realizations from
@@ -71,9 +71,9 @@ class ExperimentConfig:
         With a difference signal (``phi1`` or ``phi2``) among them, the
         dictionary is pruned by the hysteresis exclusion rules.
     selection : SelectionConfig
-        Estimator settings: the estimator of the sweep and the final fit,
-        extended-least-squares convergence settings, and the number of
-        lagged-residual columns.
+        Estimator settings of the sweep and the final fit: the number of
+        lagged-residual columns (none for least squares) and the
+        extended-least-squares convergence settings.
     noise_ratio : float
         Output-noise standard deviation as a fraction of the clean
         output's standard deviation.
@@ -105,7 +105,7 @@ class ExperimentConfig:
         for v in self.variables:
             if v not in _VALID_VARIABLES:
                 raise ParameterError(f"unknown variable kind {v!r}")
-        if not 0.0 <= self.noise_ratio < np.inf:
+        if not is_real(self.noise_ratio) or not 0.0 <= self.noise_ratio < np.inf:
             raise ParameterError("noise ratio must be finite and nonnegative")
         if not is_int(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")

@@ -71,8 +71,7 @@ def apply_exclusion_rules(candidates: CandidateSet):
             removed[t] = "rule_iii"
         else:
             kept.append(t)
-    pruned = CandidateSet(tuple(kept), candidates.meta, candidates.include_constant)
-    return pruned, removed
+    return CandidateSet(tuple(kept), candidates.meta), removed
 
 
 def exclusion_report_text(removed):

@@ -161,7 +161,6 @@ class CandidateSet:
 
     terms: tuple
     meta: CandidateMeta
-    include_constant: bool = False
 
     def __post_init__(self):
         if len(set(self.terms)) != len(self.terms):
@@ -205,7 +204,7 @@ def generate_candidates(degree, n_y, n_u, tau_d=1, variables=DEFAULT_VARIABLES,
     terms = sorted(set(terms), key=RegressorTerm.sort_key)
     if include_constant:
         terms.insert(0, RegressorTerm(()))
-    return CandidateSet(tuple(terms), meta, include_constant)
+    return CandidateSet(tuple(terms), meta)
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,18 @@ def one_step_predict(model: NarxModel, data: TimeSeriesData):
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Free-run trajectory plus a divergence flag.
+    """Free-run trajectory and the first out-of-bound step, if any.
 
-    When ``diverged`` is true the trajectory is partial: samples from the
-    first out-of-bound step onward are NaN.
+    When ``diverged`` is true the trajectory is partial: samples from
+    ``diverged_at`` onward are NaN.
     """
 
     y: np.ndarray
-    diverged: bool = False
     diverged_at: int | None = None
+
+    @property
+    def diverged(self):
+        return self.diverged_at is not None
 
 
 def divergence_bound(reference):
@@ -214,10 +217,9 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     _step_loop(tuple(structure))(buf, start, n, *parts)
     bad = first_unbounded(y[start:], bound)
     if bad is not None:
-        k = start + bad
-        y[k:] = np.nan
-        return SimulationResult(y, diverged=True, diverged_at=k)
-    return SimulationResult(y)
+        bad += start
+        y[bad:] = np.nan
+    return SimulationResult(y, diverged_at=bad)
 
 
 def run_inverse_model(model: NarxModel, y, u_init):

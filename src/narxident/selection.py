@@ -10,8 +10,8 @@ import numpy as np
 
 from .data import TimeSeriesData
 from .errors import ParameterError
-from .estimation import (ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep,
-                         ls_estimate)
+from .estimation import ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep
+from .estimation import ls_estimate  # noqa: F401  perfbench/tracing.py wraps this binding
 from .model import CandidateSet, NarxModel, is_int, is_real
 from .regression import build_regression
 
@@ -116,18 +116,22 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
 class AicCurve:
     """Information-criterion cost as a function of model size.
 
-    ``j_values[i]`` is the cost of the model with ``n_theta_values[i]``
-    top-ranked terms; invalid points (failed estimations) are NaN and
-    excluded from the argmin.  ``converged[i]`` tells whether the
-    estimator converged at that point (always true for least squares,
-    false for a failed point), and ``iterations[i]`` how many iterations
-    it ran (1 for least squares, 0 for a failed point).
+    ``j_values[i]`` is the cost of the model with the i + 1 top-ranked
+    terms; invalid points (failed estimations) are NaN and excluded from
+    the argmin.  ``converged[i]`` tells whether the estimator converged at
+    that point (always true for least squares, false for a failed point),
+    and ``iterations[i]`` how many iterations it ran (1 for least squares,
+    0 for a failed point).
     """
 
-    n_theta_values: np.ndarray
     j_values: np.ndarray
     converged: tuple
     iterations: tuple
+
+    @property
+    def n_theta_values(self):
+        """The model size of each point, 1, 2, ..."""
+        return np.arange(1, len(self.j_values) + 1)
 
     @property
     def argmin(self):
@@ -139,16 +143,20 @@ class AicCurve:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Estimator settings of the ranking/truncation pipeline."""
+    """Estimator of the information-criterion sweep and the final fit:
+    extended least squares with ``n_noise_terms`` lagged-residual columns,
+    iterated under ``els``.  With none it is least squares; ``els`` then
+    changes nothing."""
 
-    estimator: str = "els"  # "ls" or "els", in the sweep and the final re-estimation
     n_noise_terms: int = 1
     els: ElsConfig = field(default_factory=ElsConfig)
 
     def __post_init__(self):
-        if self.estimator not in ("ls", "els"):
-            raise ParameterError(f"unknown estimator {self.estimator!r}")
         check_noise_terms(self.n_noise_terms)
+
+    @property
+    def estimator(self):
+        return "els" if self.n_noise_terms else "ls"
 
 
 def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
@@ -159,16 +167,15 @@ def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
     ``(psi, y_s)``, the regression the ranking was computed on, so all
     sizes share one row frame.  Every size is estimated in one
     :func:`els_sweep` call over prefixes of the ranked columns, with the
-    final fit's estimator: ``config.n_noise_terms`` noise columns and
-    ``config.els`` for ``"els"``, no noise columns for ``"ls"``.  A size the
-    sweep could not fit is a NaN point.
+    final fit's ``config.n_noise_terms`` noise columns and ``config.els``
+    (least squares with no noise columns).  A size the sweep could not fit
+    is a NaN point.
     """
     if len(ranking) == 0:
         raise ParameterError("empty ranking")
     ranked = psi.take(ranking.columns, axis=1)
     sizes = np.arange(1, len(ranking) + 1)
-    n_noise_terms = config.n_noise_terms if config.estimator == "els" else 0
-    fits = els_sweep(ranked, y_s, sizes, n_noise_terms, config.els)
+    fits = els_sweep(ranked, y_s, sizes, config.n_noise_terms, config.els)
     costs = np.full(len(sizes), np.nan)
     converged, iterations = [False] * len(sizes), [0] * len(sizes)
     for i, (n_theta, fit) in enumerate(zip(sizes, fits)):
@@ -179,8 +186,7 @@ def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
         if var <= 0:
             var = np.finfo(float).tiny
         costs[i] = len(y_s) * np.log(var) + 2.0 * n_theta
-    return AicCurve(n_theta_values=sizes, j_values=costs, converged=tuple(converged),
-                    iterations=tuple(iterations))
+    return AicCurve(j_values=costs, converged=tuple(converged), iterations=tuple(iterations))
 
 
 def select_structure(candidates: CandidateSet, data: TimeSeriesData,
@@ -199,10 +205,7 @@ def select_structure(candidates: CandidateSet, data: TimeSeriesData,
     n_sel = curve.argmin
     chosen = ranking.ordered_terms[:n_sel]
     psi, y_s = build_regression(chosen, data)
-    if config.estimator == "els":
-        report = els_core(psi, y_s, config.n_noise_terms, config.els)
-    else:
-        report = ls_estimate(psi, y_s)
+    report = els_core(psi, y_s, config.n_noise_terms, config.els)
     model = NarxModel(
         process_terms=chosen,
         theta=tuple(report.theta),

@@ -5,15 +5,19 @@
 ``design``, ``selection`` and ``system``).  Each workload in
 ``BENCHMARK.json`` is set up, runs one trial and passes its correctness
 checks here, so a change to that API fails this suite, not only a
-benchmark run.
+benchmark run.  The checks also run on a least-squares identification,
+which no workload makes.
 """
 
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from narxident import SelectionConfig, heating_experiment, run_identification
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -39,3 +43,14 @@ def test_workload_sets_up_runs_a_trial_and_passes_its_checks(name, monkeypatch):
     record, outputs = workload.trial(11)
     assert record.failed is None
     workload.check(outputs)
+
+
+def test_checks_pass_on_a_least_squares_identification(monkeypatch):
+    # the workloads identify with extended least squares; this takes the
+    # least-squares branch of the final-estimate check
+    checks = _load("checks", monkeypatch)
+    config = replace(heating_experiment(), selection=SelectionConfig(n_noise_terms=0))
+    assert config.selection.estimator == "ls"
+    result = run_identification(config, seed=11)
+    checks.selected_prefix(result)
+    checks.final_estimate(result, config.selection)

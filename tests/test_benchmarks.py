@@ -79,6 +79,20 @@ def test_bouc_wen_rate_independence_of_loop_shape():
     assert np.max(np.abs(outputs[0] - outputs[1])) < 0.5
 
 
+@pytest.mark.parametrize("u_dot", [
+    lambda t: 1.0,  # a constant rate, returned as a scalar
+    lambda t: np.ones(len(t) - 1),
+    lambda t: np.ones(2000),  # right at the half steps, short at the grid points
+    np.ones(2000),
+    np.ones((2001, 1)),
+], ids=["scalar", "short", "half-steps-only", "short-array", "column-array"])
+def test_bouc_wen_rate_of_the_wrong_shape_is_rejected(u_dot):
+    # a short rate would end the RK4 loop early and cut the trajectory short
+    u = np.linspace(0.0, 10.0, 2001)
+    with pytest.raises(ParameterError, match="u_dot must match u in length"):
+        simulate_bouc_wen(PZT_BOUC_WEN, u, u_dot=u_dot)
+
+
 def test_bouc_wen_rk4_convergence_order():
     # step-halving study against a fine-step reference; analytic input
     # derivative removes the differentiation error from the measurement

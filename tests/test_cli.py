@@ -50,7 +50,7 @@ def test_valve_guard(capsys):
 def test_valve_guard_for_config_files(tmp_path, capsys):
     cfg = tmp_path / "valve.json"
     cfg.write_text('{"system": "valve", "candidates": {"degree": 3, "n_y": 2, "n_u": 1, '
-                   '"tau_d": 1, "variables": ["y", "u"]}, "estimator": {"method": "ls"}}')
+                   '"tau_d": 1, "variables": ["y", "u"]}}')
     code, out = run(["identify", "--config", str(cfg)], capsys)
     assert code == 1
     assert "experimental data that is not distributed" in out.err
@@ -106,7 +106,6 @@ HEATING_CONFIG = """\
     ]
   },
   "estimator": {
-    "method": "els",
     "zeta": 1e-08,
     "max_iterations": 30,
     "n_noise_terms": 1

@@ -140,7 +140,6 @@ KEY_CHANGES = [
     ("candidates.n_u", 4, True),
     ("candidates.tau_d", 1, True),
     ("candidates.variables", ["y", "u", "phi1"], True),
-    ("estimator.method", "ls", True),
     ("estimator.zeta", 1e-6, True),
     ("estimator.max_iterations", 10, True),
     ("estimator.n_noise_terms", 2, True),
@@ -179,7 +178,7 @@ def test_every_codec_key_changes_the_config(path, value, reaches_experiment):
 #: keys a config file must contain; every other key may be left out
 REQUIRED = {
     "system", "candidates.degree", "candidates.n_y", "candidates.n_u",
-    "candidates.tau_d", "candidates.variables", "estimator.method",
+    "candidates.tau_d", "candidates.variables",
     "design.frequencies", "design.segment_lengths", "design.operating_points",
     "design.amplitudes", "design.sample_rate",
 }
@@ -209,6 +208,7 @@ def test_left_out_keys_take_the_dataclass_defaults(path):
     ("noise_ratio", "noise_ratoi"),
     (None, "design.seed"),
     (None, "estimator.sweep_method"),
+    (None, "estimator.method"),  # least squares is estimator.n_noise_terms = 0
     (None, "hysteresis"),
     (None, "candidates.max_degree"),
     (None, "comment"),
@@ -286,8 +286,7 @@ def test_codec_reaches_every_selection_setting(tmp_path):
     paths = sorted(_leaf_paths(dataclasses.asdict(SelectionConfig()), "selection."))
     assert sorted(a for a in attrs if a.startswith("selection.")) == paths
     assert all(attrs.count(path) == 1 for path in paths)
-    selection = SelectionConfig(estimator="ls", n_noise_terms=2,
-                                els=ElsConfig(zeta=1e-6, max_iterations=50))
+    selection = SelectionConfig(n_noise_terms=2, els=ElsConfig(zeta=1e-6, max_iterations=50))
     assert all(getattr(selection, f.name) != getattr(SelectionConfig(), f.name)
                for f in dataclasses.fields(SelectionConfig))
     cfg = ExperimentConfig(system="heating", selection=selection)

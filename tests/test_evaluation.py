@@ -100,16 +100,20 @@ def test_validate_rejects_unknown_mode():
 
 
 def test_monte_carlo_report_csv_format(tmp_path):
+    # the statistics follow from the MAPEs, the failures from the seeds
+    # left without one; a ratio with no successful trial reads nan
     report = MonteCarloReport(
-        ratios=(0.0, 0.1), mape_mean=(1.0, 2.5), mape_std=(0.1, 0.2),
-        trials=3, seeds=((1, 2, 3), (4, 5, 6)), failures=(0, 1),
+        ratios=(0.0, 0.1, 0.2), seeds=((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        mapes=((0.5, 1.5, 1.0), (2.0, 3.0), ()),
     )
+    assert report.failures == (0, 1, 3)
     path = tmp_path / "mc.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "ratio,mean_mape,std_mape,failures"
-    assert lines[1] == "0.0,1.0,0.1,0"
-    assert lines[2] == "0.1,2.5,0.2,1"
+    assert lines[1] == f"0.0,1.0,{float(np.std([0.5, 1.5, 1.0]))!r},0"
+    assert lines[2] == "0.1,2.5,0.5,1"
+    assert lines[3] == "0.2,nan,nan,3"
 
 
 def test_monte_carlo_requires_ascending_ratios():

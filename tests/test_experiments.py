@@ -113,6 +113,12 @@ def test_non_finite_noise_ratio_override_is_rejected(ratio):
         run_identification(replace(heating_experiment(), noise_ratio=ratio), 1)
 
 
+@pytest.mark.parametrize("ratio", ["0.1", None, True, [0.1]])
+def test_noise_ratio_of_the_wrong_type_is_rejected(ratio):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        replace(heating_experiment(), noise_ratio=ratio)
+
+
 @pytest.mark.parametrize("seed", [-1, 2.0, True])
 def test_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(ParameterError, match="seed must be an integer >= 0"):

@@ -97,8 +97,8 @@ def test_ranking_and_aic_csv(tmp_path):
     assert lines[0] == "term,err,cumulative_err"
     assert len(lines) == 1 + len(ranking.ordered_terms)
 
-    curve = AicCurve(n_theta_values=np.array([1, 2]), j_values=np.array([-10.0, np.nan]),
-                     converged=(True, False), iterations=(4, 0))
+    curve = AicCurve(j_values=np.array([-10.0, np.nan]), converged=(True, False),
+                     iterations=(4, 0))
     p2 = tmp_path / "aic.csv"
     aic_to_csv(curve, p2)
     assert p2.read_text() == ("n_theta,j_aic,converged,iterations\n"

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from narxident import (
     SelectionConfig,
@@ -25,7 +25,7 @@ from narxident import (
 )
 from narxident import selection
 from narxident.errors import NarxError, ParameterError, SingularMatrixError
-from narxident.estimation import els_core
+from narxident.estimation import ElsConfig, els_core
 from narxident.experiments import make_identification_data
 
 # a division by a zero border or column norm fails the test instead of warning
@@ -137,9 +137,33 @@ def test_frols_rejects_a_matrix_that_does_not_fit_the_candidates(rows, cols):
                    rng.standard_normal(40))
 
 
-def _reference_frols(candidates, psi, y_s, max_terms, err_floor):
+def _rounding_tie(work, norms0, errs, i, j):
+    """Whether deflated columns i and j tie exactly and rounding can order them.
+
+    Columns along one direction (the sine of their angle at most 1e-6) have
+    the same ERR.  To first order, rounding moves the ERR of a column w
+    deflated from a column c by 2 eps |c| / (|w| sqrt(ERR)) relative; when
+    that reaches a tenth of the 1e-10 tie tolerance for either column, the
+    two scans may break the tie either way.
+    """
+    a, b = work[:, i], work[:, j]
+    if (a @ a) * (b @ b) - (a @ b) ** 2 > 1e-12 * (a @ a) * (b @ b):
+        return False
+    eps = np.finfo(float).eps
+    return any(2 * eps * np.sqrt(norms0[k] / (work[:, k] @ work[:, k]))
+               > 1e-11 * np.sqrt(errs[k]) for k in (i, j))
+
+
+def _reference_frols(candidates, psi, y_s, max_terms, err_floor, follow=()):
     """The scalar-loop FROLS: score and deflate the remaining columns one by
-    one.  Returns (ordered terms, ERR values, skipped terms)."""
+    one.  Returns (ordered terms, ERR values, skipped terms).
+
+    Where its pick and ``follow[i]``, the pick of a ranking it is compared
+    with, tie exactly but rounding can order them (:func:`_rounding_tie`;
+    for instance when the rows run out and every remaining column lies
+    along one direction), it takes ``follow[i]`` and reports its own ERR
+    for it.
+    """
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]
     work = psi[:, order].copy()
@@ -148,13 +172,13 @@ def _reference_frols(candidates, psi, y_s, max_terms, err_floor):
     remaining = list(range(len(terms)))
     selected, err_values, skipped, basis = [], [], [], []
     while remaining and len(selected) < max_terms:
-        best_j, best_err = None, -1.0
+        best_j, best_err, errs = None, -1.0, {}
         for j in remaining:
             w = work[:, j]
             ww = float(w @ w)
             if ww <= 1e-12 * max(norms0[j], 1.0):
                 continue
-            err = (float(w @ y_s) ** 2) / (ww * yty)
+            errs[j] = err = (float(w @ y_s) ** 2) / (ww * yty)
             if err > best_err * (1.0 + 1e-10):
                 best_err, best_j = err, j
         if best_j is None:
@@ -162,6 +186,10 @@ def _reference_frols(candidates, psi, y_s, max_terms, err_floor):
             break
         if best_err < err_floor:
             break
+        if len(selected) < len(follow) and follow[len(selected)] in terms:
+            j = terms.index(follow[len(selected)])
+            if j in errs and _rounding_tie(work, norms0, errs, j, best_j):
+                best_j = j
         w = work[:, best_j]
         for q in basis:
             w = w - (q @ w) * q
@@ -180,8 +208,9 @@ def _assert_frols_matches_reference(candidates, psi, y_s, max_terms=None, err_fl
     ranking = frols_rank(candidates, psi, y_s, max_terms, err_floor)
     if max_terms is None:
         max_terms = min(30, len(candidates))
-    terms, err_values, skipped = _reference_frols(candidates, psi, y_s, max_terms, err_floor)
     got = ranking.ordered_terms
+    terms, err_values, skipped = _reference_frols(candidates, psi, y_s, max_terms, err_floor,
+                                                  follow=got)
     assert got == terms
     assert ranking.skipped == skipped
     assert np.all(np.abs(ranking.err_values - err_values) <= 1e-9 * np.abs(err_values))
@@ -202,6 +231,10 @@ def test_frols_matches_scalar_loop_reference(name, seed):
 @given(st.integers(-13, 30), st.integers(0, 3), st.integers(0, 3), st.booleans(),
        st.integers(1, 14), st.sampled_from([0.0, 1e-10, 1e-3]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
+# draws where rounding broke an exact tie: after m - 1 picks on m rows
+# every remaining column lies along one direction
+@example(-9, 1, 1, True, 7, 0.0, 1450433633)
+@example(-7, 1, 1, False, 11, 1e-10, 3070421867)
 def test_frols_matches_reference_on_random_dictionaries(extra_rows, n_dup, n_const, zero,
                                                         max_terms, err_floor, seed):
     # columns duplicated (some negated), constant columns of several
@@ -267,7 +300,7 @@ def test_aic_penalty_dominates_on_perfect_model():
     cs = generate_candidates(2, 2, 2)
     psi, y_s = build_regression(cs, data)
     ranking = frols_rank(cs, psi, y_s)
-    curve = aic_curve(ranking, psi, y_s, SelectionConfig(estimator="ls"))
+    curve = aic_curve(ranking, psi, y_s, SelectionConfig(n_noise_terms=0))
     assert curve.argmin == len(true_terms)
     j = curve.j_values
     tail = np.diff(j[len(true_terms):])
@@ -280,7 +313,7 @@ def test_aic_formula_matches_definition():
     cs = generate_candidates(1, 1, 1)
     psi, y_s = build_regression(cs, data)
     ranking = frols_rank(cs, psi, y_s)
-    curve = aic_curve(ranking, psi, y_s, SelectionConfig(estimator="ls"))
+    curve = aic_curve(ranking, psi, y_s, SelectionConfig(n_noise_terms=0))
     # recompute J for the 1-term model by hand
     psi, y_s = build_regression((ranking.ordered_terms[0],), data)
     # ls on the full-candidate row frame: rebuild with all candidates to
@@ -310,7 +343,7 @@ def test_aic_curve_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(selection, "els_sweep", broken)
     ranking, regression = _noisy_ranking()
     with pytest.raises(TypeError):
-        aic_curve(ranking, *regression, SelectionConfig(estimator="els"))
+        aic_curve(ranking, *regression, SelectionConfig(n_noise_terms=1))
 
 
 def test_aic_curve_singular_point_is_nan(monkeypatch):
@@ -323,7 +356,7 @@ def test_aic_curve_singular_point_is_nan(monkeypatch):
 
     monkeypatch.setattr(selection, "els_sweep", singular_at_two)
     ranking, regression = _noisy_ranking()
-    curve = aic_curve(ranking, *regression, SelectionConfig(estimator="els"))
+    curve = aic_curve(ranking, *regression, SelectionConfig(n_noise_terms=1))
     assert np.isnan(curve.j_values[1])
     assert np.all(np.isfinite(np.delete(curve.j_values, 1)))
     assert curve.converged[1] is False
@@ -365,7 +398,7 @@ def _per_prefix_reference(candidates, ranking, psi, y_s, config):
     for n_theta in range(1, len(ranking) + 1):
         sub = psi[:, cols[:n_theta]]
         try:
-            if config.estimator == "els":
+            if config.n_noise_terms:
                 report = els_core(sub, y_s, config.n_noise_terms, config.els)
             else:
                 report = ls_estimate(sub, y_s)
@@ -397,13 +430,30 @@ def test_aic_sweep_matches_per_prefix_estimation(make):
     data, _ = make_identification_data(defn, seed=1)
     psi, y_s = build_regression(defn.candidates, data)
     ranking = frols_rank(defn.candidates, psi, y_s)
-    for config in (defn.selection, SelectionConfig(estimator="ls")):
+    for config in (defn.selection, SelectionConfig(n_noise_terms=0)):
         _assert_sweep_matches_per_prefix(defn.candidates, ranking, psi, y_s, config)
+
+
+def test_no_noise_columns_is_least_squares():
+    # the sweep is checked against per-prefix ls_estimate above
+    defn = heating_experiment()
+    data, _ = make_identification_data(defn, seed=4)
+    config = SelectionConfig(n_noise_terms=0)
+    model, _, curve, report = select_structure(defn.candidates, data, config)
+    ref = ls_estimate(*build_regression(model.process_terms, data))
+    assert np.array_equal(report.theta, ref.theta)
+    assert np.array_equal(report.residuals, ref.residuals)
+    assert (report.iterations, report.converged, report.noise_theta.size) == (1, True, 0)
+    # the extended-least-squares settings change nothing without noise columns
+    loose = dataclasses.replace(config, els=ElsConfig(zeta=1e-2, max_iterations=1))
+    _, _, curve_loose, report_loose = select_structure(defn.candidates, data, loose)
+    assert np.array_equal(curve_loose.j_values, curve.j_values, equal_nan=True)
+    assert np.array_equal(report_loose.theta, report.theta)
 
 
 def test_aic_curve_least_squares_points_converge():
     ranking, regression = _noisy_ranking()
-    curve = aic_curve(ranking, *regression, SelectionConfig(estimator="ls"))
+    curve = aic_curve(ranking, *regression, SelectionConfig(n_noise_terms=0))
     assert curve.converged == (True,) * len(ranking)
 
 
@@ -412,7 +462,7 @@ def test_select_structure_recovers_true_model():
     data = synthetic_record(true_terms, theta, seed=4)
     cs = generate_candidates(2, 2, 2)
     model, ranking, curve, report = select_structure(
-        cs, data, config=SelectionConfig(estimator="ls", n_noise_terms=0)
+        cs, data, config=SelectionConfig(n_noise_terms=0)
     )
     assert curve.argmin == len(true_terms)
     assert set(model.process_terms) == set(true_terms)
@@ -439,8 +489,11 @@ def test_select_structure_builds_one_regression_of_the_dictionary(monkeypatch):
 
 
 def test_selection_config_validation():
-    with pytest.raises(ParameterError):
-        SelectionConfig(estimator="ridge")
+    # the estimator follows from the noise columns; it is not a setting
+    with pytest.raises(TypeError):
+        SelectionConfig(estimator="ls")
+    assert SelectionConfig(n_noise_terms=0).estimator == "ls"
+    assert SelectionConfig(n_noise_terms=2).estimator == "els"
     for bad in (-1, 1.5, True):
         with pytest.raises(ParameterError):
             SelectionConfig(n_noise_terms=bad)
