@@ -54,14 +54,11 @@ def simulate_hammerstein(params: HammersteinParams, u):
     b1, b2, b3, b4 = params.beta1, params.beta2, params.beta3, params.beta4
     n = len(u)
     y, y_view = zero_buffer(n)
-    if n >= 2:
-        # step 1 has no y(k-2), v(k-2) part; y(0) = 0
-        y1, y2, v2 = b1 * 0.0 + b2 * v[0], 0.0, v[0]
-        y[1] = y1
-        for k, v1 in zip(range(2, n), v[1:-1]):
-            y0 = b1 * y1 + b2 * v1 + (b3 * y2 + b4 * v2)
-            y[k] = y0
-            y1, y2, v2 = y0, y1, v1
+    y1 = y2 = v2 = 0.0  # y(0) = 0, and the history before it is zero
+    for k, v1 in zip(range(1, n), v):
+        y0 = b1 * y1 + b2 * v1 + (b3 * y2 + b4 * v2)
+        y[k] = y0
+        y1, y2, v2 = y0, y1, v1
     bad = first_unbounded(y_view, 1e9)
     if bad is not None:
         raise ParameterError(f"heating simulation diverged at step {bad}")

@@ -179,12 +179,9 @@ def cmd_presets(args):
         print(f"  sampling interval: {preset.model.ts!r} s")
         for t, th in zip(preset.model.process_terms, preset.model.theta):
             print(f"  {t}\t{th!r}")
-    if preset.bouc_wen is not None:
-        for f in dataclasses.fields(preset.bouc_wen):
-            print(f"  {f.name} = {getattr(preset.bouc_wen, f.name)!r}")
-    if preset.hammerstein is not None:
-        for f in dataclasses.fields(preset.hammerstein):
-            print(f"  {f.name} = {getattr(preset.hammerstein, f.name)!r}")
+    for params in [p for p in (preset.bouc_wen, preset.hammerstein) if p is not None]:
+        for f in dataclasses.fields(params):
+            print(f"  {f.name} = {getattr(params, f.name)!r}")
     return 0
 
 

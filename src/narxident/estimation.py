@@ -58,12 +58,14 @@ class EstimationReport:
     """Result of an estimation run.
 
     ``theta`` holds the process parameters only; moving-average noise
-    parameters, when present, are in ``noise_theta``.  ``change_norms``
+    parameters, when present, are in ``noise_theta``.  ``process_variance``
+    is the variance of the process residual y - Psi theta.  ``change_norms``
     records the parameter-change norm of each extension iteration.
     """
 
     theta: np.ndarray
     residuals: np.ndarray
+    process_variance: float
     iterations: int = 1
     converged: bool = True
     noise_theta: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -72,6 +74,12 @@ class EstimationReport:
     @property
     def residual_variance(self):
         return float(np.var(self.residuals))
+
+
+def _ls_report(theta, residuals, n_noise_terms=0):
+    """A least-squares fit as an ELS report: phi = 0, one iteration, converged."""
+    return EstimationReport(theta.copy(), residuals.copy(), float(np.var(residuals)),
+                            noise_theta=np.zeros(n_noise_terms))
 
 
 def _rank_error(diag):
@@ -111,7 +119,10 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     sizes, and the next residual r0 - W phi in place, after the finishing
     sizes have reported y - Psi theta - Xi phi.  The rank check is applied
     per size to the prefix diagonal of R and to sqrt(D), lag by lag; each
-    size keeps its own convergence test.
+    size keeps its own convergence test.  A size whose r0 is at rounding,
+    ||r0|| <= ``_RANK_RTOL`` ||y||, fits exactly and has no noise to model:
+    it reports its least-squares fit (phi = 0, converged in one iteration)
+    and takes no part in the loop.
     """
     # row-major, so a one-size fit's Psi theta sums each row as psi @ theta does
     psi = np.ascontiguousarray(psi, dtype=float)
@@ -153,9 +164,10 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     theta = np.linalg.solve(r_top, qty_below.T).T
     # least-squares residual of each prefix, one row per size
     r0 = np.ascontiguousarray((y_s[:, None] - a[:, :n_top] @ theta.T).T)
-    if k == 0:
-        fits[:len(sizes)] = [EstimationReport(theta=theta[j, :s].copy(), residuals=r0[j].copy())
-                             for j, s in enumerate(sizes)]
+    exact = np.sqrt(np.einsum("ij,ij->i", r0, r0)) <= _RANK_RTOL * np.linalg.norm(y_s)
+    for j in np.flatnonzero(exact | (k == 0)):  # no noise columns, or no noise to model
+        fits[j] = _ls_report(theta[j, :sizes[j]], r0[j], k)
+    if k == 0 or exact.all():
         return fits
     # the residual Xi is lagged from, after k zeros: lag l is buf[:, k - l:m + k - l]
     buf = np.zeros((len(sizes), m + k))
@@ -163,7 +175,7 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     phi = np.zeros((k, len(sizes)))
     w, c = np.empty((k, len(sizes), m)), np.empty((k, len(sizes), n_top))
     lo, hi = lo[sizes - 1], hi[sizes - 1]
-    active = np.ones(len(sizes), dtype=bool)
+    active = ~exact
     history = []
     # done sizes' rows are still computed, and one that failed the rank
     # check may divide by a zero norm
@@ -235,14 +247,11 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
                 # buf still holds the residual this iteration's Xi was lagged from
                 s = sizes[j]
                 lags = sliding_window_view(buf[j], k)[:m]  # row i holds lags k, ..., 1
+                process = y_s - a[:, :s] @ theta[j, :s]
                 fits[j] = EstimationReport(
-                    theta=theta[j, :s].copy(),
-                    residuals=y_s - a[:, :s] @ theta[j, :s] - lags @ phi[::-1, j],
-                    iterations=iterations,
-                    converged=bool(done[j]),
-                    noise_theta=phi[:, j].copy(),
-                    change_norms=tuple(float(h[j]) for h in history),
-                )
+                    theta[j, :s].copy(), process - lags @ phi[::-1, j], float(np.var(process)),
+                    iterations=iterations, converged=bool(done[j]), noise_theta=phi[:, j].copy(),
+                    change_norms=tuple(float(h[j]) for h in history))
             active &= ~finished
             if not active.any():
                 break
@@ -320,5 +329,4 @@ def constrained_ls_estimate(psi, y_s, constraints):
     z = _null_space(c_mat)
     reduced = ls_estimate(psi @ z, y_s - psi @ theta_p)
     theta = theta_p + z @ reduced.theta
-    residuals = y_s - psi @ theta
-    return EstimationReport(theta=theta, residuals=residuals)
+    return _ls_report(theta, y_s - psi @ theta)

@@ -213,7 +213,6 @@ class IdentificationResult:
     data: TimeSeriesData
     clean_output: np.ndarray
     seed: int
-    noise_ratio: float
 
 
 def _designed_run(config: ExperimentConfig, rng):
@@ -253,5 +252,4 @@ def run_identification(config: ExperimentConfig, seed):
         data=data,
         clean_output=y_clean,
         seed=seed,
-        noise_ratio=config.noise_ratio,
     )

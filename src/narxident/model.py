@@ -44,12 +44,7 @@ class Variable(Enum):
         return _VARIABLE_ORDER[self]
 
 
-_VARIABLE_ORDER = {
-    Variable.OUTPUT: 0,
-    Variable.INPUT: 1,
-    Variable.PHI1: 2,
-    Variable.PHI2: 3,
-}
+_VARIABLE_ORDER = {var: i for i, var in enumerate(Variable)}  # definition order
 
 
 @dataclass(frozen=True)

@@ -50,14 +50,16 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
     needs (Chen, Billings & Luo 1989); they are the rows of one block in
     canonical term order.  At each step the unselected row explaining the
     largest fraction of the output energy is selected with the ERR it was
-    scored with, and every row is deflated twice against its unit
-    direction, which keeps the rows orthogonal to the selected ones to
-    rounding.  Selection stops at ``max_terms`` or when the best remaining
-    ratio falls below ``err_floor``.  Ties break on canonical term order,
-    which also makes the result independent of candidate input order; ERRs
-    within a relative 1e-10 tie, so exact ties that round differently
-    still tie.  ``max_terms`` (default ``min(30, len(candidates))``) must
-    be an integer in 1..len(candidates) and ``err_floor`` a finite real >= 0.
+    scored with, and every row, y's too, is deflated twice against its
+    unit direction, which keeps them orthogonal to the selected ones to
+    rounding.  Rows are scored against the deflated y, as fractions of the
+    undeflated energy.  Selection stops at ``max_terms`` or when the best
+    remaining ratio falls below ``err_floor``.  Ties break on canonical term
+    order, which also makes the result independent of candidate input
+    order; ERRs within a relative 1e-10 tie, so exact ties that round
+    differently still tie.  ``max_terms`` (default ``min(30,
+    len(candidates))``) must be an integer in 1..len(candidates) and
+    ``err_floor`` a finite real >= 0.
     """
     if len(candidates) == 0:
         raise ParameterError("empty candidate set")
@@ -103,6 +105,7 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
         q = work[best_p] / np.sqrt(ww[best_p])
         for _ in range(2):
             work -= np.outer(work @ q, q)
+            y_r -= (y_r @ q) * q
 
     return ErrRanking(
         ordered_terms=tuple(terms[j] for j in selected),
@@ -159,33 +162,33 @@ class SelectionConfig:
         return "els" if self.n_noise_terms else "ls"
 
 
-def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
-    """Cost curve N*ln(residual variance) + 2*n over the ranked term list.
+def information_criterion(fit: EstimationReport, n_rows):
+    """Akaike's N*ln(var) + 2*n for a fit of n terms on N rows, var the variance
+    of its process residual y - Psi theta, floored so that an exact fit scores."""
+    return n_rows * np.log(max(fit.process_variance, np.finfo(float).tiny)) + 2.0 * len(fit.theta)
 
-    The residual variance at each size is that of the one-step-ahead
-    residuals y - Psi theta of the truncated model, re-estimated on
-    ``(psi, y_s)``, the regression the ranking was computed on, so all
-    sizes share one row frame.  Every size is estimated in one
-    :func:`els_sweep` call over prefixes of the ranked columns, with the
-    final fit's ``config.n_noise_terms`` noise columns and ``config.els``
-    (least squares with no noise columns).  A size the sweep could not fit
-    is a NaN point.
+
+def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
+    """:func:`information_criterion` over the ranked term list.
+
+    Every size is fitted in one :func:`els_sweep` call over prefixes of the
+    ranked columns of ``(psi, y_s)``, the regression the ranking was
+    computed on, so all sizes share one row frame, with the final fit's
+    ``config.n_noise_terms`` noise columns and ``config.els``.  A size the
+    sweep could not fit is a NaN point.  The curve keeps each fit's cost,
+    convergence and iterations, not the fit.
     """
     if len(ranking) == 0:
         raise ParameterError("empty ranking")
-    ranked = psi.take(ranking.columns, axis=1)
     sizes = np.arange(1, len(ranking) + 1)
-    fits = els_sweep(ranked, y_s, sizes, config.n_noise_terms, config.els)
+    fits = els_sweep(psi.take(ranking.columns, axis=1), y_s, sizes,
+                     config.n_noise_terms, config.els)
     costs = np.full(len(sizes), np.nan)
     converged, iterations = [False] * len(sizes), [0] * len(sizes)
-    for i, (n_theta, fit) in enumerate(zip(sizes, fits)):
-        if not isinstance(fit, EstimationReport):
-            continue  # the error that failed this size
-        converged[i], iterations[i] = fit.converged, fit.iterations
-        var = float(np.var(y_s - ranked[:, :n_theta] @ fit.theta))
-        if var <= 0:
-            var = np.finfo(float).tiny
-        costs[i] = len(y_s) * np.log(var) + 2.0 * n_theta
+    for i, fit in enumerate(fits):
+        if isinstance(fit, EstimationReport):  # else the error that failed this size
+            converged[i], iterations[i] = fit.converged, fit.iterations
+            costs[i] = information_criterion(fit, len(y_s))
     return AicCurve(j_values=costs, converged=tuple(converged), iterations=tuple(iterations))
 
 

@@ -308,3 +308,10 @@ def test_hammerstein_first_step_keeps_the_sign_of_zero():
     params = HammersteinParams(beta2=-0.1)
     u = np.zeros(5)
     assert same_bits(simulate_hammerstein(params, u), reference_hammerstein(params, u))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_hammerstein_short_records_match_per_step_reference(n):
+    # the recursion's first steps read the zero history before y(0)
+    u = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    assert same_bits(simulate_hammerstein(HEATING_SYSTEM, u), reference_hammerstein(HEATING_SYSTEM, u))

@@ -340,21 +340,25 @@ def test_els_residual_row_without_history_is_exact():
         assert abs(fit.residuals[0] - (y_s[0] - row0 @ fit.theta)) <= 1e-12 * scale
 
 
-def _assert_exact_fit_is_singular_in_noise_column(n_noise_terms):
-    # y = Psi theta leaves no residual, so the noise columns Xi are zero
+def _assert_is_exact_least_squares_fit(fit, want, n_noise_terms):
+    """``fit`` is the least-squares fit ``want`` reported as ELS: phi = 0,
+    one iteration, converged."""
+    assert fit.theta.tobytes() == want.theta.tobytes()
+    assert fit.residuals.tobytes() == want.residuals.tobytes()
+    assert fit.process_variance == want.process_variance == np.var(want.residuals)
+    assert np.array_equal(fit.noise_theta, np.zeros(n_noise_terms))
+    assert (fit.iterations, fit.converged, fit.change_norms) == (1, True, ())
+
+
+@pytest.mark.parametrize("n_noise_terms", [1, 2])
+def test_els_exact_fit_is_its_least_squares_fit(n_noise_terms):
+    # y = Psi theta leaves no residual, so there is no noise to model and
+    # the noise columns Xi would be zero: the fit is least squares
     rng = np.random.default_rng(7)
     psi = rng.standard_normal((50, 3))
-    with pytest.raises(SingularMatrixError) as exc:
-        els_core(psi, psi @ np.array([1.0, -2.0, 0.5]), n_noise_terms)
-    assert exc.value.column == 3
-
-
-def test_els_exact_fit_is_singular_in_noise_column():
-    _assert_exact_fit_is_singular_in_noise_column(1)
-
-
-def test_els_exact_fit_is_singular_in_two_noise_columns():
-    _assert_exact_fit_is_singular_in_noise_column(2)
+    y_s = psi @ np.array([1.0, -2.0, 0.5])
+    _assert_is_exact_least_squares_fit(els_core(psi, y_s, n_noise_terms), ls_estimate(psi, y_s),
+                                       n_noise_terms)
 
 
 def test_els_rejects_too_few_rows_for_noise_columns():
@@ -437,7 +441,7 @@ def _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k):
 def test_els_sweep_sizes_leave_one_block_at_different_iterations(k):
     # 16 sizes iterate together: some converge, each at its own iteration,
     # some reach the cap, and the largest, whose least-squares fit is exact,
-    # fails the rank check on its noise columns
+    # reports that fit and leaves the block before the first iteration
     rng = np.random.default_rng(0)
     psi = rng.standard_normal((200, 18))
     cols = rng.permutation(18)[:16]
@@ -446,7 +450,10 @@ def test_els_sweep_sizes_leave_one_block_at_different_iterations(k):
     y_s = psi[:, cols] @ rng.uniform(0.2, 1.0, 16)
     fits = _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k)
     *fitted, last = fits
-    assert isinstance(last, SingularMatrixError) and last.column == 16
+    # the same size of a least-squares sweep (ls_estimate's one-size fit is
+    # compared above, to rounding)
+    ls_sweep = els_sweep(psi.take(cols, axis=1), y_s, np.arange(1, 17), 0)
+    _assert_is_exact_least_squares_fit(last, ls_sweep[-1], k)
     assert len({f.iterations for f in fitted if f.converged}) >= 2
     assert any(not f.converged and f.iterations == 10 for f in fitted)
 

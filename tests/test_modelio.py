@@ -113,7 +113,7 @@ def test_residuals_csv(tmp_path):
 
 def test_report_text():
     report = EstimationReport(theta=np.array([1.5]), residuals=np.array([0.0, 0.1]),
-                              iterations=4, converged=True,
+                              process_variance=0.0025, iterations=4, converged=True,
                               noise_theta=np.array([0.2]), change_norms=(0.5, 1e-9))
     text = report_to_text(report)
     assert "iterations = 4" in text

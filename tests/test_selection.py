@@ -25,7 +25,8 @@ from narxident import (
 )
 from narxident import selection
 from narxident.errors import NarxError, ParameterError, SingularMatrixError
-from narxident.estimation import ElsConfig, els_core
+from narxident.benchmarks import HEATING_SYSTEM, simulate_hammerstein
+from narxident.estimation import ElsConfig, els_core, els_sweep
 from narxident.experiments import make_identification_data
 
 # a division by a zero border or column norm fails the test instead of warning
@@ -235,6 +236,13 @@ def test_frols_matches_scalar_loop_reference(name, seed):
 # every remaining column lies along one direction
 @example(-9, 1, 1, True, 7, 0.0, 1450433633)
 @example(-7, 1, 1, False, 11, 1e-10, 3070421867)
+# draws where the last pick's ERR, scored against the undeflated y, was
+# 1e-9 to 1e-8 (relative) off: y is now deflated with the rows
+@example(-7, 0, 2, False, 10, 0.0, 2811572856)
+@example(-7, 0, 1, False, 12, 0.0, 693758334)
+@example(-9, 0, 2, False, 7, 0.0, 3458848446)
+@example(-9, 0, 2, True, 7, 0.0, 3458848446)
+@example(-8, 2, 1, True, 12, 0.0, 1497940899)
 def test_frols_matches_reference_on_random_dictionaries(extra_rows, n_dup, n_const, zero,
                                                         max_terms, err_floor, seed):
     # columns duplicated (some negated), constant columns of several
@@ -449,6 +457,43 @@ def test_no_noise_columns_is_least_squares():
     _, _, curve_loose, report_loose = select_structure(defn.candidates, data, loose)
     assert np.array_equal(curve_loose.j_values, curve.j_values, equal_nan=True)
     assert np.array_equal(report_loose.theta, report.theta)
+
+
+@pytest.mark.parametrize("name, seed", [("heating", 7), ("bouc_wen", 2)])
+def test_sweep_fits_carry_the_variance_the_criterion_scores(name, seed):
+    # each fit's variance is that of y - Psi theta on its prefix of the
+    # ranked columns, bit for bit, and the curve is N ln(var) + 2 s of it
+    config = default_config(name)
+    data, _ = make_identification_data(config, seed)
+    psi, y_s = build_regression(config.candidates, data)
+    ranking = frols_rank(config.candidates, psi, y_s)
+    ranked = psi.take(ranking.columns, axis=1)
+    sizes = np.arange(1, len(ranking) + 1)
+    fits = els_sweep(ranked, y_s, sizes, config.selection.n_noise_terms, config.selection.els)
+    curve = aic_curve(ranking, psi, y_s, config.selection)
+    for s, fit, j in zip(sizes, fits, curve.j_values):
+        var = np.var(y_s - ranked[:, :s] @ fit.theta)
+        assert fit.process_variance == var
+        assert j == len(y_s) * np.log(var) + 2.0 * s
+
+
+def test_white_input_exact_fit_is_scored_and_selected():
+    # noise-free heating under a white input on the lag-2 dictionary, which
+    # holds the six truth terms and cannot rewrite them: the prefix that
+    # holds the truth fits exactly, and it is scored as its least-squares
+    # fit instead of failing the rank check on its noise column
+    truth = {term((var, lag, exp)) for var, lag, exp in
+             [(Y, 1, 1), (Y, 2, 1), (U, 1, 1), (U, 1, 2), (U, 2, 1), (U, 2, 2)]}
+    candidates = generate_candidates(3, 2, 2, tau_d=1)
+    for seed in range(10):
+        u = np.random.default_rng(seed).uniform(0.1, 0.9, 2000)
+        data = TimeSeriesData(u, simulate_hammerstein(HEATING_SYSTEM, u), ts=1.0)
+        model, _, curve, report = select_structure(candidates, data)
+        assert np.all(np.isfinite(curve.j_values))
+        assert curve.argmin == 8 and truth <= set(model.process_terms)
+        assert (curve.iterations[7], curve.converged[7]) == (1, True)
+        assert (report.iterations, report.converged) == (1, True)
+        assert np.array_equal(report.noise_theta, [0.0])
 
 
 def test_aic_curve_least_squares_points_converge():
