@@ -13,7 +13,9 @@ noise columns are views of one zero-padded residual buffer, and the
 border W (the part of the noise columns orthogonal to Q) is left
 unnormalised.  Its squared column norms serve the rank check and the
 solve, and the new residual is the prefix's least-squares residual minus
-W phi, so no iteration forms Psi theta.
+W phi, so no iteration forms Psi theta.  Nor does one solve with R: the
+process parameters are the prefix's least-squares fit minus R^-1 C phi,
+C the noise columns' coordinates in Q, with R^-1 formed once per call.
 :func:`els_core` is its one-size case and :func:`ls_estimate` the
 one-size case without noise columns.
 """
@@ -76,6 +78,14 @@ class EstimationReport:
         return float(np.var(self.residuals))
 
 
+def _check_shapes(psi, y_s):
+    """Raise :class:`ParameterError` unless Psi is 2-D and y 1-D with a sample per row."""
+    if psi.ndim != 2:
+        raise ParameterError("regression matrix must be 2-D")
+    if y_s.shape != psi.shape[:1]:
+        raise ParameterError("target must be 1-D with one sample per regression row")
+
+
 def _ls_report(theta, residuals, n_noise_terms=0):
     """A least-squares fit as an ELS report: phi = 0, one iteration, converged."""
     return EstimationReport(theta.copy(), residuals.copy(), float(np.var(residuals)),
@@ -112,14 +122,16 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     longer read.  The noise columns Xi are views of one residual buffer
     padded with k zeros.  Each iteration forms C = Q^T Xi (masked to each
     size's prefix) and the unnormalised border W = Xi - Q C, with a second
-    pass on W when the gate in the loop asks for one; for k > 1 a scaled
-    Gram-Schmidt W = V U (U unit upper triangular) makes the lags
-    orthogonal.  Then U phi = D^-1 V^T y with D the squared norms of V
-    (phi = W^T y / W^T W for k = 1), one triangular solve on R for all
-    sizes, and the next residual r0 - W phi in place, after the finishing
-    sizes have reported y - Psi theta - Xi phi.  The rank check is applied
-    per size to the prefix diagonal of R and to sqrt(D), lag by lag; each
-    size keeps its own convergence test.  A size whose r0 is at rounding,
+    pass on the columns of W that the gate in the loop flags, and on those
+    alone; for k > 1 a scaled Gram-Schmidt W = V U (U unit upper
+    triangular) makes the lags orthogonal.  Then U phi = D^-1 V^T y with D
+    the squared norms of V (phi = W^T y / W^T W for k = 1), theta =
+    theta_LS - R^-1 C phi for all sizes, with theta_LS the prefixes'
+    least-squares fits and R^-1 formed once before the loop, and the next
+    residual r0 - W phi in place, after the finishing sizes have reported
+    y - Psi theta - Xi phi.  The rank check is applied per size to the
+    prefix diagonal of R and to sqrt(D), lag by lag; each size keeps its
+    own convergence test.  A size whose r0 is at rounding,
     ||r0|| <= ``_RANK_RTOL`` ||y||, fits exactly and has no noise to model:
     it reports its least-squares fit (phi = 0, converged in one iteration)
     and takes no part in the loop.
@@ -128,8 +140,7 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     psi = np.ascontiguousarray(psi, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     check_noise_terms(n_noise_terms)
-    if psi.ndim != 2:
-        raise ParameterError("regression matrix must be 2-D")
+    _check_shapes(psi, y_s)
     if not (np.isfinite(psi).all() and np.isfinite(y_s).all()):
         raise ParameterError("regression matrix and target must be finite")
     m, n = psi.shape
@@ -169,14 +180,18 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
         fits[j] = _ls_report(theta[j, :sizes[j]], r0[j], k)
     if k == 0 or exact.all():
         return fits
+    # R^-1 is upper triangular and its leading s x s block inverts R's, so one
+    # product with it solves every size's prefix (Higham 2002, chs. 8 and 14)
+    theta_ls, r_inv_t = theta, np.linalg.solve(r_top, np.eye(n_top)).T
     # the residual Xi is lagged from, after k zeros: lag l is buf[:, k - l:m + k - l]
     buf = np.zeros((len(sizes), m + k))
     buf[:, k:] = r0
+    lags = sliding_window_view(buf, k, axis=1)  # lags[j, i] holds size j's lags k, ..., 1
     phi = np.zeros((k, len(sizes)))
     w, c = np.empty((k, len(sizes), m)), np.empty((k, len(sizes), n_top))
     lo, hi = lo[sizes - 1], hi[sizes - 1]
     active = ~exact
-    history = []
+    history = np.empty((config.max_iterations, len(sizes)))  # change norms
     # done sizes' rows are still computed, and one that failed the rank
     # check may divide by a zero norm
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -191,17 +206,18 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
             d = np.einsum("...i,...i->...", w, w)
             # Xi = Q C + W with W orthogonal to Q, so a column kept less than
             # 1/kappa of its norm exactly when |C|^2 > (kappa^2 - 1) |W|^2, which
-            # is 99 |W|^2 at kappa = 10.  Only then does a second pass against Q
-            # run; a border accepted after one pass is orthogonal to Q to about
-            # kappa * eps (Parlett, The Symmetric Eigenvalue Problem, sec. 6.9;
-            # Daniel, Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).
-            if np.any(((_REORTH_KAPPA ** 2 - 1) * d < np.einsum("...i,...i->...", c, c))
-                      & active):
-                for l in range(k):
-                    c2 = (w[l] @ qb) * below
-                    w[l] -= c2 @ qb.T
-                    c[l] += c2
-                d = np.einsum("...i,...i->...", w, w)
+            # is 99 |W|^2 at kappa = 10.  Only then, and only on that column, does
+            # a second pass against Q run; a border accepted after one pass is
+            # orthogonal to Q to about kappa * eps (Parlett, The Symmetric
+            # Eigenvalue Problem, sec. 6.9; Daniel, Gragg, Kaufman & Stewart 1976
+            # take kappa = sqrt(2)).
+            redo = ((_REORTH_KAPPA ** 2 - 1) * d < np.einsum("...i,...i->...", c, c)) & active
+            for l in np.flatnonzero(redo.any(axis=1)):
+                rows = np.flatnonzero(redo[l])
+                c2 = (w[l, rows] @ qb) * below[rows]
+                w[l, rows] -= c2 @ qb.T
+                c[l, rows] += c2
+                d[l, rows] = np.einsum("ij,ij->i", w[l, rows], w[l, rows])
             # scaled Gram-Schmidt among the lags, twice against each predecessor:
             # W = V U with V's columns orthogonal (kept in w), U unit upper
             # triangular, and d the squared column norms of V, which are R_W's
@@ -223,21 +239,16 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
                     fits[j] = _rank_error(np.concatenate([diag[:sizes[j]], root[:, j]]))
                 active &= ~failed
             # back substitution: U phi = D^-1 V^T y, then R theta = Q^T y - C phi
-            # for every size at once; a right-hand side that is zero beyond
-            # column s solves the leading s x s block.  The LU inside
-            # np.linalg.solve has L = I on triangular R, so this is the
-            # triangular solve, and it keeps the loop in numpy's BLAS (scipy's
-            # has its own thread pool, and the two pools contend when their
-            # calls alternate).
+            # for every size at once as theta = theta_LS - R^-1 C phi, where C phi
+            # is zero beyond column s and so is its product with R^-1
             g = (w @ y_s) / d
             phi_new = np.empty_like(g)
             for l in reversed(range(k)):
                 phi_new[l] = g[l] - np.einsum("pj,pj->j", u[l, l + 1:], phi_new[l + 1:])
-            theta_new = np.linalg.solve(
-                r_top, (qty_below - np.einsum("lji,lj->ji", c, phi_new)).T).T
+            theta_new = theta_ls - np.einsum("lji,lj->ji", c, phi_new) @ r_inv_t
             change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=1)
                              + np.sum((phi_new - phi) ** 2, axis=0))
-            history.append(change)
+            history[iterations - 1] = change
             theta, phi = theta_new, phi_new
             done = change < config.zeta
             finished = active & (done | (iterations == config.max_iterations))
@@ -246,12 +257,12 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
                 # form, so that it holds exactly for the reported theta and phi;
                 # buf still holds the residual this iteration's Xi was lagged from
                 s = sizes[j]
-                lags = sliding_window_view(buf[j], k)[:m]  # row i holds lags k, ..., 1
                 process = y_s - a[:, :s] @ theta[j, :s]
                 fits[j] = EstimationReport(
-                    theta[j, :s].copy(), process - lags @ phi[::-1, j], float(np.var(process)),
-                    iterations=iterations, converged=bool(done[j]), noise_theta=phi[:, j].copy(),
-                    change_norms=tuple(float(h[j]) for h in history))
+                    theta[j, :s].copy(), process - lags[j, :m] @ phi[::-1, j],
+                    float(np.var(process)), iterations=iterations, converged=bool(done[j]),
+                    noise_theta=phi[:, j].copy(),
+                    change_norms=tuple(history[:iterations, j].tolist()))
             active &= ~finished
             if not active.any():
                 break
@@ -312,6 +323,7 @@ def constrained_ls_estimate(psi, y_s, constraints):
     """
     psi = np.asarray(psi, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
+    _check_shapes(psi, y_s)
     if not constraints:
         return ls_estimate(psi, y_s)
     c_mat = np.vstack([np.asarray(c, dtype=float) for c, _ in constraints])

@@ -53,11 +53,13 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
     scored with, and every row, y's too, is deflated twice against its
     unit direction, which keeps them orthogonal to the selected ones to
     rounding.  Rows are scored against the deflated y, as fractions of the
-    undeflated energy.  Selection stops at ``max_terms`` or when the best
-    remaining ratio falls below ``err_floor``.  Ties break on canonical term
-    order, which also makes the result independent of candidate input
-    order; ERRs within a relative 1e-10 tie, so exact ties that round
-    differently still tie.  ``max_terms`` (default ``min(30,
+    undeflated energy.  A row left with at most 1e-12 of its column's
+    energy counts as zero, whatever the data's scale; once only such rows
+    remain they are the skipped terms.  Selection stops at ``max_terms`` or
+    when the best remaining ratio falls below ``err_floor``.  Ties break on
+    canonical term order, which also makes the result independent of
+    candidate input order; ERRs within a relative 1e-10 tie, so exact ties
+    that round differently still tie.  ``max_terms`` (default ``min(30,
     len(candidates))``) must be an integer in 1..len(candidates) and
     ``err_floor`` a finite real >= 0.
     """
@@ -82,7 +84,7 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
     yty = float(y_r @ y_r)
     if yty == 0.0:
         raise ParameterError("target vector has zero energy")
-    floor = _ZERO_COLUMN_RTOL * np.maximum(np.einsum("ij,ij->i", work, work), 1.0)
+    floor = _ZERO_COLUMN_RTOL * np.einsum("ij,ij->i", work, work)
 
     live = np.ones(len(terms), dtype=bool)  # rows not yet selected
     selected, err_values, skipped = [], [], []

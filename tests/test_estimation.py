@@ -162,6 +162,19 @@ def test_estimators_reject_non_finite_input(where, bad):
             fit()
 
 
+@pytest.mark.parametrize("y_shape", [(9,), (11,), (10, 1), (10, 2), ()])
+def test_estimators_reject_a_target_that_does_not_fit_psi(y_shape):
+    # a short target used to fail in a numpy matmul, a column one in an
+    # einsum, and the constrained fit broadcast y - Psi theta_p first
+    psi = np.random.default_rng(0).standard_normal((10, 2))
+    y_s = np.ones(y_shape)
+    for fit in (lambda: els_sweep(psi, y_s, [1, 2]), lambda: els_core(psi, y_s),
+                lambda: ls_estimate(psi, y_s),
+                lambda: constrained_ls_estimate(psi, y_s, [(np.ones(2), 1.0)])):
+        with pytest.raises(ParameterError, match="one sample per regression row"):
+            fit()
+
+
 def _lagged_columns(xi, n_lags):
     """Lagged copies of a residual vector; column j - 1 holds lag j, 0 before its start."""
     out = np.zeros((len(xi), n_lags))
@@ -191,8 +204,11 @@ def _reference_els(psi, y_s, n_noise_terms, config):
     return theta_prev, xi, tuple(change_norms)
 
 
-def _assert_matches_reference(psi, y_s, n_noise_terms, config):
-    report = els_core(psi, y_s, n_noise_terms, config)
+def _assert_matches_reference(psi, y_s, n_noise_terms, config, report=None):
+    """Check ``report`` (by default ``els_core``'s fit of all of ``psi``)
+    against :func:`_reference_els` to 1e-9 relative, and return it."""
+    if report is None:
+        report = els_core(psi, y_s, n_noise_terms, config)
     theta, residuals, change_norms = _reference_els(psi, y_s, n_noise_terms, config)
     n = psi.shape[1]
     assert report.iterations == len(change_norms)
@@ -226,6 +242,18 @@ def test_els_matches_reference_on_random_shapes(n, k, extra_rows, seed):
     y_s = psi @ rng.standard_normal(n) + 0.3 * (e[1:] + 0.6 * e[:-1])
     _assert_matches_reference(psi, y_s, k, ElsConfig(zeta=1e-6, max_iterations=10))
 
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_els_matches_reference_on_heating_ranked_prefixes(seed):
+    # real dictionaries, ill-conditioned: the column-scaled condition number
+    # of the 15-term prefix is 2.8e5 to 1.2e6 on these seeds; the worst error
+    # against the reference is ~4e-12 here and 3e-10 at 30 terms
+    config = heating_experiment()
+    data, _ = make_identification_data(config, seed)
+    psi, y_s = build_regression(config.candidates, data)
+    ranked = psi.take(frols_rank(config.candidates, psi, y_s).columns, axis=1)
+    for size in (5, 15):
+        _assert_matches_reference(ranked[:, :size], y_s, 1, config.selection.els)
 
 
 def _noisy_arx_record(noise):
@@ -282,6 +310,22 @@ def test_els_matches_reference_with_and_without_second_pass(record):
     kept = _border_kept(psi, y_s, n_noise_terms)
     assert np.all((lo < kept) & (kept < hi))
     _assert_matches_reference(psi, y_s, n_noise_terms, ElsConfig(zeta=1e-6, max_iterations=10))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_els_sweep_second_pass_on_some_sizes_of_a_block(seed):
+    # sizes 2-4 hold the column the lagged residual nearly lies along, so
+    # their noise columns keep ~1e-3 of their squared norm and take the
+    # second pass; size 1's keeps nearly all of it and takes one pass.  Each
+    # size of the one block still matches its own from-scratch reference.
+    psi, y_s = _nearly_dependent_record(3e-2, seed)
+    psi = np.column_stack([psi, np.random.default_rng(100 + seed).standard_normal((len(y_s), 2))])
+    sizes = [1, 2, 3, 4]
+    kept = np.array([_border_kept(psi[:, :s], y_s, 1)[0] for s in sizes])
+    assert kept[0] > 0.5 and np.all(kept[1:] < 1e-2)
+    config = ElsConfig(zeta=1e-6, max_iterations=10)
+    for s, fit in zip(sizes, els_sweep(psi, y_s, sizes, 1, config)):
+        _assert_matches_reference(psi[:, :s], y_s, 1, config, fit)
 
 
 def _nearly_dependent_errors(perturbation):

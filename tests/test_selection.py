@@ -113,6 +113,19 @@ def test_frols_skips_degenerate_columns():
     assert len(ranking.skipped) > 0
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e3])
+def test_frols_ranking_does_not_depend_on_the_data_scale(scale):
+    # ERR is a ratio of energies, so scaling u and y leaves it unchanged; a
+    # zero-column floor of 1e-12 absolute energy skipped 50 of 55 heating
+    # candidates at 1e-3 and 44 at 1e-2
+    config = heating_experiment()
+    data, _ = make_identification_data(config, 1)
+    ranking = frols_rank(config.candidates, *build_regression(config.candidates, data))
+    scaled = TimeSeriesData(scale * data.u, scale * data.y, ts=data.ts)
+    got = frols_rank(config.candidates, *build_regression(config.candidates, scaled))
+    assert got.ordered_terms == ranking.ordered_terms and got.skipped == ()
+    assert np.all(np.abs(got.err_values - ranking.err_values) <= 1e-9 * ranking.err_values)
+
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, 15, "3"])
 def test_frols_rejects_bad_max_terms(bad):
@@ -177,7 +190,7 @@ def _reference_frols(candidates, psi, y_s, max_terms, err_floor, follow=()):
         for j in remaining:
             w = work[:, j]
             ww = float(w @ w)
-            if ww <= 1e-12 * max(norms0[j], 1.0):
+            if ww <= 1e-12 * norms0[j]:
                 continue
             errs[j] = err = (float(w @ y_s) ** 2) / (ww * yty)
             if err > best_err * (1.0 + 1e-10):
