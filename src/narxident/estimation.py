@@ -1,27 +1,28 @@
 """Parameter estimation: least squares, extended least squares, and
 equality-constrained least squares.
 
-All solvers go through orthogonal decompositions rather than the normal
-equations, which keeps the condition number of the data matrix instead
-of its square.  Extended least squares has one implementation,
+The regression matrix is solved through its Householder QR, never its
+normal equations.  Extended least squares has one implementation,
 :func:`els_sweep`, which fits several column prefixes of the matrix it is
-given in one block: the prefixes share a single Householder QR (the QR of
-a column prefix is the prefix of the QR), and each iteration borders
-that factorization with the noise columns of every size, at O(m n k)
-work per size for m rows, n process and k noise columns.  The
-noise columns are views of one zero-padded residual buffer, and the
-border W (the part of the noise columns orthogonal to Q) is left
-unnormalised.  Its squared column norms serve the rank check and the
-solve, and the new residual is the prefix's least-squares residual minus
-W phi, so no iteration forms Psi theta.  Nor does one solve with R: the
-process parameters are the prefix's least-squares fit minus R^-1 C phi,
-C the noise columns' coordinates in Q, with R^-1 formed once per call.
-:func:`els_core` is its one-size case and :func:`ls_estimate` the
-one-size case without noise columns.
+given in one block: the prefixes share one QR (the QR of a column prefix
+is the prefix of the QR), and each iteration borders that factorization
+with the k noise columns Xi of every size, at O(m n k) work per size for
+m rows and n process columns.  The border W = Xi - Q C, with C = Q^T Xi,
+is never stored: the solve needs only its k x k Gram Xi^T Xi - C^T C and
+W^T y, and both come from one matrix product of the residual rows with
+[Q^T; y] in a stacked buffer, where a second product writes the next
+residual.  The Gram keeps a noise column to kappa^2 eps of its norm, so a
+size where some noise column keeps less than 1/kappa of its norm outside Q
+and the earlier lags takes the explicit border, with a second pass against
+Q, on its rows alone.  No iteration solves with R either: the process
+parameters are the prefix's least-squares fit minus R^-1 C phi, with R^-1
+formed once per call.  :func:`els_core` is its one-size case and
+:func:`ls_estimate` the one-size case without noise columns.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +79,17 @@ class EstimationReport:
         return float(np.var(self.residuals))
 
 
-def _check_shapes(psi, y_s):
-    """Raise :class:`ParameterError` unless Psi is 2-D and y 1-D with a sample per row."""
+def _checked(psi, y_s):
+    """Psi and y as float arrays; :class:`ParameterError` unless they are real
+    (the cast would drop an imaginary part), Psi 2-D and y 1-D with a sample per row."""
+    if np.iscomplexobj(psi) or np.iscomplexobj(y_s):
+        raise ParameterError("regression matrix and target must be real")
+    psi, y_s = np.asarray(psi, dtype=float), np.asarray(y_s, dtype=float)
     if psi.ndim != 2:
         raise ParameterError("regression matrix must be 2-D")
     if y_s.shape != psi.shape[:1]:
         raise ParameterError("target must be 1-D with one sample per regression row")
+    return psi, y_s
 
 
 def _ls_report(theta, residuals, n_noise_terms=0):
@@ -111,44 +117,47 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     ``els_core(psi[:, :sizes[i]], y_s, n_noise_terms, config)`` returns, or
     the :class:`ParameterError` / :class:`SingularMatrixError` it raises
     for that size; invalid arguments raise for the whole call.  ``sizes``
-    must be increasing and within 1..psi.shape[1], and ``psi`` and ``y_s``
-    finite.
+    must be integers increasing within 1..psi.shape[1], and ``psi`` and
+    ``y_s`` real and finite.
 
-    The columns are factored once and all sizes fitted in one block: the
-    tall buffers hold a row for every size that passed the checks before
-    the loop, the Q prefix is the largest such size's, and each size's
-    residual r0 is formed once.  A size is done when it converges, reaches
-    the cap or fails the rank check; its row is still computed but no
-    longer read.  The noise columns Xi are views of one residual buffer
-    padded with k zeros.  Each iteration forms C = Q^T Xi (masked to each
-    size's prefix) and the unnormalised border W = Xi - Q C, with a second
-    pass on the columns of W that the gate in the loop flags, and on those
-    alone; for k > 1 a scaled Gram-Schmidt W = V U (U unit upper
-    triangular) makes the lags orthogonal.  Then U phi = D^-1 V^T y with D
-    the squared norms of V (phi = W^T y / W^T W for k = 1), theta =
-    theta_LS - R^-1 C phi for all sizes, with theta_LS the prefixes'
-    least-squares fits and R^-1 formed once before the loop, and the next
-    residual r0 - W phi in place, after the finishing sizes have reported
-    y - Psi theta - Xi phi.  The rank check is applied per size to the
-    prefix diagonal of R and to sqrt(D), lag by lag; each size keeps its
-    own convergence test.  A size whose r0 is at rounding,
-    ||r0|| <= ``_RANK_RTOL`` ||y||, fits exactly and has no noise to model:
-    it reports its least-squares fit (phi = 0, converged in one iteration)
-    and takes no part in the loop.
+    The columns are factored once and the sizes that pass the checks before
+    the loop fitted in one block, C = Q^T Xi masked to each size's prefix.
+    One buffer holds the rows [Xi_A; Q^T; y; Xi_B], its columns aligned so
+    that Q(t), y(t) and xi(t - 1) share one; the residual halves take turns,
+    each iteration lagging the noise columns Xi from one and writing the
+    next residual into the other.  A product of the lag rows with
+    [Q^T; y] gives C and Xi^T y, so the border W = Xi - Q C is not formed:
+    its Gram is Xi^T Xi - C^T C, the lag products taken over column windows,
+    and W^T y = Xi^T y - C^T c0, c0 the masked Q^T y.  The Gram's LDL^T
+    factors U^T D U (U unit upper triangular) give U phi = D^-1 U^-T W^T y,
+    phi = W^T y / W^T W for k = 1, and theta = theta_LS - R^-1 C phi with
+    theta_LS the prefixes' least-squares fits and R^-1 formed once.  One
+    product [-diag(phi_1) | -(c0 - C phi) | 1] [Xi; Q^T; y] then writes the
+    next residual y - Psi theta - Xi phi; lags 2..k are subtracted after it.
+
+    The gate in the loop sends a size to the explicit border when one of
+    its noise columns keeps less than 1/kappa of its norm outside Q and the
+    earlier lags: W formed on that size's rows, a second pass against Q and
+    Gram-Schmidt twice among the lags.  The rank check is applied per size
+    to the prefix diagonal of R and to sqrt(D), lag by lag; a size is done
+    when it converges, reaches the cap or fails the rank check, and its row
+    is then zeroed.  A size whose least-squares residual r0 is at rounding,
+    ||r0|| <= ``_RANK_RTOL`` ||y||, has no noise to model: it reports its
+    least-squares fit (phi = 0, converged in one iteration) and takes no
+    part in the loop.
     """
     # row-major, so a one-size fit's Psi theta sums each row as psi @ theta does
-    psi = np.ascontiguousarray(psi, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
+    psi, y_s = _checked(psi, y_s)
+    psi = np.ascontiguousarray(psi)
     check_noise_terms(n_noise_terms)
-    _check_shapes(psi, y_s)
     if not (np.isfinite(psi).all() and np.isfinite(y_s).all()):
         raise ParameterError("regression matrix and target must be finite")
     m, n = psi.shape
-    sizes = np.asarray(sizes, dtype=int)
-    if (sizes.ndim != 1 or not sizes.size or sizes[0] < 1 or sizes[-1] > n
-            or np.any(np.diff(sizes) <= 0)):
-        raise ParameterError(f"sizes must increase within 1..{n}")
-    k = n_noise_terms
+    sizes = np.asarray(sizes, dtype=object)
+    if (sizes.ndim != 1 or not sizes.size or not all(map(is_int, sizes)) or sizes[0] < 1
+            or sizes[-1] > n or np.any(np.diff(sizes) <= 0)):
+        raise ParameterError(f"sizes must be integers increasing within 1..{n}")
+    sizes, k = sizes.astype(int), n_noise_terms
     a = psi[:, :min(sizes[-1], m)]
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
@@ -168,84 +177,102 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     sizes = sizes[:fits.count(None)]
     if not sizes.size:
         return fits
-    n_top = sizes[-1]
-    qb, r_top = q[:, :n_top], r[:n_top, :n_top]
+    n_top, n_sizes = sizes[-1], len(sizes)
+    r_top = r[:n_top, :n_top]
     below = np.arange(n_top) < sizes[:, None]  # columns inside each size's prefix
-    qty_below = (q.T @ y_s)[:n_top] * below
+    qty_below = (q.T @ y_s)[:n_top] * below  # c0
     theta = np.linalg.solve(r_top, qty_below.T).T
-    # least-squares residual of each prefix, one row per size
-    r0 = np.ascontiguousarray((y_s[:, None] - a[:, :n_top] @ theta.T).T)
+    # rows [Xi_A; Q^T; y; Xi_B]: a residual row holds k zeros, then xi(0..m-1), so
+    # lag l is its window k - l:m + k - l, and Q^T and y sit in lag 1's.  Each
+    # half is paired with the rows the second product reads: it, Q^T and y.
+    stacked = np.zeros((2 * n_sizes + n_top + 1, m + max(k, 1)))
+    halves = [(slice(0, n_sizes), slice(0, n_sizes + n_top + 1)),
+              (slice(n_sizes + n_top + 1, None), slice(n_sizes, None))]
+    r0 = stacked[:n_sizes, -m:]  # least-squares residual of each prefix
+    np.subtract(y_s, np.matmul(theta, a[:, :n_top].T, out=r0), out=r0)
     exact = np.sqrt(np.einsum("ij,ij->i", r0, r0)) <= _RANK_RTOL * np.linalg.norm(y_s)
     for j in np.flatnonzero(exact | (k == 0)):  # no noise columns, or no noise to model
         fits[j] = _ls_report(theta[j, :sizes[j]], r0[j], k)
     if k == 0 or exact.all():
         return fits
+    qy = stacked[n_sizes:n_sizes + n_top + 1, k - 1:m + k - 1]
+    qy[:n_top], qy[n_top] = q[:, :n_top].T, y_s
+    del q, r0
     # R^-1 is upper triangular and its leading s x s block inverts R's, so one
     # product with it solves every size's prefix (Higham 2002, chs. 8 and 14)
     theta_ls, r_inv_t = theta, np.linalg.solve(r_top, np.eye(n_top)).T
-    # the residual Xi is lagged from, after k zeros: lag l is buf[:, k - l:m + k - l]
-    buf = np.zeros((len(sizes), m + k))
-    buf[:, k:] = r0
-    lags = sliding_window_view(buf, k, axis=1)  # lags[j, i] holds size j's lags k, ..., 1
-    phi = np.zeros((k, len(sizes)))
-    w, c = np.empty((k, len(sizes), m)), np.empty((k, len(sizes), n_top))
+    phi = np.zeros((k, n_sizes))
     lo, hi = lo[sizes - 1], hi[sizes - 1]
     active = ~exact
-    history = np.empty((config.max_iterations, len(sizes)))  # change norms
-    # done sizes' rows are still computed, and one that failed the rank
-    # check may divide by a zero norm
+    history = np.empty((config.max_iterations, n_sizes))  # change norms
+    cross = np.empty((k, n_sizes, n_top + 1))  # [C | Xi^T y] for each lag
+    # the second product's left factor, a column for each stacked row; a done
+    # size's row is zeroed, so no NaN it holds reaches another row
+    coef, rows = np.zeros((n_sizes, len(stacked))), np.arange(n_sizes)
+    coef[:, n_sizes + n_top] = 1.0
+    # a done size's row is still computed until it is zeroed, and one that
+    # failed the rank check may divide by a zero norm
     with np.errstate(divide="ignore", invalid="ignore"):
         for iterations in range(1, config.max_iterations + 1):
-            # border W = Xi - Q C with C = Q^T Xi, masked to each size's prefix
+            (cur, block), (nxt, _) = halves
+            xi = [stacked[cur, k - l:m + k - l] for l in range(1, k + 1)]  # lag l at l - 1
             for l in range(k):
-                lag = buf[:, k - 1 - l:m + k - 1 - l]  # lag l + 1
-                np.matmul(lag, qb, out=c[l])
-                c[l] *= below
-                np.matmul(c[l], qb.T, out=w[l])
-                np.subtract(lag, w[l], out=w[l])
-            d = np.einsum("...i,...i->...", w, w)
-            # Xi = Q C + W with W orthogonal to Q, so a column kept less than
-            # 1/kappa of its norm exactly when |C|^2 > (kappa^2 - 1) |W|^2, which
-            # is 99 |W|^2 at kappa = 10.  Only then, and only on that column, does
-            # a second pass against Q run; a border accepted after one pass is
-            # orthogonal to Q to about kappa * eps (Parlett, The Symmetric
-            # Eigenvalue Problem, sec. 6.9; Daniel, Gragg, Kaufman & Stewart 1976
-            # take kappa = sqrt(2)).
-            redo = ((_REORTH_KAPPA ** 2 - 1) * d < np.einsum("...i,...i->...", c, c)) & active
-            for l in np.flatnonzero(redo.any(axis=1)):
-                rows = np.flatnonzero(redo[l])
-                c2 = (w[l, rows] @ qb) * below[rows]
-                w[l, rows] -= c2 @ qb.T
-                c[l, rows] += c2
-                d[l, rows] = np.einsum("ij,ij->i", w[l, rows], w[l, rows])
-            # scaled Gram-Schmidt among the lags, twice against each predecessor:
-            # W = V U with V's columns orthogonal (kept in w), U unit upper
-            # triangular, and d the squared column norms of V, which are R_W's
-            # squared diagonal.  A size is done at the first lag whose norm
-            # fails the rank check; its row is divided by that norm all the same.
-            u = np.zeros((k, k, len(sizes)))
+                np.matmul(xi[l], qy.T, out=cross[l])
+            c = cross[:, :, :n_top] * below
+            lag_products = np.empty((k, k, n_sizes))
+            for l, p in itertools.combinations_with_replacement(range(k), 2):
+                lag_products[l, p] = lag_products[p, l] = np.einsum("ij,ij->i", xi[l], xi[p])
+            gram = lag_products - np.einsum("lji,pji->lpj", c, c)
+            border_y = cross[:, :, n_top] - np.einsum("lji,ji->lj", c, qty_below)  # W^T y
+            # LDL^T of the border's Gram, W^T W = U^T D U: d holds D, the squared
+            # norm each noise column keeps outside Q and the earlier lags
+            u, d, dg = np.zeros((k, k, n_sizes)), np.empty((k, n_sizes)), np.empty((k, n_sizes))
             for l in range(k):
-                for _ in range(2):
-                    for p in range(l):
-                        proj = np.einsum("ij,ij->i", w[p], w[l]) / d[p]
+                d[l] = gram[l, l] - sum(u[p, l] ** 2 * d[p] for p in range(l))
+                for i in range(l + 1, k):
+                    u[l, i] = (gram[l, i] - sum(u[p, l] * u[p, i] * d[p] for p in range(l))) / d[l]
+                dg[l] = border_y[l] - sum(u[p, l] * dg[p] for p in range(l))
+            g = dg / d
+            # The Gram holds a column that keeps 1/kappa of its norm to about
+            # kappa^2 eps; below that the size's border is formed, with a second
+            # pass against Q, as one pass leaves it orthogonal to Q to about
+            # kappa * eps (Parlett, The Symmetric Eigenvalue Problem, sec. 6.9;
+            # Daniel, Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).  For
+            # k = 1 the test reads |C|^2 > (kappa^2 - 1) |W|^2, 99 |W|^2 here.
+            redo = np.flatnonzero((_REORTH_KAPPA ** 2 * d < np.diagonal(lag_products).T).any(axis=0)
+                                  & active)
+            if redo.size:
+                q_t = qy[:n_top]
+                w = np.stack([lag[redo] - c[l, redo] @ q_t for l, lag in enumerate(xi)])
+                c2 = (w @ q_t.T) * below[redo]
+                w -= c2 @ q_t
+                c[:, redo] += c2
+                # scaled Gram-Schmidt among the lags, twice against each
+                # predecessor: W = V U with V's columns orthogonal (kept in w)
+                u[:, :, redo] = 0.0
+                for l in range(k):
+                    for _, p in itertools.product(range(2), range(l)):
+                        proj = np.einsum("ij,ij->i", w[p], w[l]) / d[p, redo]
                         w[l] -= proj[:, None] * w[p]
-                        u[p, l] += proj
-                if l:
-                    d[l] = np.einsum("ij,ij->i", w[l], w[l])
-                root = np.sqrt(d[:l + 1])
-                failed = active & (np.minimum(lo, root.min(axis=0))
-                                   <= _RANK_RTOL * np.maximum(hi, root.max(axis=0)))
+                        u[p, l, redo] += proj
+                    d[l, redo] = np.einsum("ij,ij->i", w[l], w[l])
+                g[:, redo] = (w @ y_s) / d[:, redo]
+            # a size is done at the first lag whose norm fails the rank check
+            root = np.sqrt(d)
+            for l in range(k):
+                failed = active & (np.minimum(lo, root[:l + 1].min(axis=0))
+                                   <= _RANK_RTOL * np.maximum(hi, root[:l + 1].max(axis=0)))
                 for j in np.flatnonzero(failed):
-                    fits[j] = _rank_error(np.concatenate([diag[:sizes[j]], root[:, j]]))
+                    fits[j] = _rank_error(np.concatenate([diag[:sizes[j]], root[:l + 1, j]]))
                 active &= ~failed
-            # back substitution: U phi = D^-1 V^T y, then R theta = Q^T y - C phi
-            # for every size at once as theta = theta_LS - R^-1 C phi, where C phi
+            # back substitution: U phi = g, then R theta = Q^T y - C phi for
+            # every size at once as theta = theta_LS - R^-1 C phi, where C phi
             # is zero beyond column s and so is its product with R^-1
-            g = (w @ y_s) / d
             phi_new = np.empty_like(g)
             for l in reversed(range(k)):
-                phi_new[l] = g[l] - np.einsum("pj,pj->j", u[l, l + 1:], phi_new[l + 1:])
-            theta_new = theta_ls - np.einsum("lji,lj->ji", c, phi_new) @ r_inv_t
+                phi_new[l] = g[l] - sum(u[l, p] * phi_new[p] for p in range(l + 1, k))
+            c_phi = np.einsum("lji,lj->ji", c, phi_new)
+            theta_new = theta_ls - c_phi @ r_inv_t
             change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=1)
                              + np.sum((phi_new - phi) ** 2, axis=0))
             history[iterations - 1] = change
@@ -253,33 +280,33 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
             done = change < config.zeta
             finished = active & (done | (iterations == config.max_iterations))
             for j in np.flatnonzero(finished):
-                # the residual y - Psi theta - Xi phi itself, not its projected
-                # form, so that it holds exactly for the reported theta and phi;
-                # buf still holds the residual this iteration's Xi was lagged from
-                s = sizes[j]
+                # the residual y - Psi theta - Xi phi itself, so that it holds
+                # exactly for the reported theta and phi; lags[t] holds lags k..1
+                s, lags = sizes[j], sliding_window_view(stacked[cur][j], k)
                 process = y_s - a[:, :s] @ theta[j, :s]
                 fits[j] = EstimationReport(
-                    theta[j, :s].copy(), process - lags[j, :m] @ phi[::-1, j],
+                    theta[j, :s].copy(), process - lags[:m] @ phi[::-1, j],
                     float(np.var(process)), iterations=iterations, converged=bool(done[j]),
                     noise_theta=phi[:, j].copy(),
                     change_norms=tuple(history[:iterations, j].tolist()))
             active &= ~finished
             if not active.any():
                 break
-            # next residual y - Psi theta - Xi phi = r0 - W phi = r0 - V g, as W
-            # is orthogonal to Q; it overwrites the one Xi was lagged from
-            xi = buf[:, k:]
-            w *= g[:, :, None]
-            np.subtract(r0, w[0], out=xi)
+            # next residual y - Q (c0 - C phi) - Xi phi, into the other half
+            coef[:, n_sizes:n_sizes + n_top] = c_phi - qty_below
+            coef[rows, rows + cur.start] = -phi[0]
+            coef[~active] = 0.0
+            np.matmul(coef[:, block], stacked[block, k - 1:m + k - 1], out=stacked[nxt, k:])
             for l in range(1, k):
-                xi -= w[l]
+                stacked[nxt, k:] -= np.where(active, phi[l], 0.0)[:, None] * xi[l]
+            halves.reverse()
     return fits
 
 
 def _fit_one(psi, y_s, n_noise_terms, config):
     """The one-size case of :func:`els_sweep`: all columns, failure raised."""
-    psi = np.asarray(psi, dtype=float)
-    (fit,) = els_sweep(psi, y_s, [psi.shape[1] if psi.ndim == 2 else 0], n_noise_terms, config)
+    shape = np.shape(psi)
+    (fit,) = els_sweep(psi, y_s, [shape[1] if len(shape) == 2 else 0], n_noise_terms, config)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -321,9 +348,7 @@ def constrained_ls_estimate(psi, y_s, constraints):
     constraint system plus an unconstrained fit in its null space, so the
     constraints hold to machine precision.
     """
-    psi = np.asarray(psi, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
-    _check_shapes(psi, y_s)
+    psi, y_s = _checked(psi, y_s)
     if not constraints:
         return ls_estimate(psi, y_s)
     c_mat = np.vstack([np.asarray(c, dtype=float) for c, _ in constraints])

@@ -146,6 +146,32 @@ def test_els_validates_arguments():
             els_sweep(psi, y_s, [1, 2], bad)
 
 
+@pytest.mark.parametrize("sizes", [[1.7, 3.2], [1.0, 2.0], np.array([1.0, 2.0]), [True],
+                                   [True, 2], np.array([True]), [[1, 2]], [], [0, 1], [2, 1]])
+def test_els_sweep_rejects_sizes_that_are_not_increasing_integers(sizes):
+    # sizes [1.7, 3.2] used to be truncated to fits of sizes 1 and 3, and [True] to fit size 1
+    psi, y_s = build_regression(generate_candidates(1, 1, 1), _armax_record(5))
+    with pytest.raises(ParameterError, match="sizes must be integers"):
+        els_sweep(psi, y_s, sizes)
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("where", ["psi", "y"])
+def test_estimators_reject_complex_input(where):
+    # a complex input used to be cast to real with a ComplexWarning, losing its imaginary part
+    rng = np.random.default_rng(0)
+    psi, y_s = rng.standard_normal((50, 3)), rng.standard_normal(50)
+    if where == "psi":
+        psi = psi + 1e-3j
+    else:
+        y_s = y_s + 1e-3j
+    for fit in (lambda: els_sweep(psi, y_s, [1, 2, 3]), lambda: els_core(psi, y_s),
+                lambda: ls_estimate(psi, y_s),
+                lambda: constrained_ls_estimate(psi, y_s, [(np.ones(3), 1.0)])):
+        with pytest.raises(ParameterError, match="real"):
+            fit()
+
+
 @pytest.mark.parametrize("where", ["psi", "y"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_estimators_reject_non_finite_input(where, bad):
@@ -232,7 +258,7 @@ def test_els_matches_from_scratch_reference(n_noise_terms, config, converges):
     assert report.converged is converges
 
 
-@given(st.integers(1, 12), st.integers(1, 2), st.integers(5, 60), st.integers(0, 2 ** 32 - 1))
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(5, 60), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_els_matches_reference_on_random_shapes(n, k, extra_rows, seed):
     rng = np.random.default_rng(seed)
@@ -247,12 +273,13 @@ def test_els_matches_reference_on_random_shapes(n, k, extra_rows, seed):
 def test_els_matches_reference_on_heating_ranked_prefixes(seed):
     # real dictionaries, ill-conditioned: the column-scaled condition number
     # of the 15-term prefix is 2.8e5 to 1.2e6 on these seeds; the worst error
-    # against the reference is ~4e-12 here and 3e-10 at 30 terms
+    # against the reference is ~2e-10 at 24 to 30 terms, about what a change
+    # of y by eps moves either side by
     config = heating_experiment()
     data, _ = make_identification_data(config, seed)
     psi, y_s = build_regression(config.candidates, data)
     ranked = psi.take(frols_rank(config.candidates, psi, y_s).columns, axis=1)
-    for size in (5, 15):
+    for size in (5, 15, 25, 30):
         _assert_matches_reference(ranked[:, :size], y_s, 1, config.selection.els)
 
 
@@ -326,6 +353,37 @@ def test_els_sweep_second_pass_on_some_sizes_of_a_block(seed):
     config = ElsConfig(zeta=1e-6, max_iterations=10)
     for s, fit in zip(sizes, els_sweep(psi, y_s, sizes, 1, config)):
         _assert_matches_reference(psi[:, :s], y_s, 1, config, fit)
+
+
+def _kept_outside_earlier_lags(psi, y_s, n_noise_terms):
+    """Share of its squared norm each first-iteration noise column keeps
+    outside span(Psi) and the earlier lags: what the gate compares with 1/kappa^2."""
+    q, _ = np.linalg.qr(psi)
+    xi = _lagged_columns(y_s - q @ (q.T @ y_s), n_noise_terms)
+    r = np.linalg.qr(np.column_stack([psi, xi]))[1]
+    return np.diag(r)[psi.shape[1]:] ** 2 / np.sum(xi ** 2, axis=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_els_sweep_gate_flags_sizes_for_dependent_lags(seed):
+    # k = 2 on a residual dominated by a period-2 component: lag 2 is nearly
+    # minus lag 1, so sizes 1-2 keep ~1e-3 of lag 2's squared norm outside Q
+    # and lag 1 and take the explicit border, though each lag keeps nearly all
+    # of its norm outside Q alone.  Sizes 3-4 hold the alternating column; their
+    # residual has no such component and they are solved from the Gram.
+    rng = np.random.default_rng(seed)
+    m = 2000
+    alternating = (-1.0) ** np.arange(m)
+    psi = np.column_stack([rng.standard_normal((m, 2)), alternating + 0.1 * rng.standard_normal(m),
+                           rng.standard_normal(m)])
+    y_s = psi[:, 0] + 0.8 * alternating + 0.01 * rng.standard_normal(m)
+    sizes = [1, 2, 3, 4]
+    for s in sizes:
+        assert np.all(_border_kept(psi[:, :s], y_s, 2) > 0.9)
+        assert (_kept_outside_earlier_lags(psi[:, :s], y_s, 2)[1] < 5e-3) == (s <= 2)
+    config = ElsConfig(zeta=1e-6, max_iterations=10)
+    for s, fit in zip(sizes, els_sweep(psi, y_s, sizes, 2, config)):
+        _assert_matches_reference(psi[:, :s], y_s, 2, config, fit)
 
 
 def _nearly_dependent_errors(perturbation):
@@ -421,7 +479,7 @@ def _fit_or_error(psi, y_s, n_noise_terms, config):
 
 # a done size's row is still computed; none of its NaNs may warn
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@given(st.integers(1, 24), st.integers(0, 2), st.integers(-2, 40), st.booleans(),
+@given(st.integers(1, 24), st.integers(0, 3), st.integers(-2, 40), st.booleans(),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 # a noise parameter near -93, which an absolute tolerance would fail on
