@@ -20,6 +20,7 @@ from narxident import (
     mape,
     preset_models,
     run_inverse_model,
+    sigma_y_constraint,
     sine_input,
 )
 
@@ -30,11 +31,10 @@ def main():
     inverse = presets["valve_inverse_narx"].model
     ts = forward.ts
 
-    # 1. unit sum over parameters of the plain y(k-tau) regressors
-    linear_y = [th for t, th in zip(forward.process_terms, forward.theta)
-                if len(t.factors) == 1 and t.factors[0][2] == 1
-                and t.factors[0][0].value == "y"]
-    print(f"sum of linear output parameters: {sum(linear_y):.6f} (constraint: 1)")
+    # 1. unit sum over parameters of the plain y(k-tau) regressors, the
+    # constraint the constrained estimator is given
+    c, b = sigma_y_constraint(forward.process_terms)
+    print(f"sum of linear output parameters: {c @ forward.theta:.6f} (constraint: {b:g})")
 
     # 2. hold property: constant input => phi1 = phi2 = 0 from the second
     # sample on, so the recursion reduces to the unit-sum output average

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .model import CandidateMeta, NarxModel, Variable, term
-from .regression import first_unbounded, zero_buffer
+from .regression import SimulationResult, nan_from_unbounded, zero_buffer
 
 Y, U, P1, P2 = Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2
 
@@ -59,7 +59,7 @@ def simulate_hammerstein(params: HammersteinParams, u):
         y0 = b1 * y1 + b2 * v1 + (b3 * y2 + b4 * v2)
         y[k] = y0
         y1, y2, v2 = y0, y1, v1
-    bad = first_unbounded(y_view, 1e9)
+    bad = nan_from_unbounded(y_view, 1e9)
     if bad is not None:
         raise ParameterError(f"heating simulation diverged at step {bad}")
     return y_view
@@ -85,11 +85,11 @@ class BoucWenParams:
             raise ParameterError("integration step must be positive")
 
 
-@dataclass(frozen=True)
-class BoucWenTrajectory:
-    y: np.ndarray
+@dataclass(frozen=True, kw_only=True)
+class BoucWenTrajectory(SimulationResult):
+    """A simulation result that also holds the hysteresis state ``h``."""
+
     h: np.ndarray
-    diverged: bool = False
 
 
 def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
@@ -106,8 +106,8 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
     vectors, at the grid points and at the half steps, so each stage of
     the loop adds only the state's part on Python floats.  The state has
     diverged at its first sample that is not finite or exceeds 1e12 in
-    magnitude; that is found once, after the loop, and the trajectory is
-    NaN from there on.
+    magnitude; that is found once, after the loop, and returned as
+    ``diverged_at``, with the trajectory NaN from there on.
     """
     u = np.asarray(u, dtype=float)
     n = len(u)
@@ -149,10 +149,8 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
         hk = hk + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         h[k] = hk
         a0, b0, g0 = a1, b1, g1
-    bad = first_unbounded(h_view, 1e12)
-    if bad is not None:
-        h_view[bad:] = np.nan
-    return BoucWenTrajectory(y=params.nu_y * u - h_view, h=h_view, diverged=bad is not None)
+    bad = nan_from_unbounded(h_view, 1e12)
+    return BoucWenTrajectory(params.nu_y * u - h_view, diverged_at=bad, h=h_view)
 
 
 # Published-model catalog.  Numeric values are the published coefficients

@@ -6,7 +6,9 @@ Subcommands: ``design-input``, ``simulate``, ``identify``, ``validate``,
 each run; individual flags override config fields.  The default output
 directory comes from ``--output-dir``, then the config, then the
 ``NARXIDENT_OUTPUT_DIR`` environment variable, then the current
-directory.  Every command is deterministic given config and seed.
+directory.  Every command is deterministic given config and seed, and
+``design-input`` and ``identify`` save the resolved config as a ``.log``
+that ``--config`` reads back.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import preset_models
-from .config import config_to_dict, load_config, save_config
+from .config import load_config, save_config
 from .data import TimeSeriesData, load_csv, save_csv, write_csv
 from .errors import NarxError, ParameterError
 from .evaluation import monte_carlo_noise_sweep, validate
@@ -71,14 +73,6 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return path
 
 
-def _log_resolved(cfg: ExperimentConfig, path):
-    lines = ["# resolved experiment parameters"]
-    d = config_to_dict(cfg)
-    for key, value in d.items():
-        lines.append(f"{key} = {value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def cmd_design_input(args):
     cfg = _resolve_config(args)
     if cfg.design is None:
@@ -87,7 +81,7 @@ def cmd_design_input(args):
     u = design_input(cfg.design, np.random.default_rng(cfg.seed))
     path = out / "input.csv"
     write_csv(path, ["k", "u"], range(len(u)), u)
-    _log_resolved(cfg, out / "design_input.log")
+    save_config(cfg, out / "design_input.log")
     print(f"wrote {len(u)}-row input to {path}")
     return 0
 
@@ -111,7 +105,7 @@ def cmd_identify(args):
     aic_to_csv(result.curve, out / "aic_curve.csv")
     residuals_to_csv(result.report.residuals, out / "residuals.csv")
     (out / "report.txt").write_text(report_to_text(result.report))
-    _log_resolved(cfg, out / "identify.log")
+    save_config(cfg, out / "identify.log")
     print(f"selected {len(result.model.process_terms)} terms:")
     for t, th in zip(result.model.process_terms, result.model.theta):
         print(f"  {t}\t{th!r}")

@@ -334,36 +334,35 @@ def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
     return _fit_one(psi, y_s, n_noise_terms, config)
 
 
-def _null_space(c_mat):
-    """Orthonormal null-space basis of a full-row-rank p x n matrix: its
-    last n - p right singular vectors, as a column slice of a C-ordered V.
-    That is scipy.linalg.null_space's layout, so products with it round alike."""
-    return np.ascontiguousarray(np.linalg.svd(c_mat)[2].T)[:, c_mat.shape[0]:]
-
-
 def constrained_ls_estimate(psi, y_s, constraints):
     """Least squares subject to linear equality constraints c^T theta = b.
 
     Solved by the null-space method: a particular solution of the
     constraint system plus an unconstrained fit in its null space, so the
-    constraints hold to machine precision.
+    constraints hold to machine precision.  One SVD C = U S V^T of the p
+    constraint rows gives the dependency test (Psi's rank rule: a singular
+    value at or below ``_RANK_RTOL`` times the largest), the particular
+    solution V_1 S^-1 U^T b and the null space, the last n - p columns of V.
     """
     psi, y_s = _checked(psi, y_s)
     if not constraints:
         return ls_estimate(psi, y_s)
     c_mat = np.vstack([np.asarray(c, dtype=float) for c, _ in constraints])
     b_vec = np.array([float(b) for _, b in constraints])
-    n = psi.shape[1]
+    p, n = len(b_vec), psi.shape[1]
     if c_mat.shape[1] != n:
         raise ConstraintError("constraint vectors must match the parameter dimension")
-    if c_mat.shape[0] >= n:
+    if p >= n:
         raise ConstraintError("need fewer constraints than parameters")
-    if np.linalg.matrix_rank(c_mat) < c_mat.shape[0]:
+    u_c, sigma, vt = np.linalg.svd(c_mat)
+    if sigma[-1] <= _RANK_RTOL * sigma[0]:
         raise ConstraintError("constraints are linearly dependent")
-    theta_p, *_ = np.linalg.lstsq(c_mat, b_vec, rcond=None)
+    theta_p = vt[:p].T @ (u_c.T @ b_vec / sigma)
     if np.linalg.norm(c_mat @ theta_p - b_vec) > 1e-8 * max(1.0, np.linalg.norm(b_vec)):
         raise ConstraintError("constraints are inconsistent")
-    z = _null_space(c_mat)
+    # a column slice of a C-ordered V, scipy.linalg.null_space's layout,
+    # so products with it round alike
+    z = np.ascontiguousarray(vt.T)[:, p:]
     reduced = ls_estimate(psi @ z, y_s - psi @ theta_p)
     theta = theta_p + z @ reduced.theta
     return _ls_report(theta, y_s - psi @ theta)

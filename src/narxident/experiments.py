@@ -96,6 +96,8 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        if isinstance(self.variables, str) or not np.iterable(self.variables):
+            raise ParameterError(f"variables must be a sequence of kinds, got {self.variables!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
         check_available(self.system)
         if self.system not in SYSTEMS:
@@ -132,7 +134,7 @@ class ExperimentConfig:
                 return simulate_hammerstein(HEATING_SYSTEM, u)
         traj = simulate_bouc_wen(PZT_BOUC_WEN, u)
         if traj.diverged:
-            raise ParameterError("reference Bouc-Wen simulation diverged")
+            raise ParameterError(f"Bouc-Wen simulation diverged at step {traj.diverged_at}")
         return traj.y
 
 

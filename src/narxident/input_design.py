@@ -89,10 +89,13 @@ class InputDesignSpec:
     filter_order: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
-        object.__setattr__(self, "segment_lengths", tuple(int(n) for n in self.segment_lengths))
-        object.__setattr__(self, "operating_points", tuple(float(o) for o in self.operating_points))
-        object.__setattr__(self, "amplitudes", tuple(float(g) for g in self.amplitudes))
+        for name, integer in (("frequencies", False), ("segment_lengths", True),
+                              ("operating_points", False), ("amplitudes", False)):
+            values = getattr(self, name)
+            if not np.iterable(values) or not all(map(is_int if integer else is_real, values)):
+                raise ParameterError(f"{name} must be a sequence of "
+                                     f"{'integers' if integer else 'numbers'}, got {values!r}")
+            object.__setattr__(self, name, tuple(map(int if integer else float, values)))
         if len(self.frequencies) != len(self.segment_lengths) or not self.frequencies:
             raise ParameterError("need matching, nonempty frequency and segment-length lists")
         if len(self.operating_points) != len(self.amplitudes) or not self.operating_points:

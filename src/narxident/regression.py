@@ -63,15 +63,13 @@ def one_step_predict(model: NarxModel, data: TimeSeriesData):
     Deterministic part only; returns predictions for k = p .. N-1 where p
     is the model's maximum lag.
     """
-    if not model.process_terms:
-        return np.zeros(len(data))
     psi, _ = build_regression(model.process_terms, data)
     return psi @ np.asarray(model.theta)
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Free-run trajectory and the first out-of-bound step, if any.
+    """A simulated trajectory and its first out-of-bound step, if any.
 
     When ``diverged`` is true the trajectory is partial: samples from
     ``diverged_at`` onward are NaN.
@@ -116,15 +114,20 @@ def zero_buffer(n):
     return buf, np.frombuffer(buf)
 
 
-def first_unbounded(x, bound):
-    """Index of the first sample of ``x`` that is not finite or exceeds
-    ``bound`` in magnitude, or None.
+def nan_from_unbounded(x, bound, start=0):
+    """Index of the first sample of ``x`` from ``start`` on that is not
+    finite or exceeds ``bound`` in magnitude, with ``x`` set to NaN from
+    there on; None, and ``x`` unchanged, when there is none.
 
     The recursions run to the end on Python floats, which overflow to inf
     or NaN without raising, and check their trajectory once with this.
     """
-    bad = np.flatnonzero(~np.isfinite(x) | (np.abs(x) > bound))
-    return int(bad[0]) if bad.size else None
+    tail = x[start:]
+    bad = np.flatnonzero(~np.isfinite(tail) | (np.abs(tail) > bound))
+    if not bad.size:
+        return None
+    tail[bad[0]:] = np.nan
+    return start + int(bad[0])
 
 
 # Validating a fixed model set reuses a few structures and skips the
@@ -181,7 +184,7 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     structure steps through those vectors and multiplies each sample by
     the term's lagged outputs, which it carries as local Python floats
     from step to step.  The bound is checked once after the loop, with
-    :func:`first_unbounded`: the samples before the first bad one are the
+    :func:`nan_from_unbounded`: the samples before the first bad one are the
     ones a check at every step would have kept.
     """
     u = np.asarray(u, dtype=float)
@@ -215,11 +218,7 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     buf, y = zero_buffer(n)
     y[: len(y_init)] = y_init
     _step_loop(tuple(structure))(buf, start, n, *parts)
-    bad = first_unbounded(y[start:], bound)
-    if bad is not None:
-        bad += start
-        y[bad:] = np.nan
-    return SimulationResult(y, diverged_at=bad)
+    return SimulationResult(y, diverged_at=nan_from_unbounded(y, bound, start))
 
 
 def run_inverse_model(model: NarxModel, y, u_init):

@@ -234,6 +234,7 @@ def test_bouc_wen_divergence_bit_identical_to_per_step_reference(rate):
     assert diverged and traj.diverged
     assert np.isnan(traj.h[-1]) and not np.isnan(traj.h[1])
     assert same_bits(traj.h, h) and same_bits(traj.y, y)
+    assert traj.diverged_at == int(np.flatnonzero(np.isnan(h))[0])
 
 
 def test_hammerstein_bit_identical_to_per_step_reference():
@@ -281,7 +282,7 @@ def test_bouc_wen_bad_input_sample_matches_per_step_reference(rate, value, j):
     assert traj.diverged and diverged
     assert same_bits(traj.h, h) and same_bits(traj.y, y)
     first = int(np.flatnonzero(np.isnan(h))[0])
-    assert first <= j + 1 and np.all(np.isnan(h[first:]))
+    assert first <= j + 1 and np.all(np.isnan(h[first:])) and traj.diverged_at == first
     assert np.all(np.isfinite(h[:first]))
 
 

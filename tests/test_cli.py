@@ -1,12 +1,20 @@
 """Command-line interface: artifact round trips and error paths."""
 
+import dataclasses
 import filecmp
 import json
 
 import numpy as np
 import pytest
 
-from narxident import heating_experiment, preset_models, save_model, sine_input
+from narxident import (
+    default_config,
+    heating_experiment,
+    load_config,
+    preset_models,
+    save_model,
+    sine_input,
+)
 from narxident.cli import main
 
 
@@ -184,6 +192,17 @@ def test_identify_validate_round_trip(tmp_path, capsys):
     assert "MAPE" in captured.out
     lines = (out / "prediction.csv").read_text().strip().splitlines()
     assert lines[0] == "k,y,y_hat"
+
+
+@pytest.mark.parametrize("command, log, artifact", [
+    ("design-input", "design_input.log", "input.csv"), ("identify", "identify.log", "model.txt")])
+def test_log_is_the_resolved_config_and_reruns_the_command(tmp_path, command, log, artifact):
+    out, again = tmp_path / "run", tmp_path / "again"
+    assert run([command, "--experiment", "heating", "--seed", "5", "--output-dir", str(out)]) == 0
+    resolved = dataclasses.replace(default_config("heating"), seed=5, output_dir=str(out))
+    assert load_config(out / log) == resolved
+    assert run([command, "--config", str(out / log), "--output-dir", str(again)]) == 0
+    assert filecmp.cmp(out / artifact, again / artifact, shallow=False)
 
 
 def test_monte_carlo_csv(tmp_path):

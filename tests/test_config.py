@@ -51,6 +51,11 @@ def test_config_builds_same_experiment_as_builtin(tmp_path):
 def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(system="heating", variables=("y", "w"))
+    # a bare string used to be split into its characters, "yu" reading as
+    # ("y", "u"), and a number raised a TypeError
+    for variables in ("yu", "phi1", 5):
+        with pytest.raises(ParameterError, match="variables must be a sequence"):
+            ExperimentConfig(system="heating", variables=variables)
     for ratio in (-0.1, float("inf")):
         with pytest.raises(ParameterError):
             ExperimentConfig(system="heating", noise_ratio=ratio)

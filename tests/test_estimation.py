@@ -24,7 +24,7 @@ from narxident import (
 )
 from narxident.benchmarks import HEATING_SYSTEM
 from narxident.experiments import heating_experiment, make_identification_data
-from narxident.estimation import _null_space, els_core, els_sweep
+from narxident.estimation import els_core, els_sweep
 
 U = Variable.INPUT
 
@@ -627,14 +627,6 @@ def test_null_space_basis_matches_scipy(seed):
     n = int(rng.integers(2, 13))
     p = int(rng.integers(1, n))
     c_mat = rng.standard_normal((p, n))
-    z = _null_space(c_mat)
-    assert z.shape == (n, n - p)
-    assert np.allclose(z.T @ z, np.eye(n - p), rtol=0.0, atol=1e-12)
-    assert np.all(np.abs(c_mat @ z) <= 1e-12 * np.abs(c_mat).max())
-    # the same subspace: equal orthogonal projectors
-    z_ref = scipy.linalg.null_space(c_mat)
-    assert np.allclose(z @ z.T, z_ref @ z_ref.T, rtol=0.0, atol=1e-12)
-
     psi = rng.standard_normal((n + int(rng.integers(20, 60)), n))
     y = rng.standard_normal(len(psi))
     b = rng.standard_normal(p)
@@ -642,6 +634,18 @@ def test_null_space_basis_matches_scipy(seed):
     expected = _scipy_constrained_ls(psi, y, c_mat, b)
     assert np.linalg.norm(theta - expected) <= 1e-12 * np.linalg.norm(expected)
     assert np.all(np.abs(c_mat @ theta - b) <= 1e-10)
+
+
+def test_constrained_ls_applies_the_regression_rank_rule_to_the_constraints():
+    # rows 1e-12 apart have a singular-value ratio of 5e-13, at or below the
+    # 1e-10 that marks a rank-deficient regression matrix; 1e-8 apart is 7e-9
+    psi = np.random.default_rng(5).standard_normal((50, 3))
+    y = psi @ np.array([1.0, 0.0, 1.0])  # meets both constraints
+    c = np.array([1.0, 1.0, 0.0])
+    with pytest.raises(ConstraintError, match="linearly dependent"):
+        constrained_ls_estimate(psi, y, [(c, 1.0), (c + [0.0, 1e-12, 0.0], 1.0)])
+    theta = constrained_ls_estimate(psi, y, [(c, 1.0), (c + [0.0, 1e-8, 0.0], 1.0)]).theta
+    assert np.allclose(theta, [1.0, 0.0, 1.0], rtol=0.0, atol=1e-6)
 
 
 def test_constrained_ls_rejects_bad_constraints():

@@ -9,7 +9,9 @@ line marked ``# noqa: F401`` (a binding kept on purpose).
 Every CSV artifact goes through ``data.write_csv``, which owns the float
 format; a second ``csv.writer`` would be a second copy of it to drift.
 Likewise ``regression.py`` is the one module that generates and runs
-code (the free-run loop), so ``exec`` and ``compile`` appear nowhere else.
+code (the free-run loop), so ``exec`` and ``compile`` appear nowhere else,
+and ``config.py`` is the one module that serializes a config: no other
+module imports ``json`` or reads ``config_to_dict``.
 
 Importing the package does not load SciPy: ``scipy.signal`` alone takes
 most of a second to import, and only filter design and filtering use it.
@@ -81,6 +83,23 @@ def _calls_code_generation(path):
 
 def test_code_is_generated_in_one_module():
     assert [p.name for p in MODULES if _calls_code_generation(p)] == ["regression.py"]
+
+
+def _serializes_config(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "json" or any(a.name == "config_to_dict" for a in node.names)):
+            return True
+        if (isinstance(node, ast.Name) and node.id == "config_to_dict"
+                or isinstance(node, ast.Attribute) and node.attr == "config_to_dict"):
+            return True
+    return False
+
+
+def test_config_is_serialized_in_one_module():
+    assert [p.name for p in MODULES if _serializes_config(p)] == ["config.py"]
 
 
 _FRESH_IMPORT = """

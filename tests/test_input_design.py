@@ -155,6 +155,25 @@ def test_spec_rejects_bad_filter_settings_at_construction(field, value):
         dataclasses.replace(HEATING_SPEC, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("frequencies", ("0.001", 0.005)), ("frequencies", 0.001), ("segment_lengths", (1000.7, 1000)),
+    ("segment_lengths", ("abc", 1000)), ("segment_lengths", (1000, True)),
+    ("operating_points", (True, 0.5, 0.7)), ("amplitudes", (0.2, None, 0.2)),
+])
+def test_spec_rejects_sequences_of_the_wrong_type(field, value):
+    # these used to be cast: '0.001' to 0.001, 1000.7 to 1000 and True to 1.0
+    with pytest.raises(ParameterError, match=f"{field} must be a sequence of"):
+        dataclasses.replace(HEATING_SPEC, **{field: value})
+
+
+def test_spec_stores_numpy_and_integer_items_as_python_numbers():
+    spec = dataclasses.replace(HEATING_SPEC, frequencies=[np.float32(0.001), 0.005],
+                               segment_lengths=[np.int64(1000), 1000], amplitudes=[1, 1, 1])
+    assert [type(f) for f in spec.frequencies] == [float, float]
+    assert [type(n) for n in spec.segment_lengths] == [int, int]
+    assert spec.amplitudes == (1.0, 1.0, 1.0) and type(spec.amplitudes[0]) is float
+
+
 def test_add_output_noise_ratio():
     rng = np.random.default_rng(0)
     y = np.sin(np.linspace(0, 20, 50_000))

@@ -82,6 +82,13 @@ def test_one_step_predict_exact_model():
     assert np.allclose(pred, y[1:], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 5])
+def test_one_step_predict_of_a_model_without_terms_is_zero(n):
+    # the regression is N x 0 with no lag to drop; its product with the empty theta is N zeros
+    pred = one_step_predict(small_model([], []), TimeSeriesData(np.ones(n), np.ones(n), ts=1.0))
+    assert pred.dtype == float and np.array_equal(pred, np.zeros(n))
+
+
 def test_free_run_geometric_decay():
     m = small_model([term((Y, 1, 1))], [0.5])
     sim = free_run_simulate(m, np.zeros(6), y_init=[1.0])
