@@ -8,16 +8,15 @@ given in one block: the prefixes share one QR (the QR of a column prefix
 is the prefix of the QR), and each iteration borders that factorization
 with the k noise columns Xi of every size, at O(m n k) work per size for
 m rows and n process columns.  The border W = Xi - Q C, with C = Q^T Xi,
-is never stored: the solve needs only its k x k Gram Xi^T Xi - C^T C and
-W^T y, and both come from one matrix product of the residual rows with
-[Q^T; y] in a stacked buffer, where a second product writes the next
-residual.  The Gram keeps a noise column to kappa^2 eps of its norm, so a
-size where some noise column keeps less than 1/kappa of its norm outside Q
-and the earlier lags takes the explicit border, with a second pass against
-Q, on its rows alone.  No iteration solves with R either: the process
-parameters are the prefix's least-squares fit minus R^-1 C phi, with R^-1
-formed once per call.  :func:`els_core` is its one-size case and
-:func:`ls_estimate` the one-size case without noise columns.
+is not formed (but for a size whose noise column keeps under 1/kappa of
+its norm): the solve needs only its k x k Gram Xi^T Xi - C^T C and W^T y,
+both from one matrix product of the residual rows with [Q^T; y] in a
+stacked buffer, where a second product writes the next residual; the rest
+of an iteration is a fixed set of operations on small arrays holding every
+size.  No iteration solves with R: the process parameters are the
+prefix's least-squares fit minus R^-1 C phi, with R^-1 formed once per
+call.  :func:`els_core` is its one-size case and :func:`ls_estimate` the
+one-size case without noise columns.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstraintError, ParameterError, SingularMatrixError
 from .model import is_int, is_real
@@ -125,26 +123,27 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     One buffer holds the rows [Xi_A; Q^T; y; Xi_B], its columns aligned so
     that Q(t), y(t) and xi(t - 1) share one; the residual halves take turns,
     each iteration lagging the noise columns Xi from one and writing the
-    next residual into the other.  A product of the lag rows with
-    [Q^T; y] gives C and Xi^T y, so the border W = Xi - Q C is not formed:
-    its Gram is Xi^T Xi - C^T C, the lag products taken over column windows,
-    and W^T y = Xi^T y - C^T c0, c0 the masked Q^T y.  The Gram's LDL^T
-    factors U^T D U (U unit upper triangular) give U phi = D^-1 U^-T W^T y,
-    phi = W^T y / W^T W for k = 1, and theta = theta_LS - R^-1 C phi with
-    theta_LS the prefixes' least-squares fits and R^-1 formed once.  One
-    product [-diag(phi_1) | -(c0 - C phi) | 1] [Xi; Q^T; y] then writes the
-    next residual y - Psi theta - Xi phi; lags 2..k are subtracted after it.
+    next residual into the other.  A product of the lag rows with [Q^T; y]
+    gives C and Xi^T y, so the border W = Xi - Q C is not formed: its Gram
+    is Xi^T Xi - C^T C and W^T y = Xi^T y - C^T c0, c0 the masked Q^T y.
+    The Gram's LDL^T, U^T D U with U unit upper triangular, gives
+    U phi = D^-1 U^-T W^T y, and theta = theta_LS - R^-1 C phi with theta_LS
+    the prefixes' least-squares fits and R^-1 formed once.  One product
+    [-diag(phi_1) | -(c0 - C phi) | 1] [Xi; Q^T; y] writes the next residual
+    y - Psi theta - Xi phi, lags 2..k subtracted after it.  The rest of an
+    iteration works on small arrays of all sizes, allocated once per call,
+    and builds the reports of the sizes that finish, from its lag windows.
 
-    The gate in the loop sends a size to the explicit border when one of
-    its noise columns keeps less than 1/kappa of its norm outside Q and the
-    earlier lags: W formed on that size's rows, a second pass against Q and
-    Gram-Schmidt twice among the lags.  The rank check is applied per size
-    to the prefix diagonal of R and to sqrt(D), lag by lag; a size is done
-    when it converges, reaches the cap or fails the rank check, and its row
-    is then zeroed.  A size whose least-squares residual r0 is at rounding,
-    ||r0|| <= ``_RANK_RTOL`` ||y||, has no noise to model: it reports its
-    least-squares fit (phi = 0, converged in one iteration) and takes no
-    part in the loop.
+    A size takes the explicit border when one of its noise columns keeps
+    less than 1/kappa of its norm outside Q and the earlier lags: W formed
+    on its rows, a second pass against Q and Gram-Schmidt twice among the
+    lags.  The rank check takes the range of R's prefix diagonal and of
+    sqrt(D) cumulatively over the lags, and reports the first failing lag.
+    A size is done when it converges, reaches the cap or fails the rank
+    check, and its row is then zeroed.  A size whose least-squares residual
+    r0 is at rounding, ||r0|| <= ``_RANK_RTOL`` ||y||, has no noise to
+    model: it reports its least-squares fit (phi = 0, converged in one
+    iteration) and takes no part in the loop.
     """
     # row-major, so a one-size fit's Psi theta sums each row as psi @ theta does
     psi, y_s = _checked(psi, y_s)
@@ -183,11 +182,8 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     qty_below = (q.T @ y_s)[:n_top] * below  # c0
     theta = np.linalg.solve(r_top, qty_below.T).T
     # rows [Xi_A; Q^T; y; Xi_B]: a residual row holds k zeros, then xi(0..m-1), so
-    # lag l is its window k - l:m + k - l, and Q^T and y sit in lag 1's.  Each
-    # half is paired with the rows the second product reads: it, Q^T and y.
+    # lag l is its window k - l:m + k - l, and Q^T and y sit in lag 1's
     stacked = np.zeros((2 * n_sizes + n_top + 1, m + max(k, 1)))
-    halves = [(slice(0, n_sizes), slice(0, n_sizes + n_top + 1)),
-              (slice(n_sizes + n_top + 1, None), slice(n_sizes, None))]
     r0 = stacked[:n_sizes, -m:]  # least-squares residual of each prefix
     np.subtract(y_s, np.matmul(theta, a[:, :n_top].T, out=r0), out=r0)
     exact = np.sqrt(np.einsum("ij,ij->i", r0, r0)) <= _RANK_RTOL * np.linalg.norm(y_s)
@@ -201,46 +197,53 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     # R^-1 is upper triangular and its leading s x s block inverts R's, so one
     # product with it solves every size's prefix (Higham 2002, chs. 8 and 14)
     theta_ls, r_inv_t = theta, np.linalg.solve(r_top, np.eye(n_top)).T
-    phi = np.zeros((k, n_sizes))
-    lo, hi = lo[sizes - 1], hi[sizes - 1]
-    active = ~exact
+    lo, hi, active = lo[sizes - 1], hi[sizes - 1], ~exact
     history = np.empty((config.max_iterations, n_sizes))  # change norms
-    cross = np.empty((k, n_sizes, n_top + 1))  # [C | Xi^T y] for each lag
-    # the second product's left factor, a column for each stacked row; a done
-    # size's row is zeroed, so no NaN it holds reaches another row
-    coef, rows = np.zeros((n_sizes, len(stacked))), np.arange(n_sizes)
-    coef[:, n_sizes + n_top] = 1.0
-    # a done size's row is still computed until it is zeroed, and one that
-    # failed the rank check may divide by a zero norm
+    # the loop's state, allocated once: [C | Xi^T y] per lag, C, the lag products
+    # (upper triangle), the Gram, which the LDL^T turns into U and D (its diagonal),
+    # and two generations of phi and theta (C-ordered: the norms sum theta's rows)
+    cross, c = np.empty((k, n_sizes, n_top + 1)), np.empty((k, n_sizes, n_top))
+    lag_products, u = np.zeros((k, k, n_sizes)), np.empty((k, k, n_sizes))
+    d, lag_d = u.reshape(k * k, n_sizes)[::k + 1], np.diagonal(lag_products).T
+    phi, phi_new = np.zeros((k, n_sizes)), np.empty((k, n_sizes))
+    theta, theta_new, c_phi = theta_ls.copy(), np.empty_like(c[0]), np.empty_like(c[0])
+    # the second product's left factor, a column per stacked row, written for active
+    # sizes; a size's row is zeroed as it leaves, so no NaN of its reaches another row
+    coef = np.zeros((n_sizes, len(stacked)))
+    coef[active, n_sizes + n_top] = 1.0
+    # per half at row cur: lag windows (lag l at l - 1), each size's coefficient on its
+    # own row, and the second product's factors (it, Q^T, y) and output (the other half)
+    row_b = n_sizes + n_top + 1  # Xi_B's first row
+    halves = [([stacked[cur:cur + n_sizes, k - l:m + k - l] for l in range(1, k + 1)],
+               coef.reshape(-1)[cur::len(stacked) + 1][:n_sizes], coef[:, rows],
+               stacked[rows, k - 1:m + k - 1], stacked[nxt:nxt + n_sizes, k:])
+              for cur, nxt, rows in ((0, row_b, slice(0, row_b)), (row_b, 0, slice(n_sizes, None)))]
+    # a done size's C, Gram and phi are still computed, and may divide by a zero norm
     with np.errstate(divide="ignore", invalid="ignore"):
         for iterations in range(1, config.max_iterations + 1):
-            (cur, block), (nxt, _) = halves
-            xi = [stacked[cur, k - l:m + k - l] for l in range(1, k + 1)]  # lag l at l - 1
+            xi, own, left, right, out = halves[(iterations - 1) % 2]
             for l in range(k):
                 np.matmul(xi[l], qy.T, out=cross[l])
-            c = cross[:, :, :n_top] * below
-            lag_products = np.empty((k, k, n_sizes))
+            np.multiply(cross[:, :, :n_top], below, out=c)
             for l, p in itertools.combinations_with_replacement(range(k), 2):
-                lag_products[l, p] = lag_products[p, l] = np.einsum("ij,ij->i", xi[l], xi[p])
-            gram = lag_products - np.einsum("lji,pji->lpj", c, c)
-            border_y = cross[:, :, n_top] - np.einsum("lji,ji->lj", c, qty_below)  # W^T y
-            # LDL^T of the border's Gram, W^T W = U^T D U: d holds D, the squared
-            # norm each noise column keeps outside Q and the earlier lags
-            u, d, dg = np.zeros((k, k, n_sizes)), np.empty((k, n_sizes)), np.empty((k, n_sizes))
-            for l in range(k):
-                d[l] = gram[l, l] - sum(u[p, l] ** 2 * d[p] for p in range(l))
-                for i in range(l + 1, k):
-                    u[l, i] = (gram[l, i] - sum(u[p, l] * u[p, i] * d[p] for p in range(l))) / d[l]
-                dg[l] = border_y[l] - sum(u[p, l] * dg[p] for p in range(l))
-            g = dg / d
-            # The Gram holds a column that keeps 1/kappa of its norm to about
-            # kappa^2 eps; below that the size's border is formed, with a second
-            # pass against Q, as one pass leaves it orthogonal to Q to about
-            # kappa * eps (Parlett, The Symmetric Eigenvalue Problem, sec. 6.9;
-            # Daniel, Gragg, Kaufman & Stewart 1976 take kappa = sqrt(2)).  For
-            # k = 1 the test reads |C|^2 > (kappa^2 - 1) |W|^2, 99 |W|^2 here.
-            redo = np.flatnonzero((_REORTH_KAPPA ** 2 * d < np.diagonal(lag_products).T).any(axis=0)
-                                  & active)
+                np.einsum("ij,ij->i", xi[l], xi[p], out=lag_products[l, p])
+            np.subtract(lag_products, np.einsum("lji,pji->lpj", c, c, out=u), out=u)
+            np.subtract(cross[:, :, n_top], np.einsum("lji,ji->lj", c, qty_below, out=phi_new),
+                        out=phi_new)  # W^T y
+            # LDL^T of the Gram, W^T W = U^T D U, in place: d holds D, the squared
+            # norm each noise column keeps outside Q and the earlier lags, and
+            # phi_new U^-T W^T y, then D^-1 U^-T W^T y
+            for l in range(1, k):
+                u[l - 1, l:] /= d[l - 1]
+                u[l, l:] -= (u[:l, l, None] * u[:l, l:] * d[:l, None]).sum(axis=0)
+                phi_new[l] -= (u[:l, l] * phi_new[:l]).sum(axis=0)
+            phi_new /= d
+            # The Gram holds a column that keeps 1/kappa of its norm to about kappa^2
+            # eps; below that the size's border is formed, with a second pass against
+            # Q, as one pass leaves it orthogonal to Q to about kappa * eps (Parlett,
+            # The Symmetric Eigenvalue Problem, sec. 6.9; Daniel, Gragg, Kaufman &
+            # Stewart 1976 take kappa = sqrt(2)).  For k = 1: |C|^2 > 99 |W|^2.
+            redo = ((_REORTH_KAPPA ** 2 * d < lag_d).any(axis=0) & active).nonzero()[0]
             if redo.size:
                 q_t = qy[:n_top]
                 w = np.stack([lag[redo] - c[l, redo] @ q_t for l, lag in enumerate(xi)])
@@ -256,50 +259,47 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
                         w[l] -= proj[:, None] * w[p]
                         u[p, l, redo] += proj
                     d[l, redo] = np.einsum("ij,ij->i", w[l], w[l])
-                g[:, redo] = (w @ y_s) / d[:, redo]
+                phi_new[:, redo] = (w @ y_s) / d[:, redo]
             # a size is done at the first lag whose norm fails the rank check
+            # over R's prefix diagonal and the norms of lags 1..l
             root = np.sqrt(d)
-            for l in range(k):
-                failed = active & (np.minimum(lo, root[:l + 1].min(axis=0))
-                                   <= _RANK_RTOL * np.maximum(hi, root[:l + 1].max(axis=0)))
-                for j in np.flatnonzero(failed):
-                    fits[j] = _rank_error(np.concatenate([diag[:sizes[j]], root[:l + 1, j]]))
-                active &= ~failed
-            # back substitution: U phi = g, then R theta = Q^T y - C phi for
-            # every size at once as theta = theta_LS - R^-1 C phi, where C phi
+            failing = (np.minimum(lo, np.minimum.accumulate(root))
+                       <= _RANK_RTOL * np.maximum(hi, np.maximum.accumulate(root)))
+            for j in (active & failing.any(axis=0)).nonzero()[0]:
+                fits[j] = _rank_error(np.concatenate([diag[:sizes[j]],
+                                                      root[:failing[:, j].argmax() + 1, j]]))
+                active[j], coef[j] = False, 0.0
+            # back substitution: U phi = D^-1 U^-T W^T y, then R theta = Q^T y - C phi
+            # for every size at once as theta = theta_LS - R^-1 C phi, where C phi
             # is zero beyond column s and so is its product with R^-1
-            phi_new = np.empty_like(g)
-            for l in reversed(range(k)):
-                phi_new[l] = g[l] - sum(u[l, p] * phi_new[p] for p in range(l + 1, k))
-            c_phi = np.einsum("lji,lj->ji", c, phi_new)
-            theta_new = theta_ls - c_phi @ r_inv_t
-            change = np.sqrt(np.sum((theta_new - theta) ** 2, axis=1)
-                             + np.sum((phi_new - phi) ** 2, axis=0))
-            history[iterations - 1] = change
-            theta, phi = theta_new, phi_new
+            for l in reversed(range(k - 1)):
+                phi_new[l] -= (u[l, l + 1:] * phi_new[l + 1:]).sum(axis=0)
+            np.einsum("lji,lj->ji", c, phi_new, out=c_phi)
+            np.subtract(theta_ls, np.matmul(c_phi, r_inv_t, out=theta_new), out=theta_new)
+            history[iterations - 1] = change = np.sqrt(((theta_new - theta) ** 2).sum(axis=1)
+                                                       + ((phi_new - phi) ** 2).sum(axis=0))
+            theta, theta_new, phi, phi_new = theta_new, theta, phi_new, phi
             done = change < config.zeta
             finished = active & (done | (iterations == config.max_iterations))
-            for j in np.flatnonzero(finished):
+            for j, s in zip(finished.nonzero()[0], sizes[finished]):
                 # the residual y - Psi theta - Xi phi itself, so that it holds
-                # exactly for the reported theta and phi; lags[t] holds lags k..1
-                s, lags = sizes[j], sliding_window_view(stacked[cur][j], k)
+                # exactly for the reported theta and phi, its lags summed k..1
                 process = y_s - a[:, :s] @ theta[j, :s]
+                lagged = sum(xi[l][j] * phi[l, j] for l in reversed(range(k)))
                 fits[j] = EstimationReport(
-                    theta[j, :s].copy(), process - lags[:m] @ phi[::-1, j],
-                    float(np.var(process)), iterations=iterations, converged=bool(done[j]),
-                    noise_theta=phi[:, j].copy(),
+                    theta[j, :s].copy(), process - lagged, float(process.var()),
+                    iterations=iterations, converged=bool(done[j]), noise_theta=phi[:, j].copy(),
                     change_norms=tuple(history[:iterations, j].tolist()))
-            active &= ~finished
+                coef[j] = 0.0
+            active ^= finished
             if not active.any():
                 break
             # next residual y - Q (c0 - C phi) - Xi phi, into the other half
-            coef[:, n_sizes:n_sizes + n_top] = c_phi - qty_below
-            coef[rows, rows + cur.start] = -phi[0]
-            coef[~active] = 0.0
-            np.matmul(coef[:, block], stacked[block, k - 1:m + k - 1], out=stacked[nxt, k:])
+            np.subtract(c_phi, qty_below, out=coef[:, n_sizes:row_b - 1], where=active[:, None])
+            np.negative(phi[0], out=own, where=active)
+            np.matmul(left, right, out=out)
             for l in range(1, k):
-                stacked[nxt, k:] -= np.where(active, phi[l], 0.0)[:, None] * xi[l]
-            halves.reverse()
+                out -= np.where(active, phi[l], 0.0)[:, None] * xi[l]
     return fits
 
 

@@ -107,6 +107,8 @@ class ExperimentConfig:
         for v in self.variables:
             if v not in _VALID_VARIABLES:
                 raise ParameterError(f"unknown variable kind {v!r}")
+            if self.variables.count(v) > 1:
+                raise ParameterError(f"variable kind {v!r} is repeated")
         if not is_real(self.noise_ratio) or not 0.0 <= self.noise_ratio < np.inf:
             raise ParameterError("noise ratio must be finite and nonnegative")
         if not is_int(self.seed) or self.seed < 0:

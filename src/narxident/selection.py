@@ -79,7 +79,8 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]
     # R's columns keep the inner products of [Psi y]'s; work holds one per row
-    r = np.linalg.qr(np.column_stack([psi, y_s]), mode="r")
+    psi_y = np.empty((len(y_s), len(candidates) + 1), order="F")  # LAPACK's column order
+    r = np.linalg.qr(np.concatenate([psi, y_s[:, None]], axis=1, out=psi_y), mode="r")
     work, y_r = r[:, :-1].T[order], r[:, -1].copy()
     yty = float(y_r @ y_r)
     if yty == 0.0:

@@ -56,6 +56,10 @@ def test_config_validation():
     for variables in ("yu", "phi1", 5):
         with pytest.raises(ParameterError, match="variables must be a sequence"):
             ExperimentConfig(system="heating", variables=variables)
+    # a repeated kind builds the same dictionary as the kind once, yet the
+    # two configs would compare unequal and save different files
+    with pytest.raises(ParameterError, match="variable kind 'y' is repeated"):
+        ExperimentConfig(system="heating", variables=("y", "y", "u"))
     for ratio in (-0.1, float("inf")):
         with pytest.raises(ParameterError):
             ExperimentConfig(system="heating", noise_ratio=ratio)

@@ -539,7 +539,7 @@ def _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_els_sweep_sizes_leave_one_block_at_different_iterations(k):
     # 16 sizes iterate together: some converge, each at its own iteration,
     # some reach the cap, and the largest, whose least-squares fit is exact,
@@ -560,7 +560,7 @@ def test_els_sweep_sizes_leave_one_block_at_different_iterations(k):
     assert any(not f.converged and f.iterations == 10 for f in fitted)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_els_sweep_leaves_its_inputs_and_returns_unshared_arrays(k):
     # twelve sizes, several finishing in the same iteration: each
     # report is built before the sweep's working buffers are overwritten,
