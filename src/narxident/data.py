@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .model import check_interval
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ class TimeSeriesData:
         object.__setattr__(self, "y", y)
         if u.ndim != 1 or y.ndim != 1 or len(u) != len(y) or len(u) < 1:
             raise ParameterError("u and y must be 1-D arrays of equal nonzero length")
-        if not 0 < self.ts < np.inf:
-            raise ParameterError("sampling interval ts must be finite and positive")
+        check_interval(self.ts)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise ParameterError("samples must be finite")
 

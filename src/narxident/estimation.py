@@ -77,9 +77,10 @@ class EstimationReport:
         return float(np.var(self.residuals))
 
 
-def _checked(psi, y_s):
+def check_regression(psi, y_s):
     """Psi and y as float arrays; :class:`ParameterError` unless they are real
-    (the cast would drop an imaginary part), Psi 2-D and y 1-D with a sample per row."""
+    (the cast would drop an imaginary part) and finite, Psi 2-D and y 1-D with
+    a sample per row."""
     if np.iscomplexobj(psi) or np.iscomplexobj(y_s):
         raise ParameterError("regression matrix and target must be real")
     psi, y_s = np.asarray(psi, dtype=float), np.asarray(y_s, dtype=float)
@@ -87,6 +88,8 @@ def _checked(psi, y_s):
         raise ParameterError("regression matrix must be 2-D")
     if y_s.shape != psi.shape[:1]:
         raise ParameterError("target must be 1-D with one sample per regression row")
+    if not (np.isfinite(psi).all() and np.isfinite(y_s).all()):
+        raise ParameterError("regression matrix and target must be finite")
     return psi, y_s
 
 
@@ -146,11 +149,9 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     iteration) and takes no part in the loop.
     """
     # row-major, so a one-size fit's Psi theta sums each row as psi @ theta does
-    psi, y_s = _checked(psi, y_s)
+    psi, y_s = check_regression(psi, y_s)
     psi = np.ascontiguousarray(psi)
     check_noise_terms(n_noise_terms)
-    if not (np.isfinite(psi).all() and np.isfinite(y_s).all()):
-        raise ParameterError("regression matrix and target must be finite")
     m, n = psi.shape
     sizes = np.asarray(sizes, dtype=object)
     if (sizes.ndim != 1 or not sizes.size or not all(map(is_int, sizes)) or sizes[0] < 1
@@ -303,35 +304,29 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     return fits
 
 
-def _fit_one(psi, y_s, n_noise_terms, config):
-    """The one-size case of :func:`els_sweep`: all columns, failure raised."""
-    shape = np.shape(psi)
-    (fit,) = els_sweep(psi, y_s, [shape[1] if len(shape) == 2 else 0], n_noise_terms, config)
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
-
-
 def ls_estimate(psi, y_s):
-    """Ordinary least squares via Householder QR.
+    """Ordinary least squares via Householder QR: ``els_core(psi, y_s, 0)``.
 
     Returns an :class:`EstimationReport` with the residual vector
     ``y_s - psi @ theta``.
     """
-    return _fit_one(psi, y_s, 0, ElsConfig())
+    return els_core(psi, y_s, 0)
 
 
 def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
-    """Extended least squares on a prebuilt regression matrix.
+    """Extended least squares on a prebuilt regression matrix: the one-size
+    :func:`els_sweep` over all of Psi's columns, its failure raised.
 
     Iteratively appends lagged copies of the residual vector as
     moving-average columns Xi and re-estimates until the parameter change
     drops below ``config.zeta``.  With ``n_noise_terms=0`` this is
-    exactly ordinary least squares.  This is the one-size case of
-    :func:`els_sweep`: Psi is factored once per call and each iteration
-    borders that factorization with the noise columns.
+    exactly ordinary least squares.
     """
-    return _fit_one(psi, y_s, n_noise_terms, config)
+    # a 2-D Psi gives one size, its column count; any other shape fails the sweep's check
+    (fit,) = els_sweep(psi, y_s, np.shape(psi)[1:], n_noise_terms, config)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def constrained_ls_estimate(psi, y_s, constraints):
@@ -344,7 +339,7 @@ def constrained_ls_estimate(psi, y_s, constraints):
     value at or below ``_RANK_RTOL`` times the largest), the particular
     solution V_1 S^-1 U^T b and the null space, the last n - p columns of V.
     """
-    psi, y_s = _checked(psi, y_s)
+    psi, y_s = check_regression(psi, y_s)
     if not constraints:
         return ls_estimate(psi, y_s)
     c_mat = np.vstack([np.asarray(c, dtype=float) for c, _ in constraints])

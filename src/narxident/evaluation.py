@@ -49,8 +49,12 @@ def validate(model: NarxModel, data: TimeSeriesData, mode="free_run",
     measured samples); ``one_step`` uses measured outputs for every lag.
     The error is computed over the samples actually predicted.  ``bound``
     is checked by :func:`resolve_bound` in both modes and defaults to
-    :func:`divergence_bound` of the measured output.
+    :func:`divergence_bound` of the measured output.  An inverse-direction
+    model swaps the record's roles in both modes: its y drives the model
+    and its u is the reference.
     """
+    if model.direction == "inverse":
+        data = replace(data, u=data.y, y=data.u)
     bound = resolve_bound(bound, data.y)
     if mode == "one_step":
         pred = one_step_predict(model, data)

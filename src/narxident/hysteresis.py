@@ -24,12 +24,13 @@ def hysteresis_signals(x):
 
     phi1(k) = x(k) - x(k-1) with phi1(0) = 0; phi2 = sign(phi1) with
     sign(0) = 0 so loading and unloading branches stay symmetric at rest.
+    Any 1-D length works: one sample gives zeros, none empty arrays.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise ParameterError("need a 1-D signal with at least 2 samples")
+    if x.ndim != 1:
+        raise ParameterError("need a 1-D signal")
     phi1 = np.empty_like(x)
-    phi1[0] = 0.0
+    phi1[:1] = 0.0
     phi1[1:] = x[1:] - x[:-1]
     return phi1, np.sign(phi1)
 

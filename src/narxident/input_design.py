@@ -53,19 +53,19 @@ class FilterSpec:
         return scipy.signal.sosfilt(self.sos, np.asarray(x, dtype=float))
 
 
-def _check_filter(order, sample_rate):
+def _check_filter(order, cutoff, sample_rate):
     if not is_int(order) or order < 1:
         raise ParameterError(f"filter order must be an integer >= 1, got {order!r}")
     if not is_real(sample_rate) or not 0 < sample_rate < np.inf:
         raise ParameterError(f"sample rate must be finite and positive, got {sample_rate!r}")
+    if not is_real(cutoff) or not 0 < cutoff < sample_rate / 2:
+        raise ParameterError(f"cutoff {cutoff} Hz outside (0, {sample_rate / 2}) Hz")
 
 
 def design_butterworth(order, cutoff, sample_rate):
     """Discrete Butterworth low-pass via the bilinear transform with
     frequency prewarping (unit DC gain, -3 dB at the cutoff)."""
-    _check_filter(order, sample_rate)
-    if not (0 < cutoff < sample_rate / 2):
-        raise ParameterError(f"cutoff {cutoff} Hz outside (0, {sample_rate / 2}) Hz")
+    _check_filter(order, cutoff, sample_rate)
     import scipy.signal
     sos = scipy.signal.butter(order, cutoff, fs=sample_rate, output="sos")
     return FilterSpec(order=order, cutoff=cutoff, sample_rate=sample_rate, sos=sos)
@@ -102,9 +102,10 @@ class InputDesignSpec:
             raise ParameterError("need matching, nonempty operating-point and amplitude lists")
         if not np.isfinite(self.operating_points + self.amplitudes).all():
             raise ParameterError("operating points and amplitudes must be finite")
-        # the filters are designed lazily, so a bad order or rate must fail
-        # here rather than at the first design_input
-        _check_filter(self.filter_order, self.sample_rate)
+        # the filters are designed lazily, so a bad order, rate or frequency
+        # must fail here rather than at the first design_input
+        for f in self.frequencies:
+            _check_filter(self.filter_order, f, self.sample_rate)
         v = len(self.operating_points)
         for n_i in self.segment_lengths:
             # segment lengths should be multiples of the operating-point
@@ -114,9 +115,6 @@ class InputDesignSpec:
                 raise ParameterError(
                     f"segment length {n_i} shorter than the {v} operating points"
                 )
-        for f in self.frequencies:
-            if not (0 < f < 0.5 * self.sample_rate):
-                raise ParameterError(f"frequency {f} Hz not below the Nyquist rate")
 
     @property
     def total_samples(self):

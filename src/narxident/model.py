@@ -26,6 +26,12 @@ def is_real(value):
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def check_interval(ts):
+    """Raise :class:`ParameterError` unless the sampling interval ``ts`` is a finite real > 0."""
+    if not is_real(ts) or not 0 < ts < np.inf:
+        raise ParameterError(f"sampling interval ts must be a finite real > 0, got {ts!r}")
+
+
 class Variable(Enum):
     """Signals a regressor factor may refer to.
 
@@ -52,7 +58,7 @@ class RegressorTerm:
     """One product-of-lagged-variables monomial.
 
     ``factors`` is a tuple of ``(variable, lag, exponent)`` triples with
-    positive lags and exponents; construction canonicalizes order and
+    positive integer lags and exponents; construction canonicalizes order and
     merges repeated (variable, lag) pairs.  An empty factor tuple is the
     constant term.
     """
@@ -64,7 +70,7 @@ class RegressorTerm:
         for var, lag, exp in self.factors:
             if not isinstance(var, Variable):
                 raise ParameterError(f"not a Variable: {var!r}")
-            if lag < 1 or exp < 1:
+            if not (is_int(lag) and is_int(exp)) or lag < 1 or exp < 1:
                 raise ParameterError("lags and exponents must be positive integers")
             key = (var, int(lag))
             merged[key] = merged.get(key, 0) + int(exp)
@@ -107,7 +113,7 @@ class RegressorTerm:
         return "*".join(parts)
 
 
-_FACTOR_RE = re.compile(r"^(y|u|phi1|phi2)\(k-(\d+)\)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(rf"^({'|'.join(var.value for var in Variable)})\(k-(\d+)\)(?:\^(\d+))?$")
 
 
 def parse_term(text):
@@ -164,10 +170,6 @@ class CandidateSet:
     def __len__(self):
         return len(self.terms)
 
-    @property
-    def max_lag(self):
-        return max((t.max_lag for t in self.terms), default=0)
-
 
 DEFAULT_VARIABLES = frozenset({Variable.OUTPUT, Variable.INPUT})
 
@@ -223,6 +225,7 @@ class NarxModel:
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         if len(self.theta) != len(self.process_terms):
             raise ParameterError("theta length must match process term count")
+        check_interval(self.ts)
         if self.direction not in ("direct", "inverse"):
             raise ParameterError(f"unknown direction {self.direction!r}")
 

@@ -82,8 +82,6 @@ def model_from_text(text: str) -> NarxModel:
         raise ParameterError(f"model file missing field {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"model file has a non-numeric field: {exc}") from exc
-    if not 0 < ts < math.inf:
-        raise ParameterError(f"model file field ts must be finite and > 0, got {ts!r}")
     return NarxModel(
         process_terms=tuple(t for t, _ in process),
         theta=tuple(th for _, th in process),

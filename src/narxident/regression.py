@@ -21,11 +21,7 @@ def _signal_table(u):
     is 0 by convention.
     """
     u = np.asarray(u, dtype=float)
-    if len(u) >= 2:
-        phi1, phi2 = hysteresis_signals(u)
-    else:
-        phi1 = np.zeros_like(u)
-        phi2 = np.zeros_like(u)
+    phi1, phi2 = hysteresis_signals(u)
     return {Variable.INPUT: u, Variable.PHI1: phi1, Variable.PHI2: phi2}
 
 

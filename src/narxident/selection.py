@@ -10,7 +10,8 @@ import numpy as np
 
 from .data import TimeSeriesData
 from .errors import ParameterError
-from .estimation import ElsConfig, EstimationReport, check_noise_terms, els_core, els_sweep
+from .estimation import (ElsConfig, EstimationReport, check_noise_terms, check_regression,
+                         els_core, els_sweep)
 from .estimation import ls_estimate  # noqa: F401  perfbench/tracing.py wraps this binding
 from .model import CandidateSet, NarxModel, is_int, is_real
 from .regression import build_regression
@@ -73,8 +74,7 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
         raise ParameterError("err_floor must be finite and nonnegative")
     if np.shape(psi) != (len(y_s), len(candidates)):
         raise ParameterError("psi must have a row per target sample and a column per candidate")
-    if not (np.isfinite(psi).all() and np.isfinite(y_s).all()):
-        raise ParameterError("psi and the target must be finite")
+    psi, y_s = check_regression(psi, y_s)
 
     order = sorted(range(len(candidates.terms)), key=lambda i: candidates.terms[i].sort_key())
     terms = [candidates.terms[i] for i in order]

@@ -167,7 +167,8 @@ def test_estimators_reject_complex_input(where):
         y_s = y_s + 1e-3j
     for fit in (lambda: els_sweep(psi, y_s, [1, 2, 3]), lambda: els_core(psi, y_s),
                 lambda: ls_estimate(psi, y_s),
-                lambda: constrained_ls_estimate(psi, y_s, [(np.ones(3), 1.0)])):
+                lambda: constrained_ls_estimate(psi, y_s, [(np.ones(3), 1.0)]),
+                lambda: frols_rank(generate_candidates(1, 2, 1), psi, y_s)):
         with pytest.raises(ParameterError, match="real"):
             fit()
 
@@ -183,7 +184,9 @@ def test_estimators_reject_non_finite_input(where, bad):
     else:
         y_s[7] = bad
     for fit in (lambda: els_sweep(psi, y_s, [1, 2, 3]), lambda: els_core(psi, y_s),
-                lambda: ls_estimate(psi, y_s)):
+                lambda: ls_estimate(psi, y_s),
+                lambda: constrained_ls_estimate(psi, y_s, [(np.ones(3), 1.0)]),
+                lambda: frols_rank(generate_candidates(1, 2, 1), psi, y_s)):
         with pytest.raises(ParameterError, match="finite"):
             fit()
 
@@ -194,9 +197,12 @@ def test_estimators_reject_a_target_that_does_not_fit_psi(y_shape):
     # einsum, and the constrained fit broadcast y - Psi theta_p first
     psi = np.random.default_rng(0).standard_normal((10, 2))
     y_s = np.ones(y_shape)
-    for fit in (lambda: els_sweep(psi, y_s, [1, 2]), lambda: els_core(psi, y_s),
-                lambda: ls_estimate(psi, y_s),
-                lambda: constrained_ls_estimate(psi, y_s, [(np.ones(2), 1.0)])):
+    fits = [lambda: els_sweep(psi, y_s, [1, 2]), lambda: els_core(psi, y_s),
+            lambda: ls_estimate(psi, y_s),
+            lambda: constrained_ls_estimate(psi, y_s, [(np.ones(2), 1.0)])]
+    if y_s.ndim == 2:  # frols_rank's own "column per candidate" check takes the others
+        fits.append(lambda: frols_rank(generate_candidates(1, 1, 1), psi, y_s))
+    for fit in fits:
         with pytest.raises(ParameterError, match="one sample per regression row"):
             fit()
 

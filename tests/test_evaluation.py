@@ -11,8 +11,13 @@ from narxident import (
     NarxModel,
     ParameterError,
     TimeSeriesData,
+    VALVE_BOUC_WEN,
     Variable,
     mape,
+    one_step_predict,
+    preset_models,
+    run_inverse_model,
+    simulate_bouc_wen,
     term,
     validate,
 )
@@ -92,6 +97,23 @@ def test_validate_divergence_reports_infinite_mape():
     data = exact_record()
     result = validate(unstable, data, mode="free_run", bound=1e6)
     assert result.diverged and result.mape == np.inf
+
+
+@pytest.mark.parametrize("mode", ["free_run", "one_step"])
+def test_validate_scores_an_inverse_model_with_the_roles_swapped(mode):
+    # the record's y drives an inverse model and its u is the reference; the
+    # free run on a 0.1 Hz valve record used to read 131.2 % against 13.1 %
+    inverse = preset_models()["valve_inverse_narx"].model
+    u = 0.5 + 0.25 * np.sin(2 * np.pi * 0.1 * np.arange(3000) * inverse.ts)
+    position = simulate_bouc_wen(VALVE_BOUC_WEN, u).y
+    result = validate(inverse, TimeSeriesData(u, position, ts=inverse.ts), mode=mode)
+    if mode == "free_run":
+        expected = run_inverse_model(inverse, position, u_init=u[:2]).y
+        assert result.mape == mape(u[2:], expected[2:]) < 20.0
+    else:
+        expected = one_step_predict(inverse, TimeSeriesData(position, u, ts=inverse.ts))
+        assert result.mape == mape(u[len(u) - len(expected):], expected)
+    assert np.array_equal(result.prediction, expected)
 
 
 def test_validate_rejects_unknown_mode():

@@ -30,6 +30,14 @@ def test_hysteresis_signals_constant():
     assert np.allclose(phi1, 0.0) and np.allclose(phi2, 0.0)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_hysteresis_signals_of_a_short_record(n):
+    # phi1(0) = 0 holds at any length; there is no difference to take
+    phi1, phi2 = hysteresis_signals(np.full(n, 3.3))
+    assert phi1.dtype == phi2.dtype == float
+    assert np.array_equal(phi1, np.zeros(n)) and np.array_equal(phi2, np.zeros(n))
+
+
 def test_hysteresis_signals_sinusoid_sign_flips_at_peaks():
     t = np.arange(200)
     x = np.sin(2 * np.pi * t / 100)

@@ -38,6 +38,18 @@ def test_parse_term_round_trip_simple():
         assert str(parse_term(str(parse_term(s)))) == str(parse_term(s))
 
 
+@pytest.mark.parametrize("lag, exp", [(1.5, 1), (True, 1), (1, 2.7), (0, 1), (1, 0), ("1", 1)])
+def test_term_rejects_lags_and_exponents_that_are_not_positive_integers(lag, exp):
+    # a float lag or exponent used to be truncated: lag 1.5 became 1, exponent 2.7 became 2
+    with pytest.raises(ParameterError, match="positive integers"):
+        term((Y, lag, exp))
+
+
+def test_term_accepts_numpy_integer_lags_and_exponents():
+    t = term((Y, np.int64(2), np.int32(3)))
+    assert t == term((Y, 2, 3)) and all(type(x) is int for x in t.factors[0][1:])
+
+
 def test_parse_term_rejects_garbage():
     for s in ("", "y(k)", "y(k+1)", "z(k-1)", "y(k-1)^0", "xi(k-1)"):
         with pytest.raises(ParameterError):

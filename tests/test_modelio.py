@@ -1,5 +1,7 @@
 """Model-file serialization and CSV artifact export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,10 +80,14 @@ def test_model_from_text_rejects_non_finite_theta_and_bad_ts(field, value):
         model_from_text("\n".join(lines))
 
 
-@pytest.mark.parametrize("ts", [float("nan"), float("inf"), -1.0, 0.0])
+@pytest.mark.parametrize("ts", [float("nan"), float("inf"), -1.0, 0.0, True, "a", None])
 def test_time_series_rejects_non_finite_or_nonpositive_ts(ts):
+    # one rule for records and models; NarxModel used to accept ts=-1.0, and
+    # TimeSeriesData ts=True, with ts="a" a TypeError
     with pytest.raises(ParameterError, match="ts"):
         TimeSeriesData([0.0, 1.0], [0.0, 1.0], ts=ts)
+    with pytest.raises(ParameterError, match="ts"):
+        dataclasses.replace(preset_models()["heating_narx"].model, ts=ts)
 
 
 def test_ranking_and_aic_csv(tmp_path):

@@ -72,6 +72,17 @@ def test_build_regression_accepts_plain_term_tuple():
     assert np.allclose(psi[:, 0], u[:-1])
 
 
+def test_one_sample_record_regression_and_free_run():
+    # the difference signals of a record shorter than 2 samples are zeros
+    data = TimeSeriesData([0.4], [0.7], ts=1.0)
+    psi, y_s = build_regression((term(),), data)
+    assert np.array_equal(psi, [[1.0]]) and np.array_equal(y_s, [0.7])
+    constant = small_model([term()], [0.25])
+    assert np.array_equal(free_run_simulate(constant, [0.4], y_init=[]).y, [0.25])
+    assert np.array_equal(free_run_simulate(constant, [0.4], y_init=[0.1]).y, [0.1])
+    assert free_run_simulate(constant, [], y_init=[]).y.shape == (0,)
+
+
 def test_one_step_predict_exact_model():
     u = np.linspace(0, 1, 50)
     y = np.zeros(50)
