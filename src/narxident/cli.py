@@ -131,7 +131,9 @@ def cmd_validate(args):
     out = _outdir(cfg)
     path = out / "prediction.csv"
     offset = len(data) - len(result.prediction)
-    write_csv(path, ["k", "y", "y_hat"], range(offset, len(data)), data.y[offset:],
+    # the reference the MAPE scores against: an inverse model predicts the input
+    name, reference = ("u", data.u) if model.direction == "inverse" else ("y", data.y)
+    write_csv(path, ["k", name, name + "_hat"], range(offset, len(data)), reference[offset:],
               result.prediction)
     status = " (diverged)" if result.diverged else ""
     print(f"{args.mode} MAPE = {result.mape!r} %{status}")

@@ -17,6 +17,13 @@ size.  No iteration solves with R: the process parameters are the
 prefix's least-squares fit minus R^-1 C phi, with R^-1 formed once per
 call.  :func:`els_core` is its one-size case and :func:`ls_estimate` the
 one-size case without noise columns.
+
+A regression taller than one row block of ``_QR_BLOCK_ROWS`` = 2048 rows,
+such as Bouc-Wen's 19,199, is factored by blocks (tall-skinny QR,
+:func:`_qr`), which keeps LAPACK's column-by-column Householder loops in
+cache; its Q and R round differently from a whole factorization's.  A
+matrix of one block is factored whole, as before, so heating's 1,997 rows
+give the same bits: there, blocking measured no faster.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .regression import build_regression  # noqa: F401  perfbench/tracing.py wra
 
 _RANK_RTOL = 1e-10
 _REORTH_KAPPA = 10.0  # the second-pass gate in els_sweep
+_QR_BLOCK_ROWS = 2048  # the row block of _qr, measured in CHANGES.md
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,43 @@ def _ls_report(theta, residuals, n_noise_terms=0):
                             noise_theta=np.zeros(n_noise_terms))
 
 
+def _qr(a, mode="reduced"):
+    """``np.linalg.qr(a, mode)`` for mode ``"reduced"`` or ``"r"``, by row
+    blocks when ``a`` is taller than one block.
+
+    On a few dozen columns LAPACK's geqrf and orgqr run their unblocked
+    Householder loops, which stream the whole matrix once per column; a block
+    of at most ``_QR_BLOCK_ROWS`` rows stays in cache.  Tall-skinny QR
+    (Demmel, Grigori, Hoemmen & Langou 2012, SIAM J. Sci. Comput. 34(1)), as
+    backward stable as Householder QR: the rows split into the fewest equal
+    blocks of at most that many, factored in one batched call; one more
+    factors their R factors stacked over the remainder rows, and
+    Q = blockdiag(Q_i) Q_2 is one batched product.  R matches a whole
+    factorization's to rounding, up to the sign of each row.  A matrix of one
+    block, or whose blocks would be no taller than wide, is factored whole,
+    by ``np.linalg.qr`` itself.
+    """
+    m, n = a.shape
+    count = -(-m // _QR_BLOCK_ROWS)
+    if count < 2 or m // count <= n:
+        return np.linalg.qr(a, mode=mode)
+    rows = m // count
+    top = count * rows
+    # the blocks are a view of a's rows in either memory order
+    blocks = np.lib.stride_tricks.as_strided(a, (count, rows, n), (rows * a.strides[0], *a.strides),
+                                             writeable=False)
+    factors = np.linalg.qr(blocks, mode=mode)
+    r_blocks = factors if mode == "r" else factors[1]
+    stacked = np.concatenate([r_blocks.reshape(count * n, n), a[top:]])
+    if mode == "r":
+        return np.linalg.qr(stacked, mode="r")
+    q_2, r = np.linalg.qr(stacked)
+    q = np.empty((m, n))
+    np.matmul(factors[0], q_2[:count * n].reshape(count, n, n), out=q[:top].reshape(count, rows, n))
+    q[top:] = q_2[count * n:]
+    return q, r
+
+
 def _rank_error(diag):
     """The error for the first |d_i| at or below ``_RANK_RTOL`` times the largest, or None."""
     diag = np.abs(diag)
@@ -159,7 +204,7 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
         raise ParameterError(f"sizes must be integers increasing within 1..{n}")
     sizes, k = sizes.astype(int), n_noise_terms
     a = psi[:, :min(sizes[-1], m)]
-    q, r = np.linalg.qr(a)
+    q, r = _qr(a)
     diag = np.abs(np.diag(r))
     lo, hi = np.minimum.accumulate(diag), np.maximum.accumulate(diag)
     fits = []

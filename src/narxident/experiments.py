@@ -132,7 +132,9 @@ class ExperimentConfig:
         """Noise-free output of the benchmark system under input ``u``."""
         if self.system == "heating":
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                # designs may leave [0, 1]; any other warning reaches the caller
+                warnings.filterwarnings("ignore", "input outside the model validity range",
+                                        UserWarning)
                 return simulate_hammerstein(HEATING_SYSTEM, u)
         traj = simulate_bouc_wen(PZT_BOUC_WEN, u)
         if traj.diverged:

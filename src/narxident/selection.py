@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import TimeSeriesData
 from .errors import ParameterError
-from .estimation import (ElsConfig, EstimationReport, check_noise_terms, check_regression,
+from .estimation import (ElsConfig, EstimationReport, _qr, check_noise_terms, check_regression,
                          els_core, els_sweep)
 from .estimation import ls_estimate  # noqa: F401  perfbench/tracing.py wraps this binding
 from .model import CandidateSet, NarxModel, is_int, is_real
@@ -80,7 +80,7 @@ def frols_rank(candidates: CandidateSet, psi, y_s, max_terms=None, err_floor=1e-
     terms = [candidates.terms[i] for i in order]
     # R's columns keep the inner products of [Psi y]'s; work holds one per row
     psi_y = np.empty((len(y_s), len(candidates) + 1), order="F")  # LAPACK's column order
-    r = np.linalg.qr(np.concatenate([psi, y_s[:, None]], axis=1, out=psi_y), mode="r")
+    r = _qr(np.concatenate([psi, y_s[:, None]], axis=1, out=psi_y), mode="r")
     work, y_r = r[:, :-1].T[order], r[:, -1].copy()
     yty = float(y_r @ y_r)
     if yty == 0.0:

@@ -324,6 +324,28 @@ def test_validate_on_generated_sine(tmp_path, capsys):
     assert y == list(heating_experiment().simulate(u))
 
 
+def test_validate_writes_an_inverse_model_prediction_against_the_input(tmp_path, capsys):
+    # an inverse model predicts the record's u, which the printed MAPE scores,
+    # so prediction.csv holds u beside it; it used to write y under "y"
+    from narxident import VALVE_BOUC_WEN, TimeSeriesData, mape, save_csv, simulate_bouc_wen
+
+    inverse = preset_models()["valve_inverse_narx"].model
+    u = 0.5 + 0.25 * np.sin(2 * np.pi * 0.1 * np.arange(600) * inverse.ts)
+    save_csv(tmp_path / "data.csv",
+             TimeSeriesData(u, simulate_bouc_wen(VALVE_BOUC_WEN, u).y, ts=inverse.ts))
+    save_model(inverse, tmp_path / "model.txt")
+    code, out = run(["validate", "--experiment", "heating", "--output-dir", str(tmp_path),
+                     "--model", str(tmp_path / "model.txt"), "--data", str(tmp_path / "data.csv")],
+                    capsys)
+    assert code == 0
+    header, *rows = (tmp_path / "prediction.csv").read_text().strip().splitlines()
+    assert header == "k,u,u_hat"
+    k, ref, pred = (list(col) for col in zip(*(map(float, row.split(",")) for row in rows)))
+    # a free run's first two samples are the record's, and are not scored
+    assert k == list(range(600)) and ref == list(u) and pred[:2] == ref[:2]
+    assert float(out.out.split("MAPE = ")[1].split(" %")[0]) == mape(ref[2:], pred[2:])
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("NARXIDENT_OUTPUT_DIR", str(tmp_path / "envout"))
     assert run(["design-input", "--experiment", "heating", "--seed", "0"]) == 0

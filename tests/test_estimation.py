@@ -24,7 +24,8 @@ from narxident import (
 )
 from narxident.benchmarks import HEATING_SYSTEM
 from narxident.experiments import heating_experiment, make_identification_data
-from narxident.estimation import els_core, els_sweep
+from narxident import estimation
+from narxident.estimation import _QR_BLOCK_ROWS, _qr, els_core, els_sweep
 
 U = Variable.INPUT
 
@@ -564,6 +565,85 @@ def test_els_sweep_sizes_leave_one_block_at_different_iterations(k):
     _assert_is_exact_least_squares_fit(last, ls_sweep[-1], k)
     assert len({f.iterations for f in fitted if f.converged}) >= 2
     assert any(not f.converged and f.iterations == 10 for f in fitted)
+
+
+# more rows than one block, and not a multiple of the block: _qr's blocked path
+_TALL = 2 * _QR_BLOCK_ROWS + 357
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [_TALL, 3 * _QR_BLOCK_ROWS + 1])
+def test_blocked_qr_factors_a_tall_matrix(m, order):
+    # Q orthonormal and QR = A to rounding; R is the whole factorization's up
+    # to the sign of each row, and the same in both modes
+    rng = np.random.default_rng(m)
+    a = np.asarray(rng.standard_normal((m, 20)) * np.logspace(0, 4, 20), order=order)
+    q, r = _qr(a)
+    assert np.array_equal(_qr(a, mode="r"), r)
+    assert np.max(np.abs(q.T @ q - np.eye(20))) <= 1e-14
+    assert np.linalg.norm(a - q @ r) <= 1e-14 * np.linalg.norm(a)
+    whole = np.linalg.qr(a, mode="r")
+    assert np.all(np.abs(np.abs(r) - np.abs(whole))
+                  <= 1e-12 * np.linalg.norm(whole, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(_QR_BLOCK_ROWS, 20), (1997, 56), (1997, 30), (40, 3)])
+def test_qr_of_one_block_is_numpy_qr_bit_for_bit(shape):
+    # the heating regressions (1,997 rows) factor as they did before blocking
+    a = np.random.default_rng(0).standard_normal(shape)
+    q, r = _qr(a)
+    want_q, want_r = np.linalg.qr(a)
+    assert np.array_equal(q, want_q) and np.array_equal(r, want_r)
+    assert np.array_equal(_qr(a, mode="r"), np.linalg.qr(a, mode="r"))
+
+
+@pytest.mark.parametrize("m, n, blocked", [(17, 3, True), (17, 4, True), (24, 2, True),
+                                           (17, 5, False), (8, 2, False), (40, 13, False)])
+def test_qr_blocks_only_rows_taller_than_wide(monkeypatch, m, n, blocked):
+    # 8-row blocks: 17 rows split as 5 + 5 + 5 with 2 left over, and a block
+    # of 5 rows on 5 columns would gain nothing, so that matrix stays whole
+    monkeypatch.setattr(estimation, "_QR_BLOCK_ROWS", 8)
+    a = np.random.default_rng(m * n).standard_normal((m, n))
+    q, r = _qr(a)
+    want_q, want_r = np.linalg.qr(a)
+    assert (np.array_equal(q, want_q) and np.array_equal(r, want_r)) is not blocked
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+    assert np.max(np.abs(a - q @ r)) <= 1e-14 * np.max(np.abs(a))
+
+
+def _tall_record(seed, n):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((_TALL, n))
+    e = rng.standard_normal(_TALL + 1)
+    return psi, 0.3 * psi @ rng.standard_normal(n) + e[1:] + 0.6 * e[:-1]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_els_sweep_on_a_tall_matrix_matches_per_prefix_fits(k):
+    psi, y_s = _tall_record(k, 9)
+    _assert_sweep_matches_per_prefix_fits(psi, y_s, np.random.default_rng(k).permutation(9)[:7], k)
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_els_sweep_on_a_tall_matrix_matches_the_whole_factorization(monkeypatch, duplicate):
+    # blocked and whole, the sweep fits the same to rounding, and a
+    # duplicated column fails the same sizes at the same column
+    psi, y_s = _tall_record(5, 8)
+    if duplicate:
+        psi[:, 5] = psi[:, 2]
+    sizes = np.arange(1, 9)
+    blocked = els_sweep(psi, y_s, sizes)
+    monkeypatch.setattr(estimation, "_QR_BLOCK_ROWS", _TALL)
+    whole = els_sweep(psi, y_s, sizes)
+    for got, want in zip(blocked, whole):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and got.column == want.column
+            continue
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.max(np.abs(got.theta - want.theta)) <= 1e-12 * np.max(np.abs(want.theta))
+        assert np.max(np.abs(got.residuals - want.residuals)) <= 1e-12 * np.max(np.abs(y_s))
+    assert [isinstance(f, SingularMatrixError) and f.column for f in blocked] == (
+        [False] * 5 + [5] * 3 if duplicate else [False] * 8)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -1,5 +1,6 @@
 """Benchmark experiment configs and data generation."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -80,6 +81,24 @@ def test_candidates_are_built_once_per_config(monkeypatch):
     assert len(calls) == 1
     run_identification(replace(config, noise_ratio=0.1), seed=1)
     assert len(calls) == 2
+
+
+def test_heating_simulation_ignores_only_the_validity_range_warning(monkeypatch):
+    from narxident import experiments
+
+    config = heating_experiment()
+    u = np.full(50, 1.5)  # outside the published parameters' range [0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config.simulate(u)
+
+    def warning_simulator(params, u):
+        warnings.warn("overflow in the recursion", RuntimeWarning)
+        return np.zeros(len(u))
+
+    monkeypatch.setattr(experiments, "simulate_hammerstein", warning_simulator)
+    with pytest.warns(RuntimeWarning, match="overflow in the recursion"):
+        config.simulate(u)
 
 
 def test_identification_data_reproducible_and_noisy():

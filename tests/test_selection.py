@@ -242,6 +242,22 @@ def test_frols_matches_scalar_loop_reference(name, seed):
     _assert_frols_matches_reference(config.candidates, psi, y_s)
 
 
+def test_frols_matches_reference_on_a_tall_dictionary():
+    # more rows than one QR block, and not a multiple of it: R of [Psi y] by row blocks
+    from narxident.estimation import _QR_BLOCK_ROWS
+
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-1, 1, 2 * _QR_BLOCK_ROWS + 360)
+    y = np.zeros_like(u)
+    for k in range(2, len(u)):
+        y[k] = 0.5 * y[k - 1] - 0.2 * y[k - 2] + u[k - 1] + 0.3 * u[k - 2] ** 2
+    y += 0.01 * rng.standard_normal(len(u))
+    candidates = generate_candidates(2, 2, 2)
+    psi, y_s = build_regression(candidates, TimeSeriesData(u, y, ts=1.0))
+    assert len(y_s) > 2 * _QR_BLOCK_ROWS and len(y_s) % _QR_BLOCK_ROWS
+    _assert_frols_matches_reference(candidates, psi, y_s)
+
+
 @given(st.integers(-13, 30), st.integers(0, 3), st.integers(0, 3), st.booleans(),
        st.integers(1, 14), st.sampled_from([0.0, 1e-10, 1e-3]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
