@@ -188,7 +188,10 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     lags.  The rank check takes the range of R's prefix diagonal and of
     sqrt(D) cumulatively over the lags, and reports the first failing lag.
     A size is done when it converges, reaches the cap or fails the rank
-    check, and its row is then zeroed.  A size whose least-squares residual
+    check, and its row is then zeroed.  A size with noise columns needs at
+    least two more rows than its s + k columns: with fewer, the residual
+    has no more than one degree of freedom and the noise model is not
+    fitted to the data.  A size whose least-squares residual
     r0 is at rounding, ||r0|| <= ``_RANK_RTOL`` ||y||, has no noise to
     model: it reports its least-squares fit (phi = 0, converged in one
     iteration) and takes no part in the loop.
@@ -215,6 +218,13 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
             fits.append(_rank_error(diag[:s]))
         elif k and m < s + k:
             fits.append(ParameterError(f"underdetermined system: {m} rows < {s + k} columns"))
+        elif k and m < s + k + 2:
+            # one spare row leaves the residual (z^T y) z, z spanning the left null space
+            # of [Psi Xi]: from the second iteration on, the noise columns follow from
+            # the first residual by a map that does not involve y, so the noise model is
+            # not fitted to the data, and rounding can grow a billionfold in 10 iterations
+            fits.append(ParameterError(f"too few rows for {k} noise terms: {m} rows < "
+                                       f"{s + k + 2}, two more than the columns"))
         else:
             fits.append(None)
     # the failing sizes are a suffix: rows run out, and a rank deficiency

@@ -477,6 +477,21 @@ def test_els_rejects_too_few_rows_for_noise_columns():
         els_core(psi, rng.standard_normal(4), 2)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_els_needs_two_rows_beyond_its_columns(k):
+    # with one spare row the residual has one degree of freedom and the noise
+    # model follows from the first residual, not from y: refused, like too few
+    rng = np.random.default_rng(k)
+    psi = rng.standard_normal((12, 4))
+    y_s = psi @ rng.standard_normal(4) + rng.standard_normal(12)
+    for m in range(4 + k - 1, 4 + k + 2):
+        with pytest.raises(ParameterError, match="rows <"):
+            els_core(psi[:m], y_s[:m], k)
+    assert els_core(psi[:4 + k + 2], y_s[:4 + k + 2], k).theta.shape == (4,)
+    # least squares keeps its rule: as many rows as columns
+    assert ls_estimate(psi[:4], y_s[:4]).theta.shape == (4,)
+
+
 def _fit_or_error(psi, y_s, n_noise_terms, config):
     try:
         return els_core(psi, y_s, n_noise_terms, config)
@@ -491,6 +506,11 @@ def _fit_or_error(psi, y_s, n_noise_terms, config):
 @settings(max_examples=40, deadline=None)
 # a noise parameter near -93, which an absolute tolerance would fail on
 @example(n=23, k=1, extra_rows=0, duplicate=False, exact=False, seed=3753471)
+# sizes with one spare row whose iteration amplified rounding past the
+# bound; they now fail the row rule in the sweep and the one-size fit alike
+@example(n=11, k=3, extra_rows=-2, duplicate=False, exact=False, seed=926774)
+@example(n=8, k=3, extra_rows=0, duplicate=True, exact=False, seed=2279959713)
+@example(n=6, k=3, extra_rows=0, duplicate=False, exact=False, seed=4027671318)
 def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, seed):
     # every prefix size of one sweep against its own els_core call, with
     # sizes converging at different iterations, sizes failing on rows, on a
