@@ -10,7 +10,7 @@ with the k noise columns Xi of every size, at O(m n k) work per size for
 m rows and n process columns.  The border W = Xi - Q C, with C = Q^T Xi,
 is not formed (but for a size whose noise column keeps under 1/kappa of
 its norm): the solve needs only its k x k Gram Xi^T Xi - C^T C and W^T y,
-both from one matrix product of the residual rows with [Q^T; y] in a
+both from one matrix product of the residual rows with [y; Q^T] in a
 stacked buffer, where a second product writes the next residual; the rest
 of an iteration is a fixed set of operations on small arrays holding every
 size.  No iteration solves with R: the process parameters are the
@@ -23,7 +23,11 @@ such as Bouc-Wen's 19,199, is factored by blocks (tall-skinny QR,
 :func:`_qr`), which keeps LAPACK's column-by-column Householder loops in
 cache; its Q and R round differently from a whole factorization's.  A
 matrix of one block is factored whole, as before, so heating's 1,997 rows
-give the same bits: there, blocking measured no faster.
+give the same bits: there, blocking measured no faster.  The row count also
+decides how the sweep's products run: on one block, whose stacked buffer
+stays in cache, per run of ``_GROUP_SIZES`` = 8 sizes on the Q^T prefix the
+run needs, which skips the masked zeros beyond each size's prefix; taller,
+in one run, as there they follow their passes over the buffer, not flops.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .regression import build_regression  # noqa: F401  perfbench/tracing.py wra
 _RANK_RTOL = 1e-10
 _REORTH_KAPPA = 10.0  # the second-pass gate in els_sweep
 _QR_BLOCK_ROWS = 2048  # the row block of _qr, measured in CHANGES.md
+_GROUP_SIZES = 8  # sizes per run of els_sweep's products, measured in CHANGES.md
 
 
 @dataclass(frozen=True)
@@ -168,19 +173,28 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
 
     The columns are factored once and the sizes that pass the checks before
     the loop fitted in one block, C = Q^T Xi masked to each size's prefix.
-    One buffer holds the rows [Xi_A; Q^T; y; Xi_B], its columns aligned so
-    that Q(t), y(t) and xi(t - 1) share one; the residual halves take turns,
+    One buffer holds the rows [Xi_A; y; Q^T; Xi_B], its columns aligned so
+    that y(t), Q(t) and xi(t - 1) share one; the residual halves take turns,
     each iteration lagging the noise columns Xi from one and writing the
-    next residual into the other.  A product of the lag rows with [Q^T; y]
-    gives C and Xi^T y, so the border W = Xi - Q C is not formed: its Gram
+    next residual into the other.  A product of the lag rows with [y; Q^T]
+    gives Xi^T y and C, so the border W = Xi - Q C is not formed: its Gram
     is Xi^T Xi - C^T C and W^T y = Xi^T y - C^T c0, c0 the masked Q^T y.
     The Gram's LDL^T, U^T D U with U unit upper triangular, gives
     U phi = D^-1 U^-T W^T y, and theta = theta_LS - R^-1 C phi with theta_LS
     the prefixes' least-squares fits and R^-1 formed once.  One product
-    [-diag(phi_1) | -(c0 - C phi) | 1] [Xi; Q^T; y] writes the next residual
+    [-diag(phi_1) | 1 | -(c0 - C phi)] [Xi; y; Q^T] writes the next residual
     y - Psi theta - Xi phi, lags 2..k subtracted after it.  The rest of an
     iteration works on small arrays of all sizes, allocated once per call,
     and builds the reports of the sizes that finish, from its lag windows.
+
+    Both products run per run of ``_GROUP_SIZES`` consecutive sizes, on the
+    rows [y; Q^T[:p]] that the run's largest size p needs, which y's place
+    above Q^T makes one row range.  The first is Xi_run [y; Q^T[:p]]^T; the
+    second multiplies the rows from the run's first Xi_A row through y and
+    Q^T[:p] (side A) or from y through Q^T and the Xi_B rows up to the run's
+    last (side B), and writes the run's rows of the other half.  A
+    regression taller than ``_QR_BLOCK_ROWS`` is too large for cache and
+    keeps all sizes in one run, the whole products.
 
     A size takes the explicit border when one of its noise columns keeps
     less than 1/kappa of its norm outside Q and the earlier lags: W formed
@@ -237,8 +251,8 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     below = np.arange(n_top) < sizes[:, None]  # columns inside each size's prefix
     qty_below = (q.T @ y_s)[:n_top] * below  # c0
     theta = np.linalg.solve(r_top, qty_below.T).T
-    # rows [Xi_A; Q^T; y; Xi_B]: a residual row holds k zeros, then xi(0..m-1), so
-    # lag l is its window k - l:m + k - l, and Q^T and y sit in lag 1's
+    # rows [Xi_A; y; Q^T; Xi_B]: a residual row holds k zeros, then xi(0..m-1), so
+    # lag l is its window k - l:m + k - l, and y and Q^T sit in lag 1's
     stacked = np.zeros((2 * n_sizes + n_top + 1, m + max(k, 1)))
     r0 = stacked[:n_sizes, -m:]  # least-squares residual of each prefix
     np.subtract(y_s, np.matmul(theta, a[:, :n_top].T, out=r0), out=r0)
@@ -247,18 +261,21 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
         fits[j] = _ls_report(theta[j, :sizes[j]], r0[j], k)
     if k == 0 or exact.all():
         return fits
-    qy = stacked[n_sizes:n_sizes + n_top + 1, k - 1:m + k - 1]
-    qy[:n_top], qy[n_top] = q[:, :n_top].T, y_s
+    row_b = n_sizes + n_top + 1  # Xi_B's first row
+    qy = stacked[n_sizes:row_b, k - 1:m + k - 1]
+    qy[0], qy[1:] = y_s, q[:, :n_top].T
     del q, r0
     # R^-1 is upper triangular and its leading s x s block inverts R's, so one
     # product with it solves every size's prefix (Higham 2002, chs. 8 and 14)
     theta_ls, r_inv_t = theta, np.linalg.solve(r_top, np.eye(n_top)).T
     lo, hi, active = lo[sizes - 1], hi[sizes - 1], ~exact
     history = np.empty((config.max_iterations, n_sizes))  # change norms
-    # the loop's state, allocated once: [C | Xi^T y] per lag, C, the lag products
-    # (upper triangle), the Gram, which the LDL^T turns into U and D (its diagonal),
-    # and two generations of phi and theta (C-ordered: the norms sum theta's rows)
-    cross, c = np.empty((k, n_sizes, n_top + 1)), np.empty((k, n_sizes, n_top))
+    # the loop's state, allocated once: [Xi^T y | C] per lag (zeroed: no run writes
+    # the columns beyond its prefix, which the mask multiplies by zero), C, the lag
+    # products (upper triangle), the Gram, which the LDL^T turns into U and D (its
+    # diagonal), and two generations of phi and theta (C-ordered: the norms sum
+    # theta's rows)
+    cross, c = np.zeros((k, n_sizes, n_top + 1)), np.empty((k, n_sizes, n_top))
     lag_products, u = np.zeros((k, k, n_sizes)), np.empty((k, k, n_sizes))
     d, lag_d = u.reshape(k * k, n_sizes)[::k + 1], np.diagonal(lag_products).T
     phi, phi_new = np.zeros((k, n_sizes)), np.empty((k, n_sizes))
@@ -266,25 +283,38 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
     # the second product's left factor, a column per stacked row, written for active
     # sizes; a size's row is zeroed as it leaves, so no NaN of its reaches another row
     coef = np.zeros((n_sizes, len(stacked)))
-    coef[active, n_sizes + n_top] = 1.0
+    coef[active, n_sizes] = 1.0
+    # runs of consecutive sizes, each on the rows its largest size needs; a
+    # regression too tall for one QR block is too large for cache and keeps one
+    step = n_sizes if m > _QR_BLOCK_ROWS else _GROUP_SIZES
+    runs = [(j, min(j + step, n_sizes)) for j in range(0, n_sizes, step)]
     # per half at row cur: lag windows (lag l at l - 1), each size's coefficient on its
-    # own row, and the second product's factors (it, Q^T, y) and output (the other half)
-    row_b = n_sizes + n_top + 1  # Xi_B's first row
-    halves = [([stacked[cur:cur + n_sizes, k - l:m + k - l] for l in range(1, k + 1)],
-               coef.reshape(-1)[cur::len(stacked) + 1][:n_sizes], coef[:, rows],
-               stacked[rows, k - 1:m + k - 1], stacked[nxt:nxt + n_sizes, k:])
-              for cur, nxt, rows in ((0, row_b, slice(0, row_b)), (row_b, 0, slice(n_sizes, None)))]
+    # own row, and per run the first product's factors and output, then the second's
+    # factors (its coefficients, the stacked rows) and output (its rows of the other half)
+    halves = []
+    for cur, nxt in ((0, row_b), (row_b, 0)):
+        xi = [stacked[cur:cur + n_sizes, k - l:m + k - l] for l in range(1, k + 1)]
+        products = []
+        for j0, j1 in runs:
+            width = sizes[j1 - 1] + 1  # y and the run's Q^T prefix
+            rows = slice(j0, n_sizes + width) if cur == 0 else slice(n_sizes, row_b + j1)
+            products.append(([lag[j0:j1] for lag in xi], qy[:width].T, cross[:, j0:j1, :width],
+                             coef[j0:j1, rows], stacked[rows, k - 1:m + k - 1],
+                             stacked[nxt + j0:nxt + j1, k:]))
+        halves.append((xi, coef.reshape(-1)[cur::len(stacked) + 1][:n_sizes], products,
+                       stacked[nxt:nxt + n_sizes, k:]))
     # a done size's C, Gram and phi are still computed, and may divide by a zero norm
     with np.errstate(divide="ignore", invalid="ignore"):
         for iterations in range(1, config.max_iterations + 1):
-            xi, own, left, right, out = halves[(iterations - 1) % 2]
-            for l in range(k):
-                np.matmul(xi[l], qy.T, out=cross[l])
-            np.multiply(cross[:, :, :n_top], below, out=c)
+            xi, own, products, out = halves[(iterations - 1) % 2]
+            for xi_run, qy_run, cross_run, *_ in products:
+                for l in range(k):
+                    np.matmul(xi_run[l], qy_run, out=cross_run[l])
+            np.multiply(cross[:, :, 1:], below, out=c)
             for l, p in itertools.combinations_with_replacement(range(k), 2):
                 np.einsum("ij,ij->i", xi[l], xi[p], out=lag_products[l, p])
             np.subtract(lag_products, np.einsum("lji,pji->lpj", c, c, out=u), out=u)
-            np.subtract(cross[:, :, n_top], np.einsum("lji,ji->lj", c, qty_below, out=phi_new),
+            np.subtract(cross[:, :, 0], np.einsum("lji,ji->lj", c, qty_below, out=phi_new),
                         out=phi_new)  # W^T y
             # LDL^T of the Gram, W^T W = U^T D U, in place: d holds D, the squared
             # norm each noise column keeps outside Q and the earlier lags, and
@@ -301,7 +331,7 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
             # Stewart 1976 take kappa = sqrt(2)).  For k = 1: |C|^2 > 99 |W|^2.
             redo = ((_REORTH_KAPPA ** 2 * d < lag_d).any(axis=0) & active).nonzero()[0]
             if redo.size:
-                q_t = qy[:n_top]
+                q_t = qy[1:]
                 w = np.stack([lag[redo] - c[l, redo] @ q_t for l, lag in enumerate(xi)])
                 c2 = (w @ q_t.T) * below[redo]
                 w -= c2 @ q_t
@@ -351,9 +381,10 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
             if not active.any():
                 break
             # next residual y - Q (c0 - C phi) - Xi phi, into the other half
-            np.subtract(c_phi, qty_below, out=coef[:, n_sizes:row_b - 1], where=active[:, None])
+            np.subtract(c_phi, qty_below, out=coef[:, n_sizes + 1:row_b], where=active[:, None])
             np.negative(phi[0], out=own, where=active)
-            np.matmul(left, right, out=out)
+            for *_, left, right, out_run in products:
+                np.matmul(left, right, out=out_run)
             for l in range(1, k):
                 out -= np.where(active, phi[l], 0.0)[:, None] * xi[l]
     return fits
@@ -402,6 +433,8 @@ def constrained_ls_estimate(psi, y_s, constraints):
     p, n = len(b_vec), psi.shape[1]
     if c_mat.shape[1] != n:
         raise ConstraintError("constraint vectors must match the parameter dimension")
+    if not (np.isfinite(c_mat).all() and np.isfinite(b_vec).all()):
+        raise ConstraintError("constraint vectors and bounds must be finite")
     if p >= n:
         raise ConstraintError("need fewer constraints than parameters")
     u_c, sigma, vt = np.linalg.svd(c_mat)

@@ -32,6 +32,13 @@ def check_interval(ts):
         raise ParameterError(f"sampling interval ts must be a finite real > 0, got {ts!r}")
 
 
+def _as_variable(var):
+    """``var``; :class:`ParameterError` unless it is a :class:`Variable`."""
+    if not isinstance(var, Variable):
+        raise ParameterError(f"not a Variable: {var!r}")
+    return var
+
+
 class Variable(Enum):
     """Signals a regressor factor may refer to.
 
@@ -68,11 +75,9 @@ class RegressorTerm:
     def __post_init__(self):
         merged = {}
         for var, lag, exp in self.factors:
-            if not isinstance(var, Variable):
-                raise ParameterError(f"not a Variable: {var!r}")
             if not (is_int(lag) and is_int(exp)) or lag < 1 or exp < 1:
                 raise ParameterError("lags and exponents must be positive integers")
-            key = (var, int(lag))
+            key = (_as_variable(var), int(lag))
             merged[key] = merged.get(key, 0) + int(exp)
         canon = tuple(
             (var, lag, exp)
@@ -191,7 +196,7 @@ def generate_candidates(degree, n_y, n_u, tau_d=1, variables=DEFAULT_VARIABLES,
     """
     meta = CandidateMeta(degree, n_y, n_u, tau_d)
     atoms = []
-    for var in sorted(variables, key=lambda v: v.order):
+    for var in sorted(map(_as_variable, variables), key=lambda v: v.order):
         for lag in lag_range(var, meta):
             atoms.append((var, lag))
     terms = []

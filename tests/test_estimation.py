@@ -684,6 +684,60 @@ def test_els_sweep_leaves_its_inputs_and_returns_unshared_arrays(k):
         assert not np.shares_memory(a, b)
 
 
+def _runs_record(record):
+    """Heating seed 7's 30 ranked columns, or a random 24-column regression
+    whose column 20 repeats column 3, with its target."""
+    if record == "heating":
+        config = heating_experiment()
+        data, _ = make_identification_data(config, 7)
+        psi, y_s = build_regression(config.candidates, data)
+        return psi.take(frols_rank(config.candidates, psi, y_s).columns, axis=1), y_s
+    rng = np.random.default_rng(24)
+    psi = rng.standard_normal((400, 24))
+    psi[:, 20] = psi[:, 3]
+    e = rng.standard_normal(401)
+    return psi, 0.3 * psi @ rng.standard_normal(24) + e[1:] + 0.6 * e[:-1]
+
+
+@pytest.mark.parametrize("record, k", [("heating", 1), ("heating", 2), ("random", 1), ("random", 3)])
+def test_els_sweep_fits_do_not_depend_on_how_its_sizes_split_into_runs(monkeypatch, record, k):
+    # one size per run, the default runs, all sizes in one run, and one run because
+    # the regression counts as too tall for cache (a 1-row block, which _qr, its
+    # blocks no taller than wide, still factors whole): the same fits to rounding
+    psi, y_s = _runs_record(record)
+    sizes = np.arange(1, psi.shape[1] + 1)
+    assert len(sizes) == {"heating": 30, "random": 24}[record]
+
+    def sweep(name=None, value=None):
+        with monkeypatch.context() as patch:
+            if name:
+                patch.setattr(estimation, name, value)
+            return els_sweep(psi, y_s, sizes, k)
+
+    default, one_run = sweep(), sweep("_QR_BLOCK_ROWS", 1)
+    scale = np.max(np.abs(y_s))
+    for fits in (sweep("_GROUP_SIZES", 1), sweep("_GROUP_SIZES", len(sizes)), one_run):
+        for fit, want in zip(fits, default, strict=True):
+            if isinstance(want, Exception):
+                assert type(fit) is type(want)
+                assert getattr(fit, "column", None) == getattr(want, "column", None)
+                continue
+            assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
+            for got, ref, size in ((fit.theta, want.theta, np.max(np.abs(want.theta))),
+                                   (fit.noise_theta, want.noise_theta,
+                                    max(1.0, np.max(np.abs(want.noise_theta)))),
+                                   (fit.residuals, want.residuals, scale),
+                                   (np.array(fit.change_norms), np.array(want.change_norms),
+                                    max(want.change_norms))):
+                assert np.max(np.abs(got - ref)) <= 1e-9 * size
+    # all sizes in one run and one run for a tall regression are the same products
+    for fit, want in zip(sweep("_GROUP_SIZES", len(sizes)), one_run):
+        assert isinstance(want, Exception) or (
+            fit.theta.tobytes() == want.theta.tobytes() and fit.change_norms == want.change_norms)
+    if record == "random":  # the repeated column fails sizes 21-24 at column 20
+        assert [getattr(f, "column", None) for f in default] == [None] * 20 + [20] * 4
+
+
 def test_constrained_ls_satisfies_constraint_exactly():
     rng = np.random.default_rng(2)
     psi = rng.standard_normal((200, 4))
@@ -762,3 +816,9 @@ def test_constrained_ls_rejects_bad_constraints():
         constrained_ls_estimate(psi, y, [(c, 1.0), (c, 2.0)])  # dependent rows
     with pytest.raises(ConstraintError):
         constrained_ls_estimate(psi, y, [(np.ones(2), 1.0)])  # wrong size
+    # non-finite entries fail before the SVD, which would not converge on them
+    with pytest.raises(ConstraintError, match="finite"):
+        constrained_ls_estimate(psi, y, [(np.array([1.0, np.nan, 0.0]), 1.0)])
+    for bound in (np.inf, np.nan):
+        with pytest.raises(ConstraintError, match="finite"):
+            constrained_ls_estimate(psi, y, [(c, bound)])

@@ -116,6 +116,11 @@ def test_hysteresis_variables_enumerated():
     assert kinds == {Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2}
 
 
+def test_candidates_reject_a_variable_that_is_not_a_variable():
+    with pytest.raises(ParameterError, match="not a Variable: 'y'"):
+        generate_candidates(2, 1, 1, variables=("y",))
+
+
 def test_meta_validation():
     with pytest.raises(ParameterError):
         CandidateMeta(degree=0, n_y=1, n_u=1)
