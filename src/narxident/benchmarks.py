@@ -10,15 +10,23 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParameterError
-from .model import CandidateMeta, NarxModel, Variable, term
+from .model import CandidateMeta, NarxModel, Variable, is_real, term
 from .regression import SimulationResult, nan_from_unbounded, zero_buffer
 
 Y, U, P1, P2 = Variable.OUTPUT, Variable.INPUT, Variable.PHI1, Variable.PHI2
+
+
+def _check_finite(params):
+    """Raise :class:`ParameterError` unless every field of ``params`` is a finite real."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not (is_real(value) and np.isfinite(value)):
+            raise ParameterError(f"{f.name} must be a finite real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,9 @@ class HammersteinParams:
     beta2: float = 8.985133e-2
     beta3: float = -3.0877507e-1
     beta4: float = 9.462358e-3
+
+    def __post_init__(self):
+        _check_finite(self)
 
     def static_gain(self, u):
         """Steady-state output for a constant input."""
@@ -81,6 +92,7 @@ class BoucWenParams:
     dt: float = 5e-3        # integration step, s
 
     def __post_init__(self):
+        _check_finite(self)
         if not (self.dt > 0):
             raise ParameterError("integration step must be positive")
 
@@ -164,83 +176,6 @@ PZT_BOUC_WEN = BoucWenParams()
 VALVE_BOUC_WEN = BoucWenParams(alpha=7.54e-1, beta=4.96, gamma=3.61, nu_y=7.21e-1, dt=1e-2)
 
 
-def _heating_narx():
-    return NarxModel(
-        process_terms=(term((Y, 1, 1)), term((U, 2, 2)), term((Y, 2, 1))),
-        theta=(8.958185e-1, 6.393347e-2, -1.746750e-2),
-        meta=CandidateMeta(degree=3, n_y=3, n_u=3),
-        ts=1.0,
-        label="heating_narx",
-    )
-
-
-def _pzt_narx():
-    return NarxModel(
-        process_terms=(
-            term((Y, 1, 1)),
-            term((P2, 1, 1), (P1, 1, 1), (U, 1, 1)),
-            term((P2, 1, 1), (P1, 1, 1), (Y, 1, 1)),
-            term((P2, 1, 1)),
-        ),
-        theta=(1.000099, 6.630567e-3, -6.247018e-3, 7.892915),
-        meta=CandidateMeta(degree=3, n_y=1, n_u=1),
-        ts=5e-3,
-        label="pzt_narx",
-    )
-
-
-def _valve_constrained_narx():
-    return NarxModel(
-        process_terms=(
-            term((Y, 1, 1)),
-            term((Y, 2, 1)),
-            term((P1, 1, 1)),
-            term((U, 1, 1), (P1, 1, 1), (P2, 1, 1)),
-            term((Y, 2, 1), (P1, 1, 1), (P2, 1, 1)),
-        ),
-        theta=(9.76e-1, 2.40e-2, 1.19e-1, 3.76, -4.73),
-        meta=CandidateMeta(degree=3, n_y=2, n_u=1),
-        ts=1e-2,
-        label="valve_constrained_narx",
-    )
-
-
-def _valve_compensation_narx():
-    return NarxModel(
-        process_terms=(
-            term((Y, 1, 1)),
-            term((P1, 2, 1)),
-            term((P1, 1, 1)),
-            term((P2, 2, 1), (P1, 2, 1), (U, 2, 1)),
-            term((P2, 2, 1), (P1, 2, 1), (Y, 1, 1)),
-        ),
-        theta=(1.0, -19.76, 19.32, 9.44, -12.61),
-        meta=CandidateMeta(degree=3, n_y=2, n_u=2),
-        ts=1e-2,
-        label="valve_compensation_narx",
-    )
-
-
-def _valve_inverse_narx():
-    # inverse direction: the model output is the estimated valve input,
-    # the INPUT variable is the measured valve position
-    return NarxModel(
-        process_terms=(
-            term((Y, 1, 1)),
-            term((P1, 1, 1)),
-            term((P1, 2, 1)),
-            term((P1, 1, 1), (U, 2, 1)),
-            term((P2, 2, 1), (P1, 2, 1), (U, 2, 1)),
-            term((P2, 2, 1), (P1, 2, 1), (Y, 1, 1)),
-        ),
-        theta=(1.0, 86.67, -85.02, -0.98, 1.72, -1.13),
-        meta=CandidateMeta(degree=3, n_y=2, n_u=2),
-        ts=1e-2,
-        direction="inverse",
-        label="valve_inverse_narx",
-    )
-
-
 @dataclass(frozen=True)
 class PresetEntry:
     """One catalog entry: either a NARX model or a simulator definition."""
@@ -256,18 +191,51 @@ def preset_models():
     """Catalog of the published models, keyed by name."""
     entries = [
         PresetEntry("heating_narx", "three-term NARX model identified for the heating benchmark",
-                    model=_heating_narx()),
+                    model=NarxModel(
+                        process_terms=(term((Y, 1, 1)), term((U, 2, 2)), term((Y, 2, 1))),
+                        theta=(8.958185e-1, 6.393347e-2, -1.746750e-2),
+                        meta=CandidateMeta(degree=3, n_y=3, n_u=3), ts=1.0,
+                        label="heating_narx")),
         PresetEntry("pzt_narx", "four-term hysteresis NARX model identified for the "
-                    "piezoelectric Bouc-Wen benchmark", model=_pzt_narx()),
+                    "piezoelectric Bouc-Wen benchmark",
+                    model=NarxModel(
+                        process_terms=(term((Y, 1, 1)), term((P2, 1, 1), (P1, 1, 1), (U, 1, 1)),
+                                       term((P2, 1, 1), (P1, 1, 1), (Y, 1, 1)), term((P2, 1, 1))),
+                        theta=(1.000099, 6.630567e-3, -6.247018e-3, 7.892915),
+                        meta=CandidateMeta(degree=3, n_y=1, n_u=1), ts=5e-3,
+                        label="pzt_narx")),
         PresetEntry("valve_constrained_narx", "five-term valve hysteresis NARX model with "
-                    "unit output-parameter sum", model=_valve_constrained_narx()),
+                    "unit output-parameter sum",
+                    model=NarxModel(
+                        process_terms=(term((Y, 1, 1)), term((Y, 2, 1)), term((P1, 1, 1)),
+                                       term((U, 1, 1), (P1, 1, 1), (P2, 1, 1)),
+                                       term((Y, 2, 1), (P1, 1, 1), (P2, 1, 1))),
+                        theta=(9.76e-1, 2.40e-2, 1.19e-1, 3.76, -4.73),
+                        meta=CandidateMeta(degree=3, n_y=2, n_u=1), ts=1e-2,
+                        label="valve_constrained_narx")),
         PresetEntry("valve_bouc_wen", "Bouc-Wen valve model with evolutionary-estimated "
                     "parameters", bouc_wen=VALVE_BOUC_WEN),
         PresetEntry("valve_compensation_narx", "five-term valve model identified with the "
                     "extra constraint needed to isolate the input",
-                    model=_valve_compensation_narx()),
+                    model=NarxModel(
+                        process_terms=(term((Y, 1, 1)), term((P1, 2, 1)), term((P1, 1, 1)),
+                                       term((P2, 2, 1), (P1, 2, 1), (U, 2, 1)),
+                                       term((P2, 2, 1), (P1, 2, 1), (Y, 1, 1))),
+                        theta=(1.0, -19.76, 19.32, 9.44, -12.61),
+                        meta=CandidateMeta(degree=3, n_y=2, n_u=2), ts=1e-2,
+                        label="valve_compensation_narx")),
+        # inverse direction: the model output is the estimated valve input,
+        # the INPUT variable is the measured valve position
         PresetEntry("valve_inverse_narx", "inverse valve model predicting the input from "
-                    "the position", model=_valve_inverse_narx()),
+                    "the position",
+                    model=NarxModel(
+                        process_terms=(term((Y, 1, 1)), term((P1, 1, 1)), term((P1, 2, 1)),
+                                       term((P1, 1, 1), (U, 2, 1)),
+                                       term((P2, 2, 1), (P1, 2, 1), (U, 2, 1)),
+                                       term((P2, 2, 1), (P1, 2, 1), (Y, 1, 1))),
+                        theta=(1.0, 86.67, -85.02, -0.98, 1.72, -1.13),
+                        meta=CandidateMeta(degree=3, n_y=2, n_u=2), ts=1e-2,
+                        direction="inverse", label="valve_inverse_narx")),
         PresetEntry("heating_system", "Hammerstein heating benchmark simulator",
                     hammerstein=HEATING_SYSTEM),
         PresetEntry("pzt_bouc_wen", "piezoelectric Bouc-Wen benchmark simulator",

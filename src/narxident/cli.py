@@ -31,11 +31,12 @@ from .experiments import (
     PRESETS,
     ExperimentConfig,
     default_config,
+    designed_input,
     make_identification_data,
     make_validation_data,
     run_identification,
 )
-from .input_design import design_input, sine_input
+from .input_design import sine_input
 from .modelio import (
     aic_to_csv,
     load_model,
@@ -75,10 +76,8 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 def cmd_design_input(args):
     cfg = _resolve_config(args)
-    if cfg.design is None:
-        raise ParameterError("config has no input-design section")
+    u = designed_input(cfg, np.random.default_rng(cfg.seed))
     out = _outdir(cfg)
-    u = design_input(cfg.design, np.random.default_rng(cfg.seed))
     path = out / "input.csv"
     write_csv(path, ["k", "u"], range(len(u)), u)
     save_config(cfg, out / "design_input.log")

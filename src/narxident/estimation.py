@@ -22,8 +22,8 @@ A regression taller than one row block of ``_QR_BLOCK_ROWS`` = 2048 rows,
 such as Bouc-Wen's 19,199, is factored by blocks (tall-skinny QR,
 :func:`_qr`), which keeps LAPACK's column-by-column Householder loops in
 cache; its Q and R round differently from a whole factorization's.  A
-matrix of one block is factored whole, as before, so heating's 1,997 rows
-give the same bits: there, blocking measured no faster.  The row count also
+matrix of one block is factored whole, so heating's 1,997 rows give the
+bits of ``np.linalg.qr``: there, blocking measured no faster.  The row count also
 decides how the sweep's products run: on one block, whose stacked buffer
 stays in cache, per run of ``_GROUP_SIZES`` = 8 sizes on the Q^T prefix the
 run needs, which skips the masked zeros beyond each size's prefix; taller,
@@ -135,9 +135,7 @@ def _qr(a, mode="reduced"):
     rows = m // count
     top = count * rows
     # the blocks are a view of a's rows in either memory order
-    blocks = np.lib.stride_tricks.as_strided(a, (count, rows, n), (rows * a.strides[0], *a.strides),
-                                             writeable=False)
-    factors = np.linalg.qr(blocks, mode=mode)
+    factors = np.linalg.qr(a[:top].reshape(count, rows, n), mode=mode)
     r_blocks = factors if mode == "r" else factors[1]
     stacked = np.concatenate([r_blocks.reshape(count * n, n), a[top:]])
     if mode == "r":
@@ -230,8 +228,6 @@ def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
             fits.append(ParameterError(f"underdetermined system: {m} rows < {s} columns"))
         elif lo[s - 1] <= _RANK_RTOL * hi[s - 1]:
             fits.append(_rank_error(diag[:s]))
-        elif k and m < s + k:
-            fits.append(ParameterError(f"underdetermined system: {m} rows < {s + k} columns"))
         elif k and m < s + k + 2:
             # one spare row leaves the residual (z^T y) z, z spanning the left null space
             # of [Psi Xi]: from the second iteration on, the noise columns follow from

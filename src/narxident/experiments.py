@@ -221,28 +221,31 @@ class IdentificationResult:
     seed: int
 
 
-def _designed_run(config: ExperimentConfig, rng):
-    """Design an input from ``rng`` and simulate the system under it."""
+def designed_input(config: ExperimentConfig, rng):
+    """The config's input design drawn from ``rng``; ParameterError if it has none."""
     if config.design is None:
         raise ParameterError("config has no input-design section")
-    u = design_input(config.design, rng)
-    return u, config.simulate(u)
+    return design_input(config.design, rng)
+
+
+def _designed_run(config: ExperimentConfig, rng):
+    """Design an input from ``rng`` and simulate the system under it: both,
+    with the design's sampling interval."""
+    u = designed_input(config, rng)
+    return u, config.simulate(u), 1.0 / config.design.sample_rate
 
 
 def make_identification_data(config: ExperimentConfig, seed):
     """Design the input, simulate the system, and add output noise."""
     rng = np.random.default_rng(seed)
-    u, y_clean = _designed_run(config, rng)
-    ratio = config.noise_ratio
-    y = add_output_noise(y_clean, ratio, rng) if ratio > 0 else y_clean
-    ts = 1.0 / config.design.sample_rate
+    u, y_clean, ts = _designed_run(config, rng)
+    y = add_output_noise(y_clean, config.noise_ratio, rng)
     return TimeSeriesData(u, y, ts=ts, label=config.system), y_clean
 
 
 def make_validation_data(config: ExperimentConfig, seed):
     """Noise-free data from an independent realization of the same design."""
-    u, y_clean = _designed_run(config, np.random.default_rng(seed + VALIDATION_SEED_OFFSET))
-    ts = 1.0 / config.design.sample_rate
+    u, y_clean, ts = _designed_run(config, np.random.default_rng(seed + VALIDATION_SEED_OFFSET))
     return TimeSeriesData(u, y_clean, ts=ts, label=f"{config.system}-validation")
 
 

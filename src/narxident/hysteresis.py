@@ -81,15 +81,6 @@ def exclusion_report_text(removed):
     return "\n".join(lines)
 
 
-def is_linear_output_term(t: RegressorTerm):
-    """True for terms that are exactly y(k-tau) to the first power."""
-    return (
-        len(t.factors) == 1
-        and t.factors[0][0] is Variable.OUTPUT
-        and t.factors[0][2] == 1
-    )
-
-
 def sigma_y_constraint(terms):
     """Unit-sum constraint over the linear output regressors.
 
@@ -98,7 +89,7 @@ def sigma_y_constraint(terms):
     least-squares estimator forces the parameters of those terms to sum
     to one, which makes the model hold its state under constant input.
     """
-    c = np.array([1.0 if is_linear_output_term(t) else 0.0 for t in terms])
+    c = np.array([1.0 if t.degree == 1 and t.uses(Variable.OUTPUT) else 0.0 for t in terms])
     if not np.any(c):
         raise ConstraintError("no linear output regressor present; unit-sum constraint inapplicable")
     return c, 1.0

@@ -185,8 +185,8 @@ def design_input(spec: InputDesignSpec, rng):
 def add_output_noise(y, ratio, rng):
     """Additive white Gaussian noise scaled to a target noise-to-signal
     standard-deviation ratio."""
-    if ratio < 0:
-        raise ParameterError("noise ratio must be nonnegative")
+    if not 0 <= ratio < np.inf:
+        raise ParameterError("noise ratio must be finite and nonnegative")
     y = np.asarray(y, dtype=float)
     if ratio == 0:
         return y.copy()

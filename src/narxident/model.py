@@ -179,14 +179,6 @@ class CandidateSet:
 DEFAULT_VARIABLES = frozenset({Variable.OUTPUT, Variable.INPUT})
 
 
-def lag_range(variable, meta: CandidateMeta):
-    """Admissible lags for one variable kind under a candidate meta."""
-    if variable is Variable.OUTPUT:
-        return range(1, meta.n_y + 1)
-    # input delay applies uniformly to u and to the difference signals
-    return range(meta.tau_d, meta.n_u + 1)
-
-
 def generate_candidates(degree, n_y, n_u, tau_d=1, variables=DEFAULT_VARIABLES,
                         include_constant=False):
     """Enumerate all monomials of total degree 1..degree over the lagged variables.
@@ -195,10 +187,9 @@ def generate_candidates(degree, n_y, n_u, tau_d=1, variables=DEFAULT_VARIABLES,
     when requested, comes first.
     """
     meta = CandidateMeta(degree, n_y, n_u, tau_d)
-    atoms = []
-    for var in sorted(map(_as_variable, variables), key=lambda v: v.order):
-        for lag in lag_range(var, meta):
-            atoms.append((var, lag))
+    # input delay applies uniformly to u and to the difference signals
+    atoms = [(var, lag) for var in sorted(map(_as_variable, variables), key=lambda v: v.order)
+             for lag in (range(1, n_y + 1) if var is Variable.OUTPUT else range(tau_d, n_u + 1))]
     terms = []
     for d in range(1, degree + 1):
         for combo in itertools.combinations_with_replacement(atoms, d):

@@ -115,22 +115,60 @@ def test_bouc_wen_rk4_convergence_order():
     assert np.min(orders) >= 3.8
 
 
+def test_bouc_wen_params_reject_non_finite_fields():
+    # an infinite step or a NaN gain used to construct and then report divergence at step 1
+    for name in ("alpha", "beta", "gamma", "nu_y", "dt"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError, match=f"{name} must be a finite real"):
+                BoucWenParams(**{name: value})
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ParameterError, match="integration step must be positive"):
+            BoucWenParams(dt=dt)
+    assert BoucWenParams(beta=-0.5, gamma=-0.5).beta == -0.5  # negative gains stay legal
+
+
+def test_hammerstein_params_reject_non_finite_fields():
+    for name in ("p1", "p2", "beta1", "beta2", "beta3", "beta4"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError, match=f"{name} must be a finite real"):
+                HammersteinParams(**{name: value})
+    assert HammersteinParams(beta2=-0.1).beta2 == -0.1
+
+
+# name: terms, theta, (degree, n_y, n_u, tau_d), ts, direction -- as published
+CATALOG_MODELS = {
+    "heating_narx": (["y(k-1)", "u(k-2)^2", "y(k-2)"],
+                     (8.958185e-1, 6.393347e-2, -1.746750e-2), (3, 3, 3, 1), 1.0, "direct"),
+    "pzt_narx": (["y(k-1)", "u(k-1)*phi1(k-1)*phi2(k-1)", "y(k-1)*phi1(k-1)*phi2(k-1)",
+                  "phi2(k-1)"],
+                 (1.000099, 6.630567e-3, -6.247018e-3, 7.892915), (3, 1, 1, 1), 5e-3, "direct"),
+    "valve_constrained_narx": (["y(k-1)", "y(k-2)", "phi1(k-1)", "u(k-1)*phi1(k-1)*phi2(k-1)",
+                                "y(k-2)*phi1(k-1)*phi2(k-1)"],
+                               (9.76e-1, 2.40e-2, 1.19e-1, 3.76, -4.73), (3, 2, 1, 1), 1e-2,
+                               "direct"),
+    "valve_compensation_narx": (["y(k-1)", "phi1(k-2)", "phi1(k-1)", "u(k-2)*phi1(k-2)*phi2(k-2)",
+                                 "y(k-1)*phi1(k-2)*phi2(k-2)"],
+                                (1.0, -19.76, 19.32, 9.44, -12.61), (3, 2, 2, 1), 1e-2,
+                                "direct"),
+    "valve_inverse_narx": (["y(k-1)", "phi1(k-1)", "phi1(k-2)", "u(k-2)*phi1(k-1)",
+                            "u(k-2)*phi1(k-2)*phi2(k-2)", "y(k-1)*phi1(k-2)*phi2(k-2)"],
+                           (1.0, 86.67, -85.02, -0.98, 1.72, -1.13), (3, 2, 2, 1), 1e-2,
+                           "inverse"),
+}
+
+
 def test_preset_catalog_contents():
     presets = preset_models()
-    with_model = {k for k, v in presets.items() if v.model is not None}
-    assert with_model == {
-        "heating_narx", "pzt_narx", "valve_constrained_narx",
-        "valve_compensation_narx", "valve_inverse_narx",
-    }
+    assert {k for k, v in presets.items() if v.model is not None} == set(CATALOG_MODELS)
+    for name, (terms, theta, meta, ts, direction) in CATALOG_MODELS.items():
+        m = presets[name].model
+        assert [str(t) for t in m.process_terms] == terms
+        assert m.theta == theta
+        assert (m.meta.degree, m.meta.n_y, m.meta.n_u, m.meta.tau_d) == meta
+        assert (m.ts, m.direction, m.label) == (ts, direction, name)
     assert presets["valve_bouc_wen"].bouc_wen is not None
     assert presets["heating_system"].hammerstein is not None
     assert presets["pzt_bouc_wen"].bouc_wen is not None
-
-
-def test_preset_heating_model_parameters():
-    m = preset_models()["heating_narx"].model
-    assert [str(t) for t in m.process_terms] == ["y(k-1)", "u(k-2)^2", "y(k-2)"]
-    assert np.allclose(m.theta, (0.8958185, 0.06393347, -0.0174675))
 
 
 def reference_hammerstein(params, u):

@@ -158,6 +158,18 @@ def test_design_input_rejects_a_non_finite_design(tmp_path, capsys, key, value):
     assert not (tmp_path / "input.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["design-input", "simulate"])
+def test_config_without_a_design_is_reported(tmp_path, capsys, command):
+    d = json.loads(HEATING_CONFIG)
+    d["design"] = None
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(d))
+    code, out = run([command, "--config", str(cfg), "--output-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert "config has no input-design section" in out.err
+    assert not (tmp_path / "input.csv").exists() and not (tmp_path / "data.csv").exists()
+
+
 def test_init_config_then_simulate(tmp_path):
     cfg = tmp_path / "exp.json"
     assert run(["init-config", "--experiment", "heating", "--output", str(cfg)]) == 0

@@ -480,12 +480,13 @@ def test_els_rejects_too_few_rows_for_noise_columns():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_els_needs_two_rows_beyond_its_columns(k):
     # with one spare row the residual has one degree of freedom and the noise
-    # model follows from the first residual, not from y: refused, like too few
+    # model follows from the first residual, not from y: refused, like too few,
+    # by the one row rule for sizes with noise columns
     rng = np.random.default_rng(k)
     psi = rng.standard_normal((12, 4))
     y_s = psi @ rng.standard_normal(4) + rng.standard_normal(12)
     for m in range(4 + k - 1, 4 + k + 2):
-        with pytest.raises(ParameterError, match="rows <"):
+        with pytest.raises(ParameterError, match=f"too few rows for {k} noise terms: {m} rows <"):
             els_core(psi[:m], y_s[:m], k)
     assert els_core(psi[:4 + k + 2], y_s[:4 + k + 2], k).theta.shape == (4,)
     # least squares keeps its rule: as many rows as columns

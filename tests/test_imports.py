@@ -6,6 +6,11 @@ at import time and misleads a reader about the module's dependencies.
 ``__init__.py`` re-exports by design and is skipped, as is an import on a
 line marked ``# noqa: F401`` (a binding kept on purpose).
 
+Every module-level function and class of the package is read somewhere
+outside its own definition, in ``src/``, ``tests/``, ``demos/`` or
+``perfbench/``: code that nothing calls is dead weight a reader still has
+to check.  An import, such as ``__init__.py``'s re-exports, is no reference.
+
 Every CSV artifact goes through ``data.write_csv``, which owns the float
 format; a second ``csv.writer`` would be a second copy of it to drift.
 Likewise ``regression.py`` is the one module that generates and runs
@@ -26,9 +31,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "narxident"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_imports(path):
@@ -58,6 +65,28 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     assert _unused_imports(path) == []
+
+
+def _references(path):
+    """Names that ``path`` reads, a top-level definition's own name not
+    counted inside its body."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                names.add(name)
+    return names
+
+
+def test_every_module_level_definition_is_referenced():
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    referenced = set().union(*map(_references, files))
+    unreferenced = [f"{path.name}:{node.lineno} {node.name}" for path in MODULES
+                    for node in ast.parse(path.read_text()).body
+                    if isinstance(node, DEFINITIONS) and node.name not in referenced]
+    assert unreferenced == []
 
 
 def _uses_csv_writer(path):
