@@ -171,6 +171,12 @@ def test_preset_catalog_contents():
     assert presets["pzt_bouc_wen"].bouc_wen is not None
 
 
+def test_preset_heating_model_parameters():
+    m = preset_models()["heating_narx"].model
+    assert [str(t) for t in m.process_terms] == ["y(k-1)", "u(k-2)^2", "y(k-2)"]
+    assert np.allclose(m.theta, (0.8958185, 0.06393347, -0.0174675))
+
+
 def reference_hammerstein(params, u):
     """Per-step Hammerstein recursion on numpy elements, kept as an oracle."""
     u = np.asarray(u, dtype=float)
