@@ -27,8 +27,8 @@ from .benchmarks import (
 from .data import TimeSeriesData
 from .errors import MissingInputError, ParameterError
 from .hysteresis import apply_exclusion_rules
-from .input_design import InputDesignSpec, add_output_noise, design_input
-from .model import CandidateMeta, CandidateSet, Variable, generate_candidates, is_int, is_real
+from .input_design import InputDesignSpec, add_output_noise, check_ratio, design_input
+from .model import CandidateMeta, CandidateSet, Variable, generate_candidates, is_int
 from .selection import SelectionConfig, select_structure
 
 #: seed offset separating validation-input realizations from
@@ -109,8 +109,7 @@ class ExperimentConfig:
                 raise ParameterError(f"unknown variable kind {v!r}")
             if self.variables.count(v) > 1:
                 raise ParameterError(f"variable kind {v!r} is repeated")
-        if not is_real(self.noise_ratio) or not 0.0 <= self.noise_ratio < np.inf:
-            raise ParameterError("noise ratio must be finite and nonnegative")
+        check_ratio(self.noise_ratio)
         if not is_int(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
         CandidateMeta(self.degree, self.n_y, self.n_u, self.tau_d)

@@ -182,11 +182,16 @@ def design_input(spec: InputDesignSpec, rng):
     return spec.segment_filter(i_max).apply(u)
 
 
+def check_ratio(ratio):
+    """Raise :class:`ParameterError` unless the noise ratio is a finite real >= 0."""
+    if not is_real(ratio) or not 0 <= ratio < np.inf:
+        raise ParameterError("noise ratio must be finite and nonnegative")
+
+
 def add_output_noise(y, ratio, rng):
     """Additive white Gaussian noise scaled to a target noise-to-signal
     standard-deviation ratio."""
-    if not 0 <= ratio < np.inf:
-        raise ParameterError("noise ratio must be finite and nonnegative")
+    check_ratio(ratio)
     y = np.asarray(y, dtype=float)
     if ratio == 0:
         return y.copy()

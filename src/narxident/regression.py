@@ -132,14 +132,14 @@ def nan_from_unbounded(x, bound, start=0):
 def _step_loop(structure):
     """The free-run loop for one output-lag structure, compiled once.
 
-    ``structure`` gives each term's output lags (powers repeated) and
-    whether its exogenous part is a vector, holding samples start .. n-1,
-    or the bare parameter.  The loop carries the last outputs in locals
-    ``y1`` (y(k-1)) .. ``yL``, zips the vectors in beside the sample
-    index, and evaluates terms and factors in order, left to right, as in
-    ``y0 = 0.0 + p0 * y1 + x1 + p2 * y2``; then it stores y0 and shifts
-    the locals by one.  The source holds only integer lags and positional
-    names.
+    ``structure`` gives each output monomial's lags (powers repeated),
+    each monomial once, and whether its exogenous part is a vector,
+    holding samples start .. n-1, or a bare parameter.  The loop carries
+    the last outputs in locals ``y1`` (y(k-1)) .. ``yL``, zips the vectors
+    in beside the sample index, and evaluates monomials and factors in
+    order, left to right, as in ``y0 = 0.0 + x0 * y1 + x1`` for
+    ``pzt_narx``; then it stores y0 and shifts the locals by one.  The
+    source holds only integer lags and positional names.
     """
     names = [f"p{i}" for i in range(len(structure))]
     vectors = [i for i, (_, vector) in enumerate(structure) if vector]
@@ -176,9 +176,13 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
 
     Each term's exogenous part (its parameter times its input and
     difference-signal factors) is computed once as a vector over the
-    simulated samples.  A loop generated for the model's output-lag
-    structure steps through those vectors and multiplies each sample by
-    the term's lagged outputs, which it carries as local Python floats
+    simulated samples, or kept as the bare parameter, and the parts of
+    the terms on one output monomial are summed in term order, so that
+    a·y + b·y is stepped as (a + b)·y.  A model whose output monomials are
+    all distinct gets the bits of a loop over its terms.  A loop generated
+    for the model's output-lag structure steps through the summed parts,
+    monomials in order of first use, and multiplies each sample by the
+    monomial's lagged outputs, which it carries as local Python floats
     from step to step.  The bound is checked once after the loop, with
     :func:`nan_from_unbounded`: the samples before the first bad one are the
     ones a check at every step would have kept.
@@ -197,23 +201,23 @@ def free_run_simulate(model: NarxModel, u, y_init, bound=None):
     bound = resolve_bound(bound, y_init)
 
     table = _signal_table(u)
-    parts, structure = [], []
+    parts = {}  # output lags -> the exogenous parts of its terms, summed in term order
     for th, t in zip(model.theta, model.process_terms):
         exogenous = [f for f in t.factors if f[0] is not Variable.OUTPUT]
         lags = tuple(lag for var, lag, exp in t.factors if var is Variable.OUTPUT
                      for _ in range(exp))
+        part = th  # a bare parameter stays a float: no allocation, no per-step index
         if exogenous:
-            part, view = zero_buffer(n - start)
-            view[:] = th
-            _multiply_factors(view, exogenous, table, start)
-        else:  # a float, not a buffer of it: no allocation, no per-step index
-            part = th
-        parts.append(part)
-        structure.append((lags, bool(exogenous)))
+            part = _multiply_factors(np.full(n - start, th), exogenous, table, start)
+        parts[lags] = parts[lags] + part if lags in parts else part
+    structure = tuple((lags, isinstance(part, np.ndarray)) for lags, part in parts.items())
+    # the loop zips Python floats out of an array('d') copy of each vector
+    args = [array("d", part.tobytes()) if isinstance(part, np.ndarray) else part
+            for part in parts.values()]
 
     buf, y = zero_buffer(n)
     y[: len(y_init)] = y_init
-    _step_loop(tuple(structure))(buf, start, n, *parts)
+    _step_loop(structure)(buf, start, n, *args)
     return SimulationResult(y, diverged_at=nan_from_unbounded(y, bound, start))
 
 

@@ -180,8 +180,9 @@ def test_add_output_noise_ratio():
     noisy = add_output_noise(y, 0.05, rng)
     measured = np.std(noisy - y) / np.std(y)
     assert abs(measured - 0.05) < 0.002
-    # a ratio of NaN or inf used to return an all-NaN or all-inf record
-    for ratio in (np.nan, np.inf, -np.inf, -0.1):
+    # a ratio of NaN or inf used to return an all-NaN or all-inf record, and
+    # True added 100 % noise; a string or None raised TypeError
+    for ratio in (np.nan, np.inf, -np.inf, -0.1, True, "0.1", None):
         with pytest.raises(ParameterError, match="finite and nonnegative"):
             add_output_noise(y, ratio, rng)
 

@@ -13,6 +13,7 @@ from narxident import (
     NarxModel,
     TimeSeriesData,
     Variable,
+    bouc_wen_experiment,
     build_regression,
     free_run_simulate,
     generate_candidates,
@@ -26,9 +27,10 @@ from narxident import (
     term,
     VALVE_BOUC_WEN,
 )
+from narxident import regression
 from narxident.errors import ParameterError
 from narxident.hysteresis import hysteresis_signals
-from narxident.regression import divergence_bound
+from narxident.regression import _step_loop, divergence_bound
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -224,22 +226,31 @@ def assert_matches_reference(sim, reference, rel=1e-12):
     assert np.max(np.abs(sim.y[done] - y_ref[done]), initial=0.0) <= rel * scale
 
 
-FACTORS = st.one_of(
-    st.tuples(st.just(Y), st.integers(1, 3), st.integers(1, 2)),
+OUTPUT_FACTORS = st.tuples(st.just(Y), st.integers(1, 3), st.integers(1, 2))
+EXOGENOUS_FACTORS = st.one_of(
     st.tuples(st.just(U), st.integers(1, 3), st.integers(1, 2)),
     st.tuples(st.just(P1), st.integers(1, 3), st.integers(1, 2)),
     st.tuples(st.just(P2), st.integers(1, 2), st.just(1)),
 )
+FACTORS = st.one_of(OUTPUT_FACTORS, EXOGENOUS_FACTORS)
 
 
 @st.composite
 def free_run_cases(draw):
     """A random model (output powers, difference signals, cross terms and
-    a constant term among its terms), an input, an initial state that may
-    be longer than the largest lag, and an output-term gain that is either
-    contractive or large enough to make many runs diverge."""
+    a constant term among its terms, and maybe a group of terms on one
+    output monomial, bare and with exogenous factors, spread among them),
+    an input, an initial state that may be longer than the largest lag,
+    and an output-term gain that is either contractive or large enough to
+    make many runs diverge."""
     terms = draw(st.lists(st.lists(FACTORS, max_size=3).map(lambda f: term(*f)),
                           min_size=1, max_size=6))
+    if draw(st.booleans()):
+        monomial = draw(st.lists(OUTPUT_FACTORS, max_size=2))
+        exogenous = draw(st.lists(st.lists(EXOGENOUS_FACTORS, min_size=1, max_size=2),
+                                  min_size=1, max_size=2))
+        terms = draw(st.permutations(
+            [*terms, term(*monomial), *(term(*monomial, *f) for f in exogenous)]))
     theta = draw(st.lists(st.floats(-1, 1), min_size=len(terms), max_size=len(terms)))
     gain = draw(st.sampled_from([0.3, 1.0, 1e4]))
     theta = [th * (gain if t.uses(Y) else 1.0) / len(terms) for th, t in zip(theta, terms)]
@@ -306,10 +317,12 @@ def test_inverse_valve_model_matches_per_step_reference():
 
 
 def term_vector_free_run(model, u, y_init, bound=None):
-    """The free run before its step loop was generated, kept as an exact
-    oracle: each term's exogenous part is a vector, and a loop over the
-    terms multiplies it by the term's lagged outputs on Python floats,
-    testing the bound at every step."""
+    """A plain loop over the free run's parts, kept as an exact oracle for
+    the generated one: each term's exogenous part is a vector, the vectors
+    of the terms on one output monomial are summed in term order, and a
+    loop over the monomials, in order of first use, multiplies each sum by
+    the monomial's lagged outputs on Python floats, testing the bound at
+    every step."""
     u = np.asarray(u, dtype=float)
     y_init = np.atleast_1d(np.asarray(y_init, dtype=float))
     n = len(u)
@@ -318,7 +331,7 @@ def term_vector_free_run(model, u, y_init, bound=None):
         bound = divergence_bound(y_init)
     phi1, phi2 = hysteresis_signals(u)
     table = {U: u, P1: phi1, P2: phi2}
-    terms = []
+    monomials = {}
     for th, t in zip(model.theta, model.process_terms):
         part = np.zeros(n)
         part[start:] = th
@@ -327,12 +340,13 @@ def term_vector_free_run(model, u, y_init, bound=None):
                 samples = table[var][start - lag:n - lag]
                 part[start:] *= samples ** exp if exp > 1 else samples
         lags = tuple(lag for var, lag, exp in t.factors if var is Y for _ in range(exp))
-        terms.append((array("d", part.tobytes()), lags))
+        monomials[lags] = monomials[lags] + part if lags in monomials else part
+    parts = [(array("d", part.tobytes()), lags) for lags, part in monomials.items()]
     y = array("d", bytes(8 * n))
     y[:len(y_init)] = array("d", y_init.tobytes())
     for k in range(start, n):
         acc = 0.0
-        for part, lags in terms:
+        for part, lags in parts:
             val = part[k]
             for lag in lags:
                 val *= y[k - lag]
@@ -352,24 +366,45 @@ def assert_equals_term_vector_loop(sim, oracle):
     assert sim.diverged_at == diverged_at
 
 
-def identified_heating_run():
-    cfg = heating_experiment()
+def identified_run(cfg):
     model = run_identification(cfg, 0).model
     val = make_validation_data(cfg, 0)
     return model, val.u, val.y[:max(model.max_lag, 1)]
 
 
-@pytest.mark.parametrize("case", [*CATALOG, "inverse valve", "identified heating"])
+@pytest.mark.parametrize("case", [*CATALOG, "inverse valve", "identified heating",
+                                  "identified bouc-wen"])
 def test_free_run_equals_term_vector_loop(case):
     if case == "inverse valve":
         model, u, y_init = inverse_valve_run()
     elif case == "identified heating":
-        model, u, y_init = identified_heating_run()
+        model, u, y_init = identified_run(heating_experiment())
         assert len(model.process_terms) >= 20
+    elif case == "identified bouc-wen":
+        # five terms on two output monomials, y(k-1) and the empty one
+        model, u, y_init = identified_run(bouc_wen_experiment())
+        assert len(model.process_terms) == 5
+        assert {tuple(f for f in t.factors if f[0] is Y) for t in model.process_terms} == {
+            ((Y, 1, 1),), ()}
     else:
         model, u, y_init = catalog_run(case)
     assert_equals_term_vector_loop(free_run_simulate(model, u, y_init),
                                    term_vector_free_run(model, u, y_init))
+
+
+@pytest.mark.parametrize("name", ["pzt_narx", "valve_inverse_narx"])
+def test_free_run_steps_once_per_output_monomial(name, monkeypatch):
+    # 4 and 6 terms, all on y(k-1) or on no output: one vector part each
+    structures = []
+
+    def capture(structure):
+        structures.append(structure)
+        return _step_loop(structure)
+
+    monkeypatch.setattr(regression, "_step_loop", capture)
+    m = preset_models()[name].model
+    free_run_simulate(m, np.linspace(0.0, 1.0, 40), np.zeros(m.max_lag))
+    assert structures == [(((1,), True), ((), True))]
 
 
 # Pinned beside the property test: the shapes of generated loop it draws
