@@ -17,6 +17,8 @@ import dataclasses
 import json
 from operator import attrgetter
 
+import numpy as np
+
 from .errors import ParameterError
 from .estimation import ElsConfig
 from .experiments import ExperimentConfig
@@ -72,11 +74,14 @@ def _check_type(value, kind, path):
 
 
 def _plain(value):
-    """JSON form of an attribute value: dataclasses become objects, tuples lists."""
+    """JSON form of an attribute value: dataclasses become objects, tuples
+    lists and numpy scalars Python numbers."""
     if dataclasses.is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, tuple):
         return list(value)
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
@@ -152,9 +157,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path):
+    # serialized before the file is opened, so a failure leaves no partial file
+    text = json.dumps(config_to_dict(config), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -96,6 +96,9 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        for name in ("system", "output_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ParameterError(f"{name} must be a string, got {getattr(self, name)!r}")
         if isinstance(self.variables, str) or not np.iterable(self.variables):
             raise ParameterError(f"variables must be a sequence of kinds, got {self.variables!r}")
         object.__setattr__(self, "variables", tuple(self.variables))

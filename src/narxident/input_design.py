@@ -6,8 +6,9 @@ frequency, scaled block-wise around a set of operating points, then
 concatenated and smoothed with the highest-frequency filter to remove
 concatenation seams.
 
-``scipy.signal`` takes most of a second to import, so the functions that
-design or apply a filter import it, not the package.
+``scipy.signal`` takes most of a second to import, so the code that
+designs the filters (``InputDesignSpec.sections``) or applies them
+imports it, not the package.
 """
 
 from __future__ import annotations
@@ -21,38 +22,6 @@ from .errors import DegenerateRangeError, ParameterError
 from .model import is_int, is_real
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """A discrete low-pass filter in second-order-sections form.
-
-    Each row of ``sos`` is one section ``[b0, b1, b2, 1, a1, a2]``.
-    """
-
-    order: int
-    cutoff: float
-    sample_rate: float
-    sos: np.ndarray
-
-    def dc_gain(self):
-        """Product of the sections' gains at z = 1."""
-        return float(np.prod(self.sos[:, :3].sum(axis=1) / self.sos[:, 3:].sum(axis=1)))
-
-    def is_stable(self):
-        """Every section's poles lie inside the unit circle."""
-        return all(bool(np.all(np.abs(np.roots(section[3:])) < 1.0)) for section in self.sos)
-
-    def magnitude(self, freqs):
-        """|H| evaluated at the given frequencies in Hz."""
-        import scipy.signal
-        _, h = scipy.signal.sosfreqz(self.sos, worN=np.atleast_1d(freqs), fs=self.sample_rate)
-        return np.abs(h)
-
-    def apply(self, x):
-        """Causal filtering (startup transient retained)."""
-        import scipy.signal
-        return scipy.signal.sosfilt(self.sos, np.asarray(x, dtype=float))
-
-
 def _check_filter(order, cutoff, sample_rate):
     if not is_int(order) or order < 1:
         raise ParameterError(f"filter order must be an integer >= 1, got {order!r}")
@@ -60,15 +29,6 @@ def _check_filter(order, cutoff, sample_rate):
         raise ParameterError(f"sample rate must be finite and positive, got {sample_rate!r}")
     if not is_real(cutoff) or not 0 < cutoff < sample_rate / 2:
         raise ParameterError(f"cutoff {cutoff} Hz outside (0, {sample_rate / 2}) Hz")
-
-
-def design_butterworth(order, cutoff, sample_rate):
-    """Discrete Butterworth low-pass via the bilinear transform with
-    frequency prewarping (unit DC gain, -3 dB at the cutoff)."""
-    _check_filter(order, cutoff, sample_rate)
-    import scipy.signal
-    sos = scipy.signal.butter(order, cutoff, fs=sample_rate, output="sos")
-    return FilterSpec(order=order, cutoff=cutoff, sample_rate=sample_rate, sos=sos)
 
 
 @dataclass(frozen=True)
@@ -102,7 +62,7 @@ class InputDesignSpec:
             raise ParameterError("need matching, nonempty operating-point and amplitude lists")
         if not np.isfinite(self.operating_points + self.amplitudes).all():
             raise ParameterError("operating points and amplitudes must be finite")
-        # the filters are designed lazily, so a bad order, rate or frequency
+        # the sections are designed lazily, so a bad order, rate or frequency
         # must fail here rather than at the first design_input
         for f in self.frequencies:
             _check_filter(self.filter_order, f, self.sample_rate)
@@ -120,20 +80,15 @@ class InputDesignSpec:
     def total_samples(self):
         return sum(self.segment_lengths)
 
-    @property
-    def n_operating_points(self):
-        return len(self.operating_points)
-
     @cached_property
-    def _filters(self):
-        # designed on first use and kept with the spec: every design_input
-        # on it filters with the same sections
-        return tuple(design_butterworth(self.filter_order, f, self.sample_rate)
+    def sections(self):
+        """The Butterworth low-pass of each design frequency, in
+        second-order sections (rows ``[b0, b1, b2, 1, a1, a2]``): unit DC
+        gain, -3 dB at the frequency.  Designed on first use and kept with
+        the spec, so every design on it filters with the same arrays."""
+        import scipy.signal
+        return tuple(scipy.signal.butter(self.filter_order, f, fs=self.sample_rate, output="sos")
                      for f in self.frequencies)
-
-    def segment_filter(self, i):
-        """The Butterworth low-pass at design frequency i."""
-        return self._filters[i]
 
 
 def normalize_unit_range(e):
@@ -153,11 +108,12 @@ def design_segment(i, spec: InputDesignSpec, rng):
     is scaled so its maximum excursion equals amplitude j and offset to
     operating point j.
     """
+    import scipy.signal
     n_i = spec.segment_lengths[i]
-    v = spec.n_operating_points
+    v = len(spec.operating_points)
     e = rng.standard_normal(n_i)
     e = normalize_unit_range(e)
-    filtered = spec.segment_filter(i).apply(e)
+    filtered = scipy.signal.sosfilt(spec.sections[i], e)
     # near-equal blocks; the last absorbs any division remainder
     bounds = np.linspace(0, n_i, v + 1).round().astype(int)
     out = np.empty(n_i)
@@ -176,10 +132,11 @@ def design_segment(i, spec: InputDesignSpec, rng):
 def design_input(spec: InputDesignSpec, rng):
     """Full excitation drawn from ``rng``: concatenated segments smoothed
     by the filter of the highest design frequency."""
+    import scipy.signal
     segments = [design_segment(i, spec, rng) for i in range(len(spec.frequencies))]
     u = np.concatenate(segments)
     i_max = int(np.argmax(spec.frequencies))
-    return spec.segment_filter(i_max).apply(u)
+    return scipy.signal.sosfilt(spec.sections[i_max], u)
 
 
 def check_ratio(ratio):

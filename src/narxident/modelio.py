@@ -50,13 +50,17 @@ def model_from_text(text: str) -> NarxModel:
         if ln.startswith("#"):
             continue
         if ln == "[process]":
+            if process is not None:
+                raise ParameterError("model file has a second [process] line")
             process = []
             continue
         if process is None:
             if "=" not in ln:
                 raise ParameterError(f"malformed header line {ln!r}")
-            key, _, value = ln.partition("=")
-            fields[key.strip()] = value.strip()
+            key, _, value = map(str.strip, ln.partition("="))
+            if key in fields:
+                raise ParameterError(f"model file repeats header key {key!r}")
+            fields[key] = value
         else:
             try:
                 term_str, theta_str = ln.split("\t")

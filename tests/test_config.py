@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from narxident import (
@@ -38,6 +40,29 @@ def test_config_round_trip(name, tmp_path):
     path2 = tmp_path / "config2.json"
     save_config(back, path2)
     assert path.read_text() == path2.read_text()
+    # numpy integers pass the integer checks and are written as plain ones;
+    # they used to stop json.dump halfway, leaving a truncated file
+    numpy_ints = dataclasses.replace(
+        cfg, seed=np.int64(11), degree=np.int64(cfg.degree), n_y=np.int32(cfg.n_y),
+        selection=dataclasses.replace(cfg.selection, n_noise_terms=np.int64(1)))
+    path3 = tmp_path / "config3.json"
+    save_config(numpy_ints, path3)
+    assert path3.read_text() == path.read_text()
+    assert load_config(path3) == cfg
+
+
+def test_save_config_leaves_no_partial_file(tmp_path):
+    cfg = default_config("heating")
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    before = path.read_text()
+    object.__setattr__(cfg, "seed", object())  # past the checks, not serializable
+    with pytest.raises(TypeError):
+        save_config(cfg, path)
+    with pytest.raises(TypeError):
+        save_config(cfg, tmp_path / "new.json")
+    assert path.read_text() == before
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_config_builds_same_experiment_as_builtin(tmp_path):
@@ -63,6 +88,14 @@ def test_config_validation():
     for ratio in (-0.1, float("inf")):
         with pytest.raises(ParameterError):
             ExperimentConfig(system="heating", noise_ratio=ratio)
+    # a list or dict system raised TypeError (unhashable) from the system
+    # lookup; any output_dir was kept, and save_config failed on a Path
+    for system in (["heating"], {"heating": 1}, None, 5):
+        with pytest.raises(ParameterError, match="system must be a string"):
+            ExperimentConfig(system=system)
+    for output_dir in (5, None, Path("out"), ["out"]):
+        with pytest.raises(ParameterError, match="output_dir must be a string"):
+            ExperimentConfig(system="heating", output_dir=output_dir)
     with pytest.raises(ParameterError):
         default_config("unknown")
 

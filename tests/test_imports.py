@@ -6,10 +6,11 @@ at import time and misleads a reader about the module's dependencies.
 ``__init__.py`` re-exports by design and is skipped, as is an import on a
 line marked ``# noqa: F401`` (a binding kept on purpose).
 
-Every module-level function and class of the package is read somewhere
-outside its own definition, in ``src/``, ``tests/``, ``demos/`` or
-``perfbench/``: code that nothing calls is dead weight a reader still has
-to check.  An import, such as ``__init__.py``'s re-exports, is no reference.
+Every module-level function and class of the package, and every method
+and property of its classes (dunders aside), is read somewhere outside its
+own definition, in ``src/``, ``tests/``, ``demos/`` or ``perfbench/``:
+code that nothing calls is dead weight a reader still has to check.  An
+import, such as ``__init__.py``'s re-exports, is no reference.
 
 Every CSV artifact goes through ``data.write_csv``, which owns the float
 format; a second ``csv.writer`` would be a second copy of it to drift.
@@ -67,25 +68,46 @@ def test_no_unused_module_level_import(path):
     assert _unused_imports(path) == []
 
 
+def _read_names(node, skip):
+    """Names and attribute names that ``node`` reads, apart from ``skip``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))} - skip
+
+
+def _own_name(node):
+    return {node.name} if isinstance(node, DEFINITIONS) else set()
+
+
 def _references(path):
-    """Names that ``path`` reads, a top-level definition's own name not
-    counted inside its body."""
+    """Names that ``path`` reads, a top-level definition's or a method's own
+    name not counted inside its body."""
     names = set()
     for stmt in ast.parse(path.read_text()).body:
-        own = stmt.name if isinstance(stmt, DEFINITIONS) else None
-        for node in ast.walk(stmt):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
-                names.add(name)
+        if isinstance(stmt, ast.ClassDef):
+            for part in (*stmt.bases, *stmt.keywords, *stmt.decorator_list, *stmt.body):
+                names |= _read_names(part, _own_name(stmt) | _own_name(part))
+        else:
+            names |= _read_names(stmt, _own_name(stmt))
     return names
+
+
+def _definitions(path):
+    """``(line, name)`` of each top-level function and class of ``path`` and
+    of each method and property of its classes, dunders skipped."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, DEFINITIONS):
+            yield node.lineno, node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFINITIONS) and not item.name.startswith("__"):
+                    yield item.lineno, f"{node.name}.{item.name}", item.name
 
 
 def test_every_module_level_definition_is_referenced():
     files = [p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
     referenced = set().union(*map(_references, files))
-    unreferenced = [f"{path.name}:{node.lineno} {node.name}" for path in MODULES
-                    for node in ast.parse(path.read_text()).body
-                    if isinstance(node, DEFINITIONS) and node.name not in referenced]
+    unreferenced = [f"{path.name}:{line} {label}" for path in MODULES
+                    for line, label, name in _definitions(path) if name not in referenced]
     assert unreferenced == []
 
 

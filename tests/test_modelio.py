@@ -51,6 +51,15 @@ def test_model_from_text_rejects_malformed():
         model_from_text("not a model")
     with pytest.raises(ParameterError):
         model_from_text("# narxident model v1\nts = 1.0\n[process]\n")
+    # a second [process] line used to drop every term read before it, and a
+    # repeated header key to keep its last value
+    text = model_to_text(preset_models()["heating_narx"].model)
+    with pytest.raises(ParameterError, match=r"second \[process\] line"):
+        model_from_text(text + "[process]\ny(k-1)\t0.5\n")
+    lines = text.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("ts ="))
+    with pytest.raises(ParameterError, match="repeats header key 'ts'"):
+        model_from_text("\n".join(lines[:at + 1] + ["ts = 2.0"] + lines[at + 1:]))
 
 
 @pytest.mark.parametrize("field", ["theta", "degree"])
