@@ -29,6 +29,23 @@ def _check_finite(params):
             raise ParameterError(f"{f.name} must be a finite real, got {value!r}")
 
 
+def _samples(x, name, n=None):
+    """``x`` as a 1-D float array, of ``n`` samples unless None.
+
+    Raises :class:`ParameterError` for a complex ``x``, whose cast would
+    drop the imaginary part, and for any other shape.  A non-finite sample
+    is kept: the simulators report it as divergence.
+    """
+    if np.iscomplexobj(x):
+        raise ParameterError(f"{name} must be real")
+    x = np.asarray(x, dtype=float)
+    if n is not None and x.shape != (n,):
+        raise ParameterError(f"{name} must match u in length")
+    if x.ndim != 1:
+        raise ParameterError(f"{name} must be a 1-D array")
+    return x
+
+
 @dataclass(frozen=True)
 class HammersteinParams:
     """Static quadratic nonlinearity followed by a second-order linear block."""
@@ -58,7 +75,7 @@ def simulate_hammerstein(params: HammersteinParams, u):
     magnitude.  The recursion carries y(k-1), y(k-2), v(k-1) and v(k-2)
     in local floats and is checked once, after the loop.
     """
-    u = np.asarray(u, dtype=float)
+    u = _samples(u, "u")
     if np.any(u < 0) or np.any(u > 1):
         warnings.warn("input outside the model validity range [0, 1]", stacklevel=2)
     v = array("d", (params.p1 * u ** 2 + params.p2 * u).tobytes())
@@ -104,6 +121,9 @@ class BoucWenTrajectory(SimulationResult):
     h: np.ndarray
 
 
+_RK4_BLOCK = 2048  # steps whose affine maps are formed at once
+
+
 def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
     """Fourth-order Runge-Kutta integration of the hysteresis state.
 
@@ -115,13 +135,18 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
     preserves the full fourth-order accuracy in convergence studies.
 
     The rate's factors alpha*du, beta*|du| and gamma*du are formed as
-    vectors, at the grid points and at the half steps, so each stage of
-    the loop adds only the state's part on Python floats.  The state has
-    diverged at its first sample that is not finite or exceeds 1e12 in
-    magnitude; that is found once, after the loop, and returned as
-    ``diverged_at``, with the trajectory NaN from there on.
+    vectors, at the grid points and at the half steps.  While the state
+    and its three stage arguments keep one sign, the RK4 step is an
+    affine map of the state, p*h + q (:func:`_sign_maps`), whose
+    coefficients are formed with numpy for 2,048 steps at a time.  The
+    loop takes one multiply-add for such a step, and the staged step
+    (:func:`_rk4_step`) where a stage argument may cross zero or the map
+    is not valid.  The state has diverged at its first sample that is not
+    finite or exceeds 1e12 in magnitude; that is found once, after the
+    loop, and returned as ``diverged_at``, with the trajectory NaN from
+    there on.
     """
-    u = np.asarray(u, dtype=float)
+    u = _samples(u, "u")
     n = len(u)
     if n < 2:
         raise ParameterError("need at least 2 input samples")
@@ -130,39 +155,89 @@ def simulate_bouc_wen(params: BoucWenParams, u, u_dot=None):
         u_dot = np.gradient(u, params.dt)
     elif callable(u_dot):
         t = np.arange(n) * params.dt
-        du_half = np.asarray(u_dot(t[:-1] + 0.5 * params.dt), dtype=float)
-        u_dot = np.asarray(u_dot(t), dtype=float)
-        if du_half.shape != (n - 1,):
-            raise ParameterError("u_dot must match u in length")
+        du_half = _samples(u_dot(t[:-1] + 0.5 * params.dt), "u_dot", n - 1)
+        u_dot = _samples(u_dot(t), "u_dot", n)
     else:
-        u_dot = np.asarray(u_dot, dtype=float)
-    if u_dot.shape != (n,):
-        raise ParameterError("u_dot must match u in length")
+        u_dot = _samples(u_dot, "u_dot", n)
 
     if du_half is None:
         du_half = 0.5 * (u_dot[:-1] + u_dot[1:])
 
-    # dh/dt = alpha*du - beta*|du|*h - gamma*du*|h| is a - b*h - g*|h|
-    # with a, b, g the rate's factors: the same operations in the same order
+    # dh/dt = alpha*du - beta*|du|*h - gamma*du*|h| is a - b*h - g*|h| with
+    # a, b, g the rate's factors, held as Python floats for _rk4_step
     alpha, beta, gamma, dt = params.alpha, params.beta, params.gamma, params.dt
     grid, mid = ([array("d", f.tobytes()) for f in (alpha * du, beta * np.abs(du), gamma * du)]
                  for du in (u_dot, du_half))
+    (a, b, g), (am, bm, gm) = grid, mid
+    grid_np, mid_np = ([np.frombuffer(f) for f in fs] for fs in (grid, mid))
+    maps = [array("d", bytes(8 * _RK4_BLOCK)) for _ in range(6)]  # reused by every block
+    map_views = [np.frombuffer(m) for m in maps]
     h, h_view = zero_buffer(n)
     hk = 0.0
-    a0, b0, g0 = (f[0] for f in grid)  # k1's factors; k4's become the next k1's
-    for k, am, bm, gm, a1, b1, g1 in zip(range(1, n), *mid, *(f[1:] for f in grid)):
-        k1 = a0 - b0 * hk - g0 * abs(hk)
-        h_stage = hk + 0.5 * dt * k1
-        k2 = am - bm * h_stage - gm * abs(h_stage)
-        h_stage = hk + 0.5 * dt * k2
-        k3 = am - bm * h_stage - gm * abs(h_stage)
-        h_stage = hk + dt * k3
-        k4 = a1 - b1 * h_stage - g1 * abs(h_stage)
-        hk = hk + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        h[k] = hk
-        a0, b0, g0 = a1, b1, g1
+    for start in range(0, n - 1, _RK4_BLOCK):
+        _sign_maps(dt, [f[start:start + _RK4_BLOCK + 1] for f in grid_np],
+                   [f[start:start + _RK4_BLOCK] for f in mid_np], map_views)
+        for k, edge_p, p_p, q_p, edge_n, p_n, q_n in zip(range(start + 1, n), *maps):
+            if hk >= edge_p:
+                hk = p_p * hk + q_p
+            elif hk <= edge_n:
+                hk = p_n * hk + q_n
+            else:
+                j = k - 1
+                hk = _rk4_step(hk, dt, a[j], b[j], g[j], am[j], bm[j], gm[j], a[k], b[k], g[k])
+            h[k] = hk
     bad = nan_from_unbounded(h_view, 1e12)
     return BoucWenTrajectory(params.nu_y * u - h_view, diverged_at=bad, h=h_view)
+
+
+def _rk4_step(hk, dt, a0, b0, g0, am, bm, gm, a1, b1, g1):
+    """One staged RK4 step of dh/dt = a - b*h - g*|h| from ``hk``, with the
+    rate's factors at the step's start, its half step and its end."""
+    k1 = a0 - b0 * hk - g0 * abs(hk)
+    h_stage = hk + 0.5 * dt * k1
+    k2 = am - bm * h_stage - gm * abs(h_stage)
+    h_stage = hk + 0.5 * dt * k2
+    k3 = am - bm * h_stage - gm * abs(h_stage)
+    h_stage = hk + dt * k3
+    k4 = a1 - b1 * h_stage - g1 * abs(h_stage)
+    return hk + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+
+def _sign_maps(dt, grid, mid, out):
+    """The RK4 step of each sign of the state as an affine map, for n steps.
+
+    ``grid`` holds the rate's factors a, b, g at n + 1 grid points and
+    ``mid`` at the n half steps between them.  Where h has sign s
+    (|h| = s*h), dh/dt = a - c*h with c = b + s*g (Wen 1976, exponent 1),
+    so each stage argument h + w*k is affine in h and so is the step:
+    h' = p*h + q.  That holds while h and the three stage arguments keep
+    sign s, which for positive slopes is where h lies past the edge: the
+    largest (s = +) or smallest (s = -) of 0 and the arguments' roots.
+    Where a slope is not positive or p or q is not finite, the edge is
+    +inf (-inf for s = -) and the step is left to :func:`_rk4_step`.
+    ``out`` receives edge, p and q of the positive sign, then of the
+    negative one, in its first n entries.
+    """
+    a, b, g = grid
+    am, bm, gm = mid
+    n = len(am)
+    a0, a1 = a[:-1], a[1:]
+    with np.errstate(all="ignore"):
+        for sign, (edge, p, q) in ((1.0, out[:3]), (-1.0, out[3:])):
+            edge, p, q = edge[:n], p[:n], q[:n]
+            c0, cm, c1 = b[:-1] + sign * g[:-1], bm + sign * gm, b[1:] + sign * g[1:]
+            # stage argument i is m_i*h + i_i, and k2, k3 are k_i*h + j_i
+            m2, i2 = 1.0 - 0.5 * dt * c0, 0.5 * dt * a0
+            k2, j2 = -cm * m2, am - cm * i2
+            m3, i3 = 1.0 + 0.5 * dt * k2, 0.5 * dt * j2
+            k3, j3 = -cm * m3, am - cm * i3
+            m4, i4 = 1.0 + dt * k3, dt * j3
+            np.multiply(dt / 6.0, -c0 + 2 * k2 + 2 * k3 - c1 * m4, out=p)
+            p += 1.0
+            np.multiply(dt / 6.0, a0 + 2 * j2 + 2 * j3 + (a1 - c1 * i4), out=q)
+            bound = np.maximum if sign > 0 else np.minimum
+            bound(bound(-i2 / m2, -i3 / m3), bound(-i4 / m4, 0.0), out=edge)
+            edge[~((m2 > 0) & (m3 > 0) & (m4 > 0) & np.isfinite(p) & np.isfinite(q))] = sign * np.inf
 
 
 # Published-model catalog.  Numeric values are the published coefficients

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from narxident import (
     HEATING_SYSTEM,
@@ -10,6 +11,7 @@ from narxident import (
     BoucWenParams,
     HammersteinParams,
     ParameterError,
+    benchmarks,
     preset_models,
     simulate_bouc_wen,
     simulate_hammerstein,
@@ -91,6 +93,41 @@ def test_bouc_wen_rate_of_the_wrong_shape_is_rejected(u_dot):
     u = np.linspace(0.0, 10.0, 2001)
     with pytest.raises(ParameterError, match="u_dot must match u in length"):
         simulate_bouc_wen(PZT_BOUC_WEN, u, u_dot=u_dot)
+
+
+SIMULATORS = {
+    "hammerstein": lambda u: simulate_hammerstein(HEATING_SYSTEM, u),
+    "bouc_wen": lambda u: simulate_bouc_wen(PZT_BOUC_WEN, u),
+}
+
+
+@pytest.mark.parametrize("simulate", SIMULATORS.values(), ids=SIMULATORS.keys())
+def test_simulators_reject_a_2d_input(simulate):
+    # the heating recursion read the flattened input and returned a wrong
+    # 1-D trajectory; Bouc-Wen raised AttributeError
+    u = np.repeat(np.linspace(0.1, 0.9, 10)[:, None], 2, axis=1)
+    with pytest.raises(ParameterError, match="u must be a 1-D array"):
+        simulate(u)
+
+
+@pytest.mark.parametrize("simulate", SIMULATORS.values(), ids=SIMULATORS.keys())
+def test_simulators_reject_a_0d_input(simulate):
+    # both raised TypeError from len()
+    with pytest.raises(ParameterError, match="u must be a 1-D array"):
+        simulate(np.float64(0.5))
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda u: simulate_hammerstein(HEATING_SYSTEM, u + 0.1j),
+    lambda u: simulate_bouc_wen(PZT_BOUC_WEN, u + 0.1j),
+    lambda u: simulate_bouc_wen(PZT_BOUC_WEN, u, u_dot=np.gradient(u) + 0.1j),
+    lambda u: simulate_bouc_wen(PZT_BOUC_WEN, u, u_dot=lambda t: np.ones(len(t)) + 0.1j),
+], ids=["hammerstein-u", "bouc_wen-u", "bouc_wen-u_dot-array", "bouc_wen-u_dot-callable"])
+def test_simulators_reject_complex_input(simulate):
+    # the cast to float dropped the imaginary part with only a ComplexWarning
+    u = np.linspace(0.1, 0.9, 10)
+    with pytest.raises(ParameterError, match="must be real"):
+        simulate(u)
 
 
 def test_bouc_wen_rk4_convergence_order():
@@ -232,6 +269,20 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def assert_near_reference(params, u, traj, h):
+    """``traj`` against the oracle's state ``h``: the same NaN pattern and
+    divergence step, and on the finite prefix a state within 1e-13 of its
+    largest magnitude (a step of one sign is an affine map in the
+    simulator, a re-association of the oracle's staged step); y is
+    nu_y*u - h bit for bit."""
+    nan = np.isnan(h)
+    assert np.array_equal(np.isnan(traj.h), nan)
+    assert traj.diverged_at == (int(np.argmax(nan)) if nan.any() else None)
+    gap = np.abs(traj.h[~nan] - h[~nan])
+    assert np.max(gap, initial=0.0) <= 1e-13 * np.max(np.abs(h[~nan]))
+    assert same_bits(traj.y, params.nu_y * u - traj.h)
+
+
 def hysteresis_drive(n, dt, scale=1.0):
     """Two-tone input of amplitude 40 * ``scale`` and its analytic rate."""
     t = np.arange(n) * dt
@@ -258,17 +309,18 @@ RATES = ["default", "array", "callable"]
 @pytest.mark.parametrize("rate", RATES)
 @pytest.mark.parametrize("params, scale", [(PZT_BOUC_WEN, 1.0), (VALVE_BOUC_WEN, 0.01)],
                          ids=["pzt", "valve"])
-def test_bouc_wen_bit_identical_to_per_step_reference(params, scale, rate):
+def test_bouc_wen_matches_per_step_reference(params, scale, rate):
     u, u_dot = hysteresis_drive(3000, params.dt, scale)
     u_dot = rate_argument(rate, u_dot, len(u), params.dt)
     traj = simulate_bouc_wen(params, u, u_dot=u_dot)
     y, h, diverged = reference_bouc_wen(params, u, u_dot=u_dot)
     assert not diverged and not traj.diverged
-    assert same_bits(traj.h, h) and same_bits(traj.y, y)
+    assert h.min() < 0 < h.max()  # the state crosses zero: both signs' maps step it
+    assert_near_reference(params, u, traj, h)
 
 
 @pytest.mark.parametrize("rate", RATES)
-def test_bouc_wen_divergence_bit_identical_to_per_step_reference(rate):
+def test_bouc_wen_divergence_matches_per_step_reference(rate):
     # negative beta and gamma make the state grow without bound on loading
     params = BoucWenParams(alpha=1.0, beta=-0.5, gamma=-0.5)
     u, u_dot = hysteresis_drive(3000, params.dt)
@@ -277,8 +329,76 @@ def test_bouc_wen_divergence_bit_identical_to_per_step_reference(rate):
     y, h, diverged = reference_bouc_wen(params, u, u_dot=u_dot)
     assert diverged and traj.diverged
     assert np.isnan(traj.h[-1]) and not np.isnan(traj.h[1])
+    assert_near_reference(params, u, traj, h)
+
+
+def square_rate_drive(n, dt):
+    """A triangle wave of slope +-1 and its rate, +-1 and never 0."""
+    t = np.arange(n) * dt
+    u = 0.3 - np.abs((t % 0.6) - 0.3)
+    return u, lambda tt: np.where((tt % 0.6) < 0.3, 1.0, -1.0)
+
+
+@pytest.fixture
+def staged_steps(monkeypatch):
+    """The arguments of every staged RK4 step the simulator takes."""
+    calls = []
+    step = benchmarks._rk4_step
+    monkeypatch.setattr(benchmarks, "_rk4_step", lambda *a: calls.append(a) or step(*a))
+    return calls
+
+
+@pytest.mark.parametrize("rate", ["array", "callable"])
+def test_bouc_wen_staged_steps_equal_the_reference_bit_for_bit(rate, staged_steps):
+    # dt*beta*|du| = 2.5 puts the first stage's slope 1 - dt*c/2 below 0
+    # for both signs (c = beta*|du| +- gamma*du) at every step, so no
+    # affine map is valid and every step is the staged one, which the
+    # oracle computes with the same operations in the same order
+    params = BoucWenParams(alpha=1.0, beta=250.0, gamma=20.0, dt=0.01)
+    u, u_dot = square_rate_drive(600, params.dt)
+    u_dot = rate_argument(rate, u_dot, len(u), params.dt)
+    traj = simulate_bouc_wen(params, u, u_dot=u_dot)
+    y, h, diverged = reference_bouc_wen(params, u, u_dot=u_dot)
+    assert len(staged_steps) == len(u) - 1 and not diverged
+    assert h.min() < 0 < h.max()
     assert same_bits(traj.h, h) and same_bits(traj.y, y)
-    assert traj.diverged_at == int(np.flatnonzero(np.isnan(h))[0])
+
+
+def test_bouc_wen_drive_steps_by_maps_and_by_staged_steps(staged_steps):
+    # the oracle drive takes the staged step only near its zero crossings
+    u, _ = hysteresis_drive(3000, PZT_BOUC_WEN.dt)
+    simulate_bouc_wen(PZT_BOUC_WEN, u)
+    assert 0 < len(staged_steps) < (len(u) - 1) // 10
+
+
+RATE_FACTOR = st.floats(-100.0, 100.0)
+UNIT_RATE = st.floats(-1.0, 1.0)  # a gain factor times dt, so |dt*c| <= 2
+
+
+@given(dt=st.floats(1e-4, 0.1), a=st.tuples(RATE_FACTOR, RATE_FACTOR, RATE_FACTOR),
+       bg=st.tuples(*[UNIT_RATE] * 6), sign=st.sampled_from([1.0, -1.0]),
+       offset=st.floats(0.0, 1e3))
+def test_bouc_wen_sign_map_agrees_with_the_staged_step(dt, a, bg, sign, offset):
+    # factors of any sign (negative gains too); h lies past its sign's
+    # edge, where h and the three stage arguments keep that sign
+    b0, g0, bm, gm, b1, g1 = (x / dt for x in bg)
+    factors = (a[0], b0, g0, a[1], bm, gm, a[2], b1, g1)
+    maps = [np.zeros(1) for _ in range(6)]
+    benchmarks._sign_maps(dt, [np.array([a[0], a[2]]), np.array([b0, b1]), np.array([g0, g1])],
+                          [np.array([a[1]]), np.array([bm]), np.array([gm])], maps)
+    edge, p, q = (float(m[0]) for m in (maps[:3] if sign > 0 else maps[3:]))
+    assume(np.isfinite(edge))
+    h = edge + sign * offset
+    got, want = p * h + q, benchmarks._rk4_step(h, dt, *factors)
+    # the step's magnitude: h and the weighted stage rates it adds up
+    c0, cm, c1 = b0 + sign * g0, bm + sign * gm, b1 + sign * g1
+    k1 = a[0] - c0 * h
+    k2 = a[1] - cm * (h + 0.5 * dt * k1)
+    k3 = a[1] - cm * (h + 0.5 * dt * k2)
+    k4 = a[2] - c1 * (h + dt * k3)
+    magnitude = abs(h) + dt * (abs(k1) + 2 * abs(k2) + 2 * abs(k3) + abs(k4)) / 6
+    # (plus the smallest normal float, for terms that underflow)
+    assert abs(got - want) <= 8 * np.finfo(float).eps * magnitude + np.finfo(float).tiny
 
 
 def test_hammerstein_bit_identical_to_per_step_reference():
@@ -324,7 +444,7 @@ def test_bouc_wen_bad_input_sample_matches_per_step_reference(rate, value, j):
     traj = simulate_bouc_wen(PZT_BOUC_WEN, u, u_dot=u_dot)
     y, h, diverged = reference_bouc_wen(PZT_BOUC_WEN, u, u_dot=u_dot)
     assert traj.diverged and diverged
-    assert same_bits(traj.h, h) and same_bits(traj.y, y)
+    assert_near_reference(PZT_BOUC_WEN, u, traj, h)
     first = int(np.flatnonzero(np.isnan(h))[0])
     assert first <= j + 1 and np.all(np.isnan(h[first:])) and traj.diverged_at == first
     assert np.all(np.isfinite(h[:first]))
