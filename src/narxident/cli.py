@@ -150,8 +150,9 @@ def cmd_monte_carlo(args):
     out = _outdir(cfg)
     path = out / "monte_carlo.csv"
     report.to_csv(path)
-    for r, m, s, f in zip(report.ratios, report.mape_mean, report.mape_std, report.failures):
-        print(f"ratio {r:g}: mean MAPE {m!r} %, std {s!r}, failures {f}")
+    for r, m, s, f, c in zip(report.ratios, report.mape_mean, report.mape_std, report.failures,
+                             report.unconverged):
+        print(f"ratio {r:g}: mean MAPE {m!r} %, std {s!r}, failures {f}, unconverged {c}")
     print(f"wrote sweep to {path}")
     return 0
 

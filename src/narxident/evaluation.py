@@ -75,13 +75,15 @@ class MonteCarloReport:
 
     ``seeds[i]`` holds the seeds of the trials run at ``ratios[i]`` and
     ``mapes[i]`` the free-run MAPEs of those that succeeded; the others
-    are its failures.  A ratio with no successful trial has a NaN mean and
-    standard deviation.
+    are its failures.  ``unconverged[i]`` counts the successful trials whose
+    final extended-least-squares fit stopped at its iteration cap.  A ratio
+    with no successful trial has a NaN mean and standard deviation.
     """
 
     ratios: tuple
     seeds: tuple
     mapes: tuple
+    unconverged: tuple
 
     @property
     def mape_mean(self):
@@ -96,8 +98,8 @@ class MonteCarloReport:
         return tuple(len(s) - len(m) for s, m in zip(self.seeds, self.mapes))
 
     def to_csv(self, path):
-        write_csv(path, ["ratio", "mean_mape", "std_mape", "failures"],
-                  self.ratios, self.mape_mean, self.mape_std, self.failures)
+        write_csv(path, ["ratio", "mean_mape", "std_mape", "failures", "unconverged"],
+                  self.ratios, self.mape_mean, self.mape_std, self.failures, self.unconverged)
 
 
 def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,
@@ -109,7 +111,8 @@ def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,
     trial with an independent seed, and the identified model is scored
     by free-run error on a fixed noise-free validation set generated
     once for the whole sweep.  Diverging or singular trials are counted
-    as failures and excluded from the statistics.
+    as failures and excluded from the statistics; a scored trial whose final
+    fit did not converge is counted in ``unconverged``.
     """
     if not is_int(trials_per_ratio) or trials_per_ratio < 1:
         raise ParameterError("trials per ratio must be an integer >= 1")
@@ -119,10 +122,10 @@ def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,
     # building each ratio's config rejects a negative ratio before any trial runs
     configs = [replace(config, noise_ratio=ratio) for ratio in ratios]
     val_data = make_validation_data(config, base_seed)
-    seed_log, mape_log = [], []
+    seed_log, mape_log, unconverged = [], [], []
     for i, ratio_config in enumerate(configs):
         seeds = tuple(base_seed + 1 + i * trials_per_ratio + t for t in range(trials_per_ratio))
-        scores = []
+        scores, capped = [], 0
         for seed in seeds:
             try:
                 result = run_identification(ratio_config, seed)
@@ -131,6 +134,9 @@ def monte_carlo_noise_sweep(config: ExperimentConfig, ratios,
                 continue
             if not out.diverged:
                 scores.append(out.mape)
+                capped += not result.report.converged
         seed_log.append(seeds)
         mape_log.append(tuple(scores))
-    return MonteCarloReport(ratios=ratios, seeds=tuple(seed_log), mapes=tuple(mape_log))
+        unconverged.append(capped)
+    return MonteCarloReport(ratios=ratios, seeds=tuple(seed_log), mapes=tuple(mape_log),
+                            unconverged=tuple(unconverged))

@@ -71,9 +71,9 @@ class ExperimentConfig:
         With a difference signal (``phi1`` or ``phi2``) among them, the
         dictionary is pruned by the hysteresis exclusion rules.
     selection : SelectionConfig
-        Estimator settings of the sweep and the final fit: the number of
-        lagged-residual columns (none for least squares) and the
-        extended-least-squares convergence settings.
+        Noise model of the information-criterion curve and estimator of the
+        final fit: the number of lagged-residual columns (none for least
+        squares) and the extended-least-squares convergence settings.
     noise_ratio : float
         Output-noise standard deviation as a fraction of the clean
         output's standard deviation.
@@ -151,9 +151,10 @@ class ExperimentConfig:
 #: sampling interval is 2 s: short enough that the input decorrelates
 #: across the candidate lags, long enough that the candidate dictionary
 #: with pure delay 2 captures the dominant input dependence.  The
-#: information-criterion sweep re-estimates every truncation with the
-#: extended estimator (the :class:`SelectionConfig` default) so
-#: colored-noise bias does not masquerade as structural variance.
+#: information-criterion curve fits every truncation with a lagged-residual
+#: noise column (the :class:`SelectionConfig` default), so colored-noise
+#: bias does not masquerade as structural variance, and the chosen terms
+#: are re-estimated by extended least squares.
 #:
 #: bouc_wen: a long 0.2 Hz band (16000 samples) and a short 5 Hz band
 #: (3200 samples) at amplitudes 25 V and 50 V around zero, sampled at the

@@ -1,6 +1,8 @@
 """Model structure selection: forward-regression orthogonal least squares
-ranking by error reduction ratio, and information-criterion truncation of
-the ranked term list."""
+ranking by error reduction ratio, information-criterion truncation of the
+ranked term list, whose curve fits a noise model of lagged residuals in
+two least-squares stages, and an extended-least-squares fit of the chosen
+terms."""
 
 from __future__ import annotations
 
@@ -10,8 +12,8 @@ import numpy as np
 
 from .data import TimeSeriesData
 from .errors import ParameterError
-from .estimation import (ElsConfig, EstimationReport, _qr, check_noise_terms, check_regression,
-                         els_core, els_sweep)
+from .estimation import (_RANK_RTOL, ElsConfig, _qr, _valid_columns, check_noise_terms,
+                         check_regression, els_core, lagged)
 from .estimation import ls_estimate  # noqa: F401  perfbench/tracing.py wraps this binding
 from .model import CandidateSet, NarxModel, is_int, is_real
 from .regression import build_regression
@@ -123,16 +125,11 @@ class AicCurve:
     """Information-criterion cost as a function of model size.
 
     ``j_values[i]`` is the cost of the model with the i + 1 top-ranked
-    terms; invalid points (failed estimations) are NaN and excluded from
-    the argmin.  ``converged[i]`` tells whether the estimator converged at
-    that point (always true for least squares, false for a failed point),
-    and ``iterations[i]`` how many iterations it ran (1 for least squares,
-    0 for a failed point).
+    terms; invalid points (sizes that fail the rank or row check) are NaN
+    and excluded from the argmin.
     """
 
     j_values: np.ndarray
-    converged: tuple
-    iterations: tuple
 
     @property
     def n_theta_values(self):
@@ -149,10 +146,11 @@ class AicCurve:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Estimator of the information-criterion sweep and the final fit:
-    extended least squares with ``n_noise_terms`` lagged-residual columns,
-    iterated under ``els``.  With none it is least squares; ``els`` then
-    changes nothing."""
+    """Noise model of the information-criterion curve and estimator of the
+    final fit: ``n_noise_terms`` lagged-residual columns, fitted by two
+    least-squares stages on the curve and by extended least squares, iterated
+    under ``els``, on the chosen terms.  With none both are least squares;
+    ``els`` then changes nothing."""
 
     n_noise_terms: int = 1
     els: ElsConfig = field(default_factory=ElsConfig)
@@ -165,34 +163,63 @@ class SelectionConfig:
         return "els" if self.n_noise_terms else "ls"
 
 
-def information_criterion(fit: EstimationReport, n_rows):
-    """Akaike's N*ln(var) + 2*n for a fit of n terms on N rows, var the variance
-    of its process residual y - Psi theta, floored so that an exact fit scores."""
-    return n_rows * np.log(max(fit.process_variance, np.finfo(float).tiny)) + 2.0 * len(fit.theta)
-
-
 def aic_curve(ranking: ErrRanking, psi, y_s, config=SelectionConfig()):
-    """:func:`information_criterion` over the ranked term list.
+    """Akaike's N ln(var) + 2 s over the ranked term list, var the variance of
+    the process residual y - Psi_s theta_s of size s's two-stage fit.
 
-    Every size is fitted in one :func:`els_sweep` call over prefixes of the
-    ranked columns of ``(psi, y_s)``, the regression the ranking was
-    computed on, so all sizes share one row frame, with the final fit's
-    ``config.n_noise_terms`` noise columns and ``config.els``.  A size the
-    sweep could not fit is a NaN point.  The curve keeps each fit's cost,
-    convergence and iterations, not the fit.
+    ``(psi, y_s)`` is the regression the ranking was computed on, so all sizes
+    share one row frame.  The noise model is fitted in two least-squares
+    stages, with no iteration (Hannan & Rissanen 1982, Biometrika 69(1)).
+    Stage 1 fits the longest ranked prefix that passes the checks below; the
+    lags 1..k of its residual e, zero before the record, are the
+    ``config.n_noise_terms`` noise columns Xi of every size.  Stage 2 is one
+    QR of [Xi Psi_ranked y]: the leading k + s columns of its R give size
+    s's fit [phi; theta_s] of [Xi Psi_s].  A size is a NaN point if the
+    diagonal of that R prefix has an entry at or below ``_RANK_RTOL`` times
+    its largest, or if it has fewer rows than s + k + 2 (k >= 1) or s (k = 0).
+    A stage-1 residual at rounding, ||e|| <= ``_RANK_RTOL`` ||y||, leaves no
+    noise to model, and Xi is then empty, as for k = 0: every size is scored
+    by its least-squares fit.
     """
     if len(ranking) == 0:
         raise ParameterError("empty ranking")
-    sizes = np.arange(1, len(ranking) + 1)
-    fits = els_sweep(psi.take(ranking.columns, axis=1), y_s, sizes,
-                     config.n_noise_terms, config.els)
-    costs = np.full(len(sizes), np.nan)
-    converged, iterations = [False] * len(sizes), [0] * len(sizes)
-    for i, fit in enumerate(fits):
-        if isinstance(fit, EstimationReport):  # else the error that failed this size
-            converged[i], iterations[i] = fit.converged, fit.iterations
-            costs[i] = information_criterion(fit, len(y_s))
-    return AicCurve(j_values=costs, converged=tuple(converged), iterations=tuple(iterations))
+    psi, y_s = check_regression(psi, y_s)
+    m, n, k = len(y_s), len(ranking), config.n_noise_terms
+    costs = np.full(n, np.nan)
+    # the failing sizes are a suffix: rows run out, and a rank deficiency
+    # stays once the largest diagonal entry has outgrown a small one
+    top = min(n, m - k - 2 if k else m)
+    if top < 1:
+        return AicCurve(costs)
+    # [Xi Psi_ranked y] in LAPACK's column order; stage 1 factors [Psi_ranked y]
+    a = np.empty((m, k + top + 1), order="F")
+    a[:, k:-1], a[:, -1] = psi[:, ranking.columns[:top]], y_s
+    r = _qr(a[:, k:], mode="r")
+    if (valid := _valid_columns(np.diag(r)[:top])) < top:
+        a, top = np.delete(a, np.s_[k + valid:-1], axis=1), valid
+    if not top:
+        return AicCurve(costs)
+    if k:
+        e = y_s - a[:, k:-1] @ np.linalg.solve(r[:top, :top], r[:top, -1])
+        if np.linalg.norm(e) > _RANK_RTOL * np.linalg.norm(y_s):
+            a[:, :k] = lagged(e, k)
+            r = _qr(a, mode="r")
+            top = _valid_columns(np.diag(r)[:k + top]) - k
+            if top < 1:
+                return AicCurve(costs)
+        else:  # no noise to model: stage 1's R scores every size
+            a, k = a[:, k:], 0
+    # column j holds R^-1 of Q^T y cut to size j + 1's prefix: a triangular
+    # solve with a leading block of R solves each prefix (Higham 2002, ch. 8)
+    below = np.arange(k + top)[:, None] < k + np.arange(1, top + 1)
+    fits = np.linalg.solve(r[:k + top, :k + top], r[:k + top, -1:] * below)
+    # row j: the process residual y - Psi_s theta_s of size s = j + 1
+    process = np.matmul(fits[k:].T, a[:, k:k + top].T)
+    np.subtract(y_s, process, out=process)
+    process -= process.mean(axis=1, keepdims=True)
+    var = np.einsum("ij,ij->i", process, process) / m
+    costs[:top] = m * np.log(np.maximum(var, np.finfo(float).tiny)) + 2.0 * np.arange(1, top + 1)
+    return AicCurve(costs)
 
 
 def select_structure(candidates: CandidateSet, data: TimeSeriesData,

@@ -223,7 +223,7 @@ def test_monte_carlo_csv(tmp_path):
                 "--ratios", "0.1,0.2", "--trials", "1",
                 "--output-dir", str(out)]) == 0
     lines = (out / "monte_carlo.csv").read_text().strip().splitlines()
-    assert lines[0] == "ratio,mean_mape,std_mape,failures"
+    assert lines[0] == "ratio,mean_mape,std_mape,failures,unconverged"
     assert len(lines) == 3
 
 

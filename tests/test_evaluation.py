@@ -1,5 +1,7 @@
 """MAPE scoring, validation modes, and the Monte Carlo sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,18 +12,23 @@ from narxident import (
     InsufficientDataError,
     NarxModel,
     ParameterError,
+    SelectionConfig,
     TimeSeriesData,
     VALVE_BOUC_WEN,
     Variable,
+    heating_experiment,
     mape,
+    monte_carlo_noise_sweep,
     one_step_predict,
     preset_models,
+    run_identification,
     run_inverse_model,
     simulate_bouc_wen,
     term,
     validate,
 )
 from narxident.evaluation import MonteCarloReport
+from narxident.experiments import make_validation_data
 
 Y, U = Variable.OUTPUT, Variable.INPUT
 
@@ -126,16 +133,33 @@ def test_monte_carlo_report_csv_format(tmp_path):
     # left without one; a ratio with no successful trial reads nan
     report = MonteCarloReport(
         ratios=(0.0, 0.1, 0.2), seeds=((1, 2, 3), (4, 5, 6), (7, 8, 9)),
-        mapes=((0.5, 1.5, 1.0), (2.0, 3.0), ()),
+        mapes=((0.5, 1.5, 1.0), (2.0, 3.0), ()), unconverged=(1, 2, 0),
     )
     assert report.failures == (0, 1, 3)
     path = tmp_path / "mc.csv"
     report.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "ratio,mean_mape,std_mape,failures"
-    assert lines[1] == f"0.0,1.0,{float(np.std([0.5, 1.5, 1.0]))!r},0"
-    assert lines[2] == "0.1,2.5,0.5,1"
-    assert lines[3] == "0.2,nan,nan,3"
+    assert lines[0] == "ratio,mean_mape,std_mape,failures,unconverged"
+    assert lines[1] == f"0.0,1.0,{float(np.std([0.5, 1.5, 1.0]))!r},0,1"
+    assert lines[2] == "0.1,2.5,0.5,1,2"
+    assert lines[3] == "0.2,nan,nan,3,0"
+
+
+@pytest.mark.parametrize("n_noise_terms", [1, 0])
+def test_monte_carlo_counts_unconverged_final_fits(n_noise_terms):
+    # a scored trial whose final ELS fit stopped at the cap is counted;
+    # least squares always converges
+    config = dataclasses.replace(heating_experiment(),
+                                 selection=SelectionConfig(n_noise_terms=n_noise_terms))
+    report = monte_carlo_noise_sweep(config, (0.05,), 2, base_seed=3)
+    val_data = make_validation_data(config, 3)
+    want = 0
+    for seed in report.seeds[0]:
+        result = run_identification(dataclasses.replace(config, noise_ratio=0.05), seed)
+        if not validate(result.model, val_data).diverged:
+            want += not result.report.converged
+    assert len(report.mapes[0]) == 2 and report.unconverged == (want,)
+    assert want == (2 if n_noise_terms else 0)
 
 
 def test_monte_carlo_requires_ascending_ratios():

@@ -112,12 +112,10 @@ def test_ranking_and_aic_csv(tmp_path):
     assert lines[0] == "term,err,cumulative_err"
     assert len(lines) == 1 + len(ranking.ordered_terms)
 
-    curve = AicCurve(j_values=np.array([-10.0, np.nan]), converged=(True, False),
-                     iterations=(4, 0))
+    curve = AicCurve(j_values=np.array([-10.0, np.nan]))
     p2 = tmp_path / "aic.csv"
     aic_to_csv(curve, p2)
-    assert p2.read_text() == ("n_theta,j_aic,converged,iterations\n"
-                              "1,-10.0,True,4\n2,nan,False,0\n")
+    assert p2.read_text() == "n_theta,j_aic\n1,-10.0\n2,nan\n"
 
 
 def test_residuals_csv(tmp_path):

@@ -19,14 +19,13 @@ from narxident import (
     generate_candidates,
     heating_experiment,
     ls_estimate,
-    run_identification,
     select_structure,
     term,
 )
 from narxident import selection
-from narxident.errors import NarxError, ParameterError, SingularMatrixError
+from narxident.errors import ParameterError
 from narxident.benchmarks import HEATING_SYSTEM, simulate_hammerstein
-from narxident.estimation import ElsConfig, els_core, els_sweep
+from narxident.estimation import ElsConfig, lagged
 from narxident.experiments import make_identification_data
 
 # a division by a zero border or column norm fails the test instead of warning
@@ -374,101 +373,102 @@ def _noisy_ranking():
 
 
 def test_aic_curve_propagates_programming_errors(monkeypatch):
-    def broken(*args):
+    def broken(*args, **kwargs):
         raise TypeError("not an estimation failure")
 
-    monkeypatch.setattr(selection, "els_sweep", broken)
     ranking, regression = _noisy_ranking()
+    monkeypatch.setattr(selection, "_qr", broken)
     with pytest.raises(TypeError):
         aic_curve(ranking, *regression, SelectionConfig(n_noise_terms=1))
 
 
-def test_aic_curve_singular_point_is_nan(monkeypatch):
-    els_sweep = selection.els_sweep
-
-    def singular_at_two(*args):
-        fits = els_sweep(*args)
-        fits[1] = SingularMatrixError("rank deficient", column=1)
-        return fits
-
-    monkeypatch.setattr(selection, "els_sweep", singular_at_two)
-    ranking, regression = _noisy_ranking()
-    curve = aic_curve(ranking, *regression, SelectionConfig(n_noise_terms=1))
-    assert np.isnan(curve.j_values[1])
-    assert np.all(np.isfinite(np.delete(curve.j_values, 1)))
-    assert curve.converged[1] is False
+def _ranking_of_columns(n):
+    """A ranking of columns 0..n-1 in that order; aic_curve reads its columns."""
+    return selection.ErrRanking(ordered_terms=tuple(range(n)), err_values=np.zeros(n),
+                                columns=tuple(range(n)))
 
 
-def test_aic_curve_reports_convergence_per_point(monkeypatch):
-    # heating seed 1: most sweep points stop at the ELS iteration cap
-    reports = []
-    els_sweep = selection.els_sweep
-
-    def recording(*args):
-        reports.extend(els_sweep(*args))
-        return list(reports)
-
-    monkeypatch.setattr(selection, "els_sweep", recording)
-    defn = heating_experiment()
-    curve = run_identification(defn, seed=1).curve
-    sweep = reports[:len(curve.j_values)]  # one report per sweep point
-    assert curve.converged == tuple(r.converged for r in sweep)
-    assert all(r.iterations == defn.selection.els.max_iterations
-               for r, ok in zip(sweep, curve.converged) if not ok)
-    assert not all(curve.converged)
+def _two_stage_costs(ranked, y_s, k):
+    """Each size's N ln var(y - Psi_s theta_s) + 2 s by np.linalg.lstsq: theta_s
+    from the fit of [Xi Psi_s], Xi the lags 1..k of the residual of the longest
+    prefix's fit, which must pass the rank and row checks."""
+    m, n = ranked.shape
+    e = y_s - ranked @ np.linalg.lstsq(ranked, y_s, rcond=None)[0]
+    xi = lagged(e, k)
+    costs = []
+    for s in range(1, n + 1):
+        theta = np.linalg.lstsq(np.column_stack([xi, ranked[:, :s]]), y_s, rcond=None)[0][k:]
+        costs.append(m * np.log(np.var(y_s - ranked[:, :s] @ theta)) + 2.0 * s)
+    return np.array(costs)
 
 
-def test_aic_curve_reports_iterations_per_point():
-    defn = heating_experiment()
-    curve = run_identification(defn, seed=1).curve
-    assert len(curve.iterations) == len(curve.j_values)
-    cap = defn.selection.els.max_iterations
-    for ok, it, j in zip(curve.converged, curve.iterations, curve.j_values):
-        assert ok is not (it == 0 or it == cap)
-        assert (it == 0) == bool(np.isnan(j))
+def _random_regression(seed, m, n):
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((m, n)) * np.logspace(0, 2, n)
+    e = rng.standard_normal(m + 1)
+    return psi, psi @ rng.standard_normal(n) + e[1:] + 0.6 * e[:-1]
 
 
-def _per_prefix_reference(candidates, ranking, psi, y_s, config):
-    """(J, converged, iterations) of each size from its own estimator call."""
-    cols = [candidates.terms.index(t) for t in ranking.ordered_terms]
-    points = []
-    for n_theta in range(1, len(ranking) + 1):
-        sub = psi[:, cols[:n_theta]]
-        try:
-            if config.n_noise_terms:
-                report = els_core(sub, y_s, config.n_noise_terms, config.els)
-            else:
-                report = ls_estimate(sub, y_s)
-        except (NarxError, np.linalg.LinAlgError):
-            points.append((np.nan, False, 0))
-            continue
-        var = max(float(np.var(y_s - sub @ report.theta)), np.finfo(float).tiny)
-        points.append((len(y_s) * np.log(var) + 2.0 * n_theta, report.converged,
-                       report.iterations))
-    return points
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("seed", range(5))
+def test_aic_curve_is_the_two_stage_least_squares_cost(k, seed):
+    psi, y_s = _random_regression(seed, 60 + 40 * seed, 4 + 3 * seed)
+    cols = np.random.default_rng(seed).permutation(psi.shape[1])
+    curve = aic_curve(dataclasses.replace(_ranking_of_columns(len(cols)), columns=tuple(cols)),
+                      psi, y_s, SelectionConfig(n_noise_terms=k))
+    want = _two_stage_costs(psi[:, cols], y_s, k)
+    assert np.all(np.isfinite(curve.j_values))
+    assert np.allclose(curve.j_values, want, rtol=1e-9, atol=0.0)
 
 
-def _assert_sweep_matches_per_prefix(candidates, ranking, psi, y_s, config):
-    curve = aic_curve(ranking, psi, y_s, config)
-    ref = _per_prefix_reference(candidates, ranking, psi, y_s, config)
-    j_ref = np.array([p[0] for p in ref])
-    assert np.array_equal(np.isnan(curve.j_values), np.isnan(j_ref))
-    ok = ~np.isnan(j_ref)
-    assert np.all(np.abs(curve.j_values[ok] - j_ref[ok])
-                  <= 1e-9 * np.max(np.abs(j_ref[ok]), initial=0.0))
-    assert curve.converged == tuple(p[1] for p in ref)
-    assert curve.iterations == tuple(p[2] for p in ref)
-    return curve
+def test_aic_curve_without_noise_columns_is_the_ls_estimate_prefix_costs():
+    psi, y_s = _random_regression(7, 80, 9)
+    curve = aic_curve(_ranking_of_columns(9), psi, y_s, SelectionConfig(n_noise_terms=0))
+    want = [len(y_s) * np.log(ls_estimate(psi[:, :s], y_s).process_variance) + 2.0 * s
+            for s in range(1, 10)]
+    assert np.allclose(curve.j_values, want, rtol=1e-9, atol=0.0)
+
+
+def test_aic_curve_singular_point_is_nan():
+    # a duplicated column fails the rank check from its rank on, for every k;
+    # stage 1 fits the prefix before it
+    psi, y_s = _random_regression(3, 120, 8)
+    psi[:, 5] = psi[:, 2]
+    for k in (0, 1, 2):
+        curve = aic_curve(_ranking_of_columns(8), psi, y_s, SelectionConfig(n_noise_terms=k))
+        assert np.array_equal(np.isnan(curve.j_values), np.arange(8) >= 5)
+        if k:
+            want = _two_stage_costs(psi[:, :5], y_s, k)
+            assert np.allclose(curve.j_values[:5], want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_aic_curve_sizes_short_of_rows_are_nan(k):
+    # a size with noise columns needs s + k + 2 rows, one without s
+    m = 12
+    psi, y_s = _random_regression(k, m, 11)
+    curve = aic_curve(_ranking_of_columns(11), psi, y_s, SelectionConfig(n_noise_terms=k))
+    top = m - k - 2 if k else 11
+    assert np.array_equal(np.isnan(curve.j_values), np.arange(1, 12) > top)
+    if k:
+        want = _two_stage_costs(psi[:, :top], y_s, k)
+        assert np.allclose(curve.j_values[:top], want, rtol=1e-9, atol=0.0)
+    none = aic_curve(_ranking_of_columns(11), psi[:k + 2], y_s[:k + 2],
+                     SelectionConfig(n_noise_terms=k))
+    assert np.all(np.isnan(none.j_values)) == bool(k)
 
 
 @pytest.mark.parametrize("make", [heating_experiment, bouc_wen_experiment])
 def test_aic_sweep_matches_per_prefix_estimation(make):
+    # the preset's noise column, and least squares with none
     defn = make()
     data, _ = make_identification_data(defn, seed=1)
     psi, y_s = build_regression(defn.candidates, data)
     ranking = frols_rank(defn.candidates, psi, y_s)
-    for config in (defn.selection, SelectionConfig(n_noise_terms=0)):
-        _assert_sweep_matches_per_prefix(defn.candidates, ranking, psi, y_s, config)
+    ranked = psi.take(ranking.columns, axis=1)
+    for k in (defn.selection.n_noise_terms, 0):
+        curve = aic_curve(ranking, psi, y_s, SelectionConfig(n_noise_terms=k))
+        assert np.allclose(curve.j_values, _two_stage_costs(ranked, y_s, k), rtol=1e-9, atol=0.0)
 
 
 def test_no_noise_columns_is_least_squares():
@@ -490,20 +490,21 @@ def test_no_noise_columns_is_least_squares():
 
 @pytest.mark.parametrize("name, seed", [("heating", 7), ("bouc_wen", 2)])
 def test_sweep_fits_carry_the_variance_the_criterion_scores(name, seed):
-    # each fit's variance is that of y - Psi theta on its prefix of the
-    # ranked columns, bit for bit, and the curve is N ln(var) + 2 s of it
+    # the curve scores the process residual y - Psi_s theta_s of each
+    # two-stage fit, not its innovation residual, which also takes Xi phi out
     config = default_config(name)
     data, _ = make_identification_data(config, seed)
     psi, y_s = build_regression(config.candidates, data)
     ranking = frols_rank(config.candidates, psi, y_s)
     ranked = psi.take(ranking.columns, axis=1)
-    sizes = np.arange(1, len(ranking) + 1)
-    fits = els_sweep(ranked, y_s, sizes, config.selection.n_noise_terms, config.selection.els)
     curve = aic_curve(ranking, psi, y_s, config.selection)
-    for s, fit, j in zip(sizes, fits, curve.j_values):
-        var = np.var(y_s - ranked[:, :s] @ fit.theta)
-        assert fit.process_variance == var
-        assert j == len(y_s) * np.log(var) + 2.0 * s
+    xi = lagged(y_s - ranked @ np.linalg.lstsq(ranked, y_s, rcond=None)[0], 1)
+    for s, j in zip(range(1, len(ranking) + 1), curve.j_values):
+        a = np.column_stack([xi, ranked[:, :s]])
+        fit = np.linalg.lstsq(a, y_s, rcond=None)[0]
+        process, innovation = y_s - ranked[:, :s] @ fit[1:], y_s - a @ fit
+        assert j == pytest.approx(len(y_s) * np.log(np.var(process)) + 2.0 * s, rel=1e-9)
+        assert np.var(innovation) < np.var(process)
 
 
 def test_white_input_exact_fit_is_scored_and_selected():
@@ -517,18 +518,16 @@ def test_white_input_exact_fit_is_scored_and_selected():
     for seed in range(10):
         u = np.random.default_rng(seed).uniform(0.1, 0.9, 2000)
         data = TimeSeriesData(u, simulate_hammerstein(HEATING_SYSTEM, u), ts=1.0)
-        model, _, curve, report = select_structure(candidates, data)
+        model, ranking, curve, report = select_structure(candidates, data)
         assert np.all(np.isfinite(curve.j_values))
         assert curve.argmin == 8 and truth <= set(model.process_terms)
-        assert (curve.iterations[7], curve.converged[7]) == (1, True)
+        # the ranked list's least-squares fit is exact, so the curve is the
+        # least-squares one, bit for bit
+        ls_curve = aic_curve(ranking, *build_regression(candidates, data),
+                             SelectionConfig(n_noise_terms=0))
+        assert np.array_equal(curve.j_values, ls_curve.j_values)
         assert (report.iterations, report.converged) == (1, True)
         assert np.array_equal(report.noise_theta, [0.0])
-
-
-def test_aic_curve_least_squares_points_converge():
-    ranking, regression = _noisy_ranking()
-    curve = aic_curve(ranking, *regression, SelectionConfig(n_noise_terms=0))
-    assert curve.converged == (True,) * len(ranking)
 
 
 def test_select_structure_recovers_true_model():
