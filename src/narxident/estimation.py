@@ -11,6 +11,8 @@ are the least-squares fit minus R^-1 C phi, C = Q^T Xi, with R^-1 formed
 once.  The information-criterion curve of :mod:`.selection` fits every
 model size by least squares with the same factorization (:func:`_qr`),
 rank rule and noise columns (:func:`lagged`); only the final fit iterates.
+:func:`els_sweep` gives the iterated fit of several column prefixes, one
+:func:`els_core` call per size.
 
 A regression taller than one row block of ``_QR_BLOCK_ROWS`` = 2048 rows,
 such as Bouc-Wen's 19,199, is factored by blocks (tall-skinny QR,
@@ -297,6 +299,34 @@ def els_core(psi, y_s, n_noise_terms=1, config=ElsConfig()):
         theta, process - sum(xi[l] * phi[l] for l in reversed(range(k))), float(process.var()),
         iterations=iterations, converged=change_norms[-1] < config.zeta, noise_theta=phi,
         change_norms=tuple(change_norms))
+
+
+def els_sweep(psi, y_s, sizes, n_noise_terms=1, config=ElsConfig()):
+    """Extended least squares on several column prefixes of one matrix.
+
+    Entry i of the returned list is what
+    ``els_core(psi[:, :sizes[i]], y_s, n_noise_terms, config)`` returns, or
+    the :class:`ParameterError` / :class:`SingularMatrixError` it raises
+    for that size; invalid arguments raise for the whole call.  ``sizes``
+    must be integers increasing within 1..psi.shape[1], and ``psi`` and
+    ``y_s`` real and finite.  This is the iterated fit of each size, for
+    comparison with the two least-squares stages that score the sizes of
+    the information-criterion curve.
+    """
+    psi, y_s = check_regression(psi, y_s)
+    check_noise_terms(n_noise_terms)
+    n = psi.shape[1]
+    sizes = np.asarray(sizes, dtype=object)
+    if (sizes.ndim != 1 or not sizes.size or not all(map(is_int, sizes)) or sizes[0] < 1
+            or sizes[-1] > n or np.any(np.diff(sizes) <= 0)):
+        raise ParameterError(f"sizes must be integers increasing within 1..{n}")
+    fits = []
+    for s in sizes:
+        try:
+            fits.append(els_core(psi[:, :s], y_s, n_noise_terms, config))
+        except (ParameterError, SingularMatrixError) as exc:
+            fits.append(exc)
+    return fits
 
 
 def constrained_ls_estimate(psi, y_s, constraints):

@@ -5,11 +5,12 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from narxident import (
     ConstraintError,
     ElsConfig,
+    NarxError,
     ParameterError,
     SingularMatrixError,
     TimeSeriesData,
@@ -24,7 +25,7 @@ from narxident import (
 from narxident.benchmarks import HEATING_SYSTEM
 from narxident.experiments import heating_experiment, make_identification_data
 from narxident import estimation
-from narxident.estimation import _QR_BLOCK_ROWS, _qr, els_core
+from narxident.estimation import _QR_BLOCK_ROWS, _qr, els_core, els_sweep
 
 U = Variable.INPUT
 
@@ -142,6 +143,17 @@ def test_els_validates_arguments():
     for bad in (-1, 1.5, True):
         with pytest.raises(ParameterError):
             els_core(psi, y_s, bad)
+        with pytest.raises(ParameterError):
+            els_sweep(psi, y_s, [1, 2], bad)
+
+
+@pytest.mark.parametrize("sizes", [[1.7, 3.2], [1.0, 2.0], np.array([1.0, 2.0]), [True],
+                                   [True, 2], np.array([True]), [[1, 2]], [], [0, 1], [2, 1]])
+def test_els_sweep_rejects_sizes_that_are_not_increasing_integers(sizes):
+    # sizes [1.7, 3.2] used to be truncated to fits of sizes 1 and 3, and [True] to fit size 1
+    psi, y_s = build_regression(generate_candidates(1, 1, 1), _armax_record(5))
+    with pytest.raises(ParameterError, match="sizes must be integers"):
+        els_sweep(psi, y_s, sizes)
 
 
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
@@ -154,7 +166,7 @@ def test_estimators_reject_complex_input(where):
         psi = psi + 1e-3j
     else:
         y_s = y_s + 1e-3j
-    for fit in (lambda: els_core(psi, y_s),
+    for fit in (lambda: els_sweep(psi, y_s, [1, 2, 3]), lambda: els_core(psi, y_s),
                 lambda: ls_estimate(psi, y_s),
                 lambda: constrained_ls_estimate(psi, y_s, [(np.ones(3), 1.0)]),
                 lambda: frols_rank(generate_candidates(1, 2, 1), psi, y_s)):
@@ -172,7 +184,7 @@ def test_estimators_reject_non_finite_input(where, bad):
         psi[7, 1] = bad
     else:
         y_s[7] = bad
-    for fit in (lambda: els_core(psi, y_s),
+    for fit in (lambda: els_sweep(psi, y_s, [1, 2, 3]), lambda: els_core(psi, y_s),
                 lambda: ls_estimate(psi, y_s),
                 lambda: constrained_ls_estimate(psi, y_s, [(np.ones(3), 1.0)]),
                 lambda: frols_rank(generate_candidates(1, 2, 1), psi, y_s)):
@@ -186,7 +198,7 @@ def test_estimators_reject_a_target_that_does_not_fit_psi(y_shape):
     # einsum, and the constrained fit broadcast y - Psi theta_p first
     psi = np.random.default_rng(0).standard_normal((10, 2))
     y_s = np.ones(y_shape)
-    fits = [lambda: els_core(psi, y_s),
+    fits = [lambda: els_sweep(psi, y_s, [1, 2]), lambda: els_core(psi, y_s),
             lambda: ls_estimate(psi, y_s),
             lambda: constrained_ls_estimate(psi, y_s, [(np.ones(2), 1.0)])]
     if y_s.ndim == 2:  # frols_rank's own "column per candidate" check takes the others
@@ -335,18 +347,19 @@ def test_els_matches_reference_with_and_without_second_pass(record):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_els_second_pass_on_the_prefixes_that_need_it(seed):
-    # prefixes 2-4 hold the column the lagged residual nearly lies along, so
+def test_els_sweep_second_pass_on_some_sizes_of_a_block(seed):
+    # sizes 2-4 hold the column the lagged residual nearly lies along, so
     # their noise columns keep ~1e-3 of their squared norm and take the
-    # second pass; prefix 1's keeps nearly all of it and takes one pass.
-    # Each fit matches its from-scratch reference.
+    # second pass; size 1's keeps nearly all of it and takes one pass.  Each
+    # size of the sweep still matches its own from-scratch reference.
     psi, y_s = _nearly_dependent_record(3e-2, seed)
     psi = np.column_stack([psi, np.random.default_rng(100 + seed).standard_normal((len(y_s), 2))])
     sizes = [1, 2, 3, 4]
     kept = np.array([_border_kept(psi[:, :s], y_s, 1)[0] for s in sizes])
     assert kept[0] > 0.5 and np.all(kept[1:] < 1e-2)
-    for s in sizes:
-        _assert_matches_reference(psi[:, :s], y_s, 1, ElsConfig(zeta=1e-6, max_iterations=10))
+    config = ElsConfig(zeta=1e-6, max_iterations=10)
+    for s, fit in zip(sizes, els_sweep(psi, y_s, sizes, 1, config)):
+        _assert_matches_reference(psi[:, :s], y_s, 1, config, fit)
 
 
 def _kept_outside_earlier_lags(psi, y_s, n_noise_terms):
@@ -359,12 +372,12 @@ def _kept_outside_earlier_lags(psi, y_s, n_noise_terms):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_els_gate_flags_dependent_lags(seed):
+def test_els_sweep_gate_flags_sizes_for_dependent_lags(seed):
     # k = 2 on a residual dominated by a period-2 component: lag 2 is nearly
-    # minus lag 1, so prefixes 1-2 keep ~1e-3 of lag 2's squared norm outside Q
+    # minus lag 1, so sizes 1-2 keep ~1e-3 of lag 2's squared norm outside Q
     # and lag 1 and take the explicit border, though each lag keeps nearly all
-    # of its norm outside Q alone.  Prefixes 3-4 hold the alternating column;
-    # their residual has no such component and they are solved from the Gram.
+    # of its norm outside Q alone.  Sizes 3-4 hold the alternating column; their
+    # residual has no such component and they are solved from the Gram.
     rng = np.random.default_rng(seed)
     m = 2000
     alternating = (-1.0) ** np.arange(m)
@@ -375,18 +388,19 @@ def test_els_gate_flags_dependent_lags(seed):
     for s in sizes:
         assert np.all(_border_kept(psi[:, :s], y_s, 2) > 0.9)
         assert (_kept_outside_earlier_lags(psi[:, :s], y_s, 2)[1] < 5e-3) == (s <= 2)
-    for s in sizes:
-        _assert_matches_reference(psi[:, :s], y_s, 2, ElsConfig(zeta=1e-6, max_iterations=10))
+    config = ElsConfig(zeta=1e-6, max_iterations=10)
+    for s, fit in zip(sizes, els_sweep(psi, y_s, sizes, 2, config)):
+        _assert_matches_reference(psi[:, :s], y_s, 2, config, fit)
 
 
 def _nearly_dependent_errors(perturbation):
-    """Relative error of the two-column one-iteration fit against the
-    reference on twenty seeds, after checking the first column's to 1e-12."""
+    """Relative error of size 2's one-iteration sweep fit against the
+    reference on twenty seeds, after checking size 1's to 1e-12."""
     config, errors = ElsConfig(max_iterations=1), []
     for seed in range(20):
         psi, y_s = _nearly_dependent_record(perturbation, seed)
-        for s in (1, 2):
-            fit = els_core(psi[:, :s], y_s, 1, config)
+        fits = els_sweep(psi, y_s, [1, 2], 1, config)
+        for s, fit in zip([1, 2], fits):
             theta, residuals, _ = _reference_els(psi[:, :s], y_s, 1, config)
             error = (np.max(np.abs(np.r_[fit.theta, fit.noise_theta] - theta))
                      / np.max(np.abs(theta)))
@@ -398,9 +412,9 @@ def _nearly_dependent_errors(perturbation):
 
 
 def test_els_second_pass_keeps_a_nearly_dependent_border_accurate():
-    # A 1e-6 perturbation: the noise column of the two-column fit keeps ~1e-12
-    # of its squared norm outside span(Psi), that of the first column's fit
-    # most of it, so only the first takes one pass.  One pass
+    # A 1e-6 perturbation: the noise column of size 2 keeps ~1e-12 of its
+    # squared norm outside span(Psi), that of size 1 most of it: one sweep,
+    # only one size needing the second pass.  One pass
     # leaves the border a cosine of ~eps/1e-6 with Q.  That is the order of
     # the rounding Xi already carries, so single seeds overlap; over twenty
     # seeds the median error against the reference is ~8e-10 with the
@@ -409,7 +423,7 @@ def test_els_second_pass_keeps_a_nearly_dependent_border_accurate():
 
 
 @pytest.mark.parametrize("perturbation", [3e-1, 1e-1, 3e-2, 1e-2, 1e-3, 1e-4, 1e-5])
-def test_els_is_accurate_along_a_cancellation_ladder(perturbation):
+def test_els_sweep_is_accurate_along_a_cancellation_ladder(perturbation):
     # Borders that keep ~1e-1 down to ~1e-10 of their squared norm (the test
     # above takes ~1e-12), on both sides of the 1/kappa^2 = 1e-2 below which
     # the second pass runs: a border taken after one pass is orthogonal to Q
@@ -428,8 +442,8 @@ def test_els_residual_row_without_history_is_exact():
     data, _ = make_identification_data(config, 7)
     psi, y_s = build_regression(config.candidates, data)
     ranked = psi.take(frols_rank(config.candidates, psi, y_s).columns, axis=1)
-    for s in range(1, ranked.shape[1] + 1):
-        fit = els_core(ranked[:, :s], y_s, 1, config.selection.els)
+    sizes = np.arange(1, ranked.shape[1] + 1)
+    for s, fit in zip(sizes, els_sweep(ranked, y_s, sizes, 1, config.selection.els)):
         row0 = ranked[0, :s]
         scale = abs(y_s[0]) + np.abs(row0) @ np.abs(fit.theta) + abs(fit.residuals[0])
         assert abs(fit.residuals[0] - (y_s[0] - row0 @ fit.theta)) <= 1e-12 * scale
@@ -477,6 +491,101 @@ def test_els_needs_two_rows_beyond_its_columns(k):
     assert els_core(psi[:4 + k + 2], y_s[:4 + k + 2], k).theta.shape == (4,)
     # least squares keeps its rule: as many rows as columns
     assert ls_estimate(psi[:4], y_s[:4]).theta.shape == (4,)
+
+
+def _fit_or_error(psi, y_s, n_noise_terms, config):
+    try:
+        return els_core(psi, y_s, n_noise_terms, config)
+    except NarxError as exc:
+        return exc
+
+
+# a size that fails or stops early must not warn
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.integers(1, 24), st.integers(0, 3), st.integers(-2, 40), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+# a noise parameter near -93, which an absolute tolerance would fail on
+@example(n=23, k=1, extra_rows=0, duplicate=False, exact=False, seed=3753471)
+# sizes with one spare row whose iteration amplified rounding past the
+# bound; they now fail the row rule in the sweep and the one-size fit alike
+@example(n=11, k=3, extra_rows=-2, duplicate=False, exact=False, seed=926774)
+@example(n=8, k=3, extra_rows=0, duplicate=True, exact=False, seed=2279959713)
+@example(n=6, k=3, extra_rows=0, duplicate=False, exact=False, seed=4027671318)
+def test_els_sweep_matches_per_prefix_fits(n, k, extra_rows, duplicate, exact, seed):
+    # every prefix size of one sweep against its own els_core call, with
+    # sizes converging at different iterations, sizes failing on rows, on a
+    # duplicated column or on a vanishing noise column
+    rng = np.random.default_rng(seed)
+    m = max(n + extra_rows, 2)
+    psi = rng.standard_normal((m, n + 3))
+    cols = rng.permutation(n + 3)[:n]
+    if duplicate and n >= 2:
+        first, second = sorted(rng.choice(n, 2, replace=False))
+        psi[:, cols[second]] = psi[:, cols[first]]
+    if exact:  # y in the span of the first ranked columns: no noise left to model
+        y_s = psi[:, cols[:2]] @ rng.standard_normal(min(n, 2))
+    else:
+        e = rng.standard_normal(m + 1)
+        y_s = 0.3 * psi @ rng.standard_normal(n + 3) + e[1:] + 0.6 * e[:-1]
+    _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k)
+
+
+def _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k):
+    """Sweep every prefix size of ``psi``'s columns ``cols`` and compare each
+    with its own fit, and the sweep of a Fortran-ordered copy bit for bit;
+    returns the sweep's fits."""
+    config = ElsConfig(zeta=1e-6, max_iterations=10)
+    ranked = psi.take(cols, axis=1)
+    sizes = np.arange(1, len(cols) + 1)
+    scale = np.max(np.abs(y_s))
+    fits = els_sweep(ranked, y_s, sizes, k, config)
+    for fit, fortran in zip(fits, els_sweep(np.asfortranarray(ranked), y_s, sizes, k, config)):
+        if isinstance(fit, Exception):
+            assert type(fortran) is type(fit) and str(fortran) == str(fit)
+            continue
+        for a, b in ((fit.theta, fortran.theta), (fit.residuals, fortran.residuals),
+                     (fit.noise_theta, fortran.noise_theta)):
+            assert a.tobytes() == b.tobytes()
+        assert (fit.iterations, fit.converged, fit.change_norms) == (
+            fortran.iterations, fortran.converged, fortran.change_norms)
+    for n_theta, fit in zip(sizes, fits):
+        want = _fit_or_error(ranked[:, :n_theta], y_s, k, config)
+        if isinstance(want, Exception):
+            assert type(fit) is type(want)
+            assert getattr(fit, "column", None) == getattr(want, "column", None)
+            continue
+        assert (fit.iterations, fit.converged) == (want.iterations, want.converged)
+        for got, ref, size in ((fit.theta, want.theta, np.max(np.abs(want.theta))),
+                               (fit.noise_theta, want.noise_theta,
+                                max(1.0, np.max(np.abs(want.noise_theta), initial=0.0))),
+                               (fit.residuals, want.residuals, scale),
+                               (np.array(fit.change_norms), np.array(want.change_norms),
+                                max(want.change_norms, default=0.0))):
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-9 * size
+    return fits
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_els_sweep_sizes_leave_one_block_at_different_iterations(k):
+    # of 16 sizes, some converge, each at its own iteration, some reach the
+    # cap, and the largest, whose least-squares fit is exact, reports that
+    # fit before the first iteration
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal((200, 18))
+    cols = rng.permutation(18)[:16]
+    e = rng.standard_normal(201)
+    psi[:, cols[-1]] = e[1:] + 0.9 * e[:-1]  # the last ranked column is MA noise
+    y_s = psi[:, cols] @ rng.uniform(0.2, 1.0, 16)
+    fits = _assert_sweep_matches_per_prefix_fits(psi, y_s, cols, k)
+    *fitted, last = fits
+    # the same size of a least-squares sweep (ls_estimate's one-size fit is
+    # compared above, to rounding)
+    ls_sweep = els_sweep(psi.take(cols, axis=1), y_s, np.arange(1, 17), 0)
+    _assert_is_exact_least_squares_fit(last, ls_sweep[-1], k)
+    assert len({f.iterations for f in fitted if f.converged}) >= 2
+    assert any(not f.converged and f.iterations == 10 for f in fitted)
 
 
 # more rows than one block, and not a multiple of the block: _qr's blocked path
@@ -531,46 +640,43 @@ def _tall_record(seed, n):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_els_on_a_tall_matrix_matches_the_reference(k):
-    psi, y_s = _tall_record(k, 7)
-    _assert_matches_reference(psi, y_s, k, ElsConfig(zeta=1e-6, max_iterations=10))
+def test_els_sweep_on_a_tall_matrix_matches_per_prefix_fits(k):
+    psi, y_s = _tall_record(k, 9)
+    _assert_sweep_matches_per_prefix_fits(psi, y_s, np.random.default_rng(k).permutation(9)[:7], k)
 
 
 @pytest.mark.parametrize("duplicate", [False, True])
-def test_els_on_a_tall_matrix_matches_the_whole_factorization(monkeypatch, duplicate):
-    # blocked and whole, the fit is the same to rounding, and a duplicated
-    # column fails both at the same column
+def test_els_sweep_on_a_tall_matrix_matches_the_whole_factorization(monkeypatch, duplicate):
+    # blocked and whole, the sweep fits the same to rounding, and a
+    # duplicated column fails the same sizes at the same column
     psi, y_s = _tall_record(5, 8)
     if duplicate:
         psi[:, 5] = psi[:, 2]
-
-    def fit():
-        try:
-            return els_core(psi, y_s)
-        except SingularMatrixError as exc:
-            return exc
-
-    blocked = fit()
+    sizes = np.arange(1, 9)
+    blocked = els_sweep(psi, y_s, sizes)
     monkeypatch.setattr(estimation, "_QR_BLOCK_ROWS", _TALL)
-    whole = fit()
-    if duplicate:
-        assert blocked.column == whole.column == 5
-        return
-    assert (blocked.iterations, blocked.converged) == (whole.iterations, whole.converged)
-    assert np.max(np.abs(blocked.theta - whole.theta)) <= 1e-12 * np.max(np.abs(whole.theta))
-    assert np.max(np.abs(blocked.residuals - whole.residuals)) <= 1e-12 * np.max(np.abs(y_s))
+    whole = els_sweep(psi, y_s, sizes)
+    for got, want in zip(blocked, whole):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and got.column == want.column
+            continue
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.max(np.abs(got.theta - want.theta)) <= 1e-12 * np.max(np.abs(want.theta))
+        assert np.max(np.abs(got.residuals - want.residuals)) <= 1e-12 * np.max(np.abs(y_s))
+    assert [isinstance(f, SingularMatrixError) and f.column for f in blocked] == (
+        [False] * 5 + [5] * 3 if duplicate else [False] * 8)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-def test_els_leaves_its_inputs_and_returns_unshared_arrays(k):
-    # no returned array is a view of the working buffers, of another
-    # report's arrays or of an input, for an unconverged and a converged fit
+def test_els_sweep_leaves_its_inputs_and_returns_unshared_arrays(k):
+    # twelve sizes, several finishing in the same iteration: no returned
+    # array is a view of a working buffer, of another report or of an input
     rng = np.random.default_rng(11)
     psi = rng.standard_normal((150, 14))
     e = rng.standard_normal(151)
     y_s = psi @ rng.standard_normal(14) + e[1:] + 0.6 * e[:-1]
     psi_before, y_before = psi.copy(), y_s.copy()
-    fits = [els_core(psi, y_s, k, ElsConfig(zeta=zeta, max_iterations=4)) for zeta in (1e-12, 1.0)]
+    fits = els_sweep(psi, y_s, np.arange(1, 13), k, ElsConfig(zeta=1e-6, max_iterations=4))
     assert np.array_equal(psi, psi_before) and np.array_equal(y_s, y_before)
     returned = [a for f in fits for a in (f.theta, f.residuals, f.noise_theta)]
     assert all(a.flags.owndata for a in returned)
